@@ -24,7 +24,7 @@ from .symbols import (
     upper_bound_CM,
     validate_decomposition,
 )
-from .semigroup import Propagator, apply_semigroup, duhamel_integral, smoothing_norm_profile
+from .semigroup import Propagator, apply_semigroup, duhamel_sweep, smoothing_norm_profile
 from .norms import (
     NormReport,
     WeightedNormConfig,

@@ -110,6 +110,9 @@ def run_solve(config_path: str, out_override: str | None = None) -> int:
         _write_manifest(cfg, run_dir, started)
         return 1
     _write_manifest(cfg, run_dir, started)
+    if not trace.converged:
+        click.echo(f"solver failure: no convergence in {len(trace.iterates)} iterations", err=True)
+        return 1
     click.echo(
         f"solve: converged={trace.converged} r={trace.r:.6g} T={trace.t_final:.6g} "
         f"iterations={len(trace.iterates)} -> {run_dir}"
@@ -243,6 +246,8 @@ def run_sweep(config_path: str, jobs: int = 1, out_override: str | None = None) 
         suite = cfg.suite
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
+        for combo in combos:
+            cfg.build_problem(p_override=combo["p"], k=combo["k"], s=combo["s"])
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2

@@ -10,11 +10,11 @@ iterated from the free evolution.  The ball radius and existence time follow
 the selection rule r = 4c*||v0||_{H^s}, c*T^omega*r^k = 1/4 with an
 empirically calibrated constant c.
 
-Picard iterates are coupled through a fixed graded-panel node set: the kernel
-V(t - tau) is integrated exactly per mode against a cubic interpolant of the
-stored nodal forcing (exponential product integration), so an iterate can be
-re-evaluated at any time by a single Duhamel evaluation over stored values,
-with no interpolation of the iterate itself.
+Picard iterates are coupled through the fixed graded-panel node set of
+semigroup.duhamel_sweep: each iteration evaluates the nonlinearity of the
+current iterate once per node inside one sweep over all stored times, and the
+converged iterate can be re-evaluated at any other time by one more sweep
+over its nodal forcing, with no interpolation of the iterate itself.
 
 The independent cross-check is a fourth-order exponential time-differencing
 Runge-Kutta scheme (Cox-Matthews stages, contour-averaged coefficients in the
@@ -23,9 +23,9 @@ style of Kassam-Trefethen) that treats the full linear multiplier exactly.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +37,13 @@ from .errors import (
     StructuralError,
 )
 from .norms import WeightedNormConfig, omega_k, sobolev_norm, x_norm, y_norm
-from .semigroup import Propagator, duhamel_integral, free_trajectory
+from .semigroup import (
+    Propagator,
+    duhamel_nodes,
+    duhamel_sweep,
+    duhamel_trajectory,
+    free_trajectory,
+)
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -209,7 +215,8 @@ def calibrate_c(
         denom = space(traj, cfg).total
         ratios.append(denom / hs)
         forcing = lambda tau, _traj=traj: nonlinearity_eval(_traj(tau), prob.k, prob.mode)
-        dtraj = lambda t, _f=forcing: duhamel_integral(prop, _f, t, panels=panels, grading=grading)
+        dtraj = duhamel_trajectory(prop, forcing, cfg.sample_times, t_cal,
+                                   panels=panels, grading=grading)
         num = space(dtraj, cfg).total
         ratios.append(num / (t_cal ** w * denom ** (prob.k + 1.0)))
     if not ratios:
@@ -217,154 +224,44 @@ def calibrate_c(
     return 2.0 * max(ratios)
 
 
-# ---------------------------------------------------------------------------
-# Exponential product integration on a fixed graded node set.
-# ---------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
-_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
-_VANDERMONDE_INV = np.linalg.inv(np.vander(_UNIT_NODES, 4, increasing=True))
-
-_MOMENT_COEFFS = [
-    [math.factorial(m) / math.factorial(j + m + 1) for j in range(19)] for m in range(4)
-]
-
-
-def _poly_exp_moments(omega: np.ndarray) -> np.ndarray:
-    """G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu for m = 0..3, stably.
-
-    Small |w| uses the entire series m! * sum_j w^j/(j+m+1)!; elsewhere the
-    integration-by-parts recursion G_m = (m*G_{m-1} - 1)/w applies.  Re(w) is
-    bounded above by eta*C_M*panel width in all uses, so exp(w) never
-    overflows.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    out = np.empty((4,) + omega.shape, dtype=complex)
-    small = np.abs(omega) <= 0.5
-    if np.any(small):
-        ws = omega[small]
-        for m in range(4):
-            acc = np.zeros_like(ws)
-            for c in reversed(_MOMENT_COEFFS[m]):
-                acc = acc * ws + c
-            out[m][small] = acc
-    big = ~small
-    if np.any(big):
-        wb = omega[big]
-        g = (np.exp(wb) - 1.0) / wb
-        out[0][big] = g
-        for m in range(1, 4):
-            g = (m * g - 1.0) / wb
-            out[m][big] = g
-    return out
-
-
-class _DuhamelProductRule:
-    """int_0^t V(t-tau) F(tau) dtau from nodal forcing values on a graded mesh.
-
-    Panels [b_j, b_(j+1)] with b_j = T*(j/panels)^grading carry 4 Gauss nodes
-    each; the forcing is represented per panel by its cubic interpolant and
-    the kernel exp(z*(t-tau)) is integrated against it in closed form per
-    mode.  Any t in (0, T] is reachable: full panels below t contribute
-    precomputed moments, the partial panel ends exactly at t.
-    """
-
-    def __init__(self, prop: Propagator, t_final: float, panels: int = 16, grading: float = 2.0):
-        if not 0 < t_final <= 1:
-            raise ValueError(f"t_final must lie in (0, 1], got {t_final}")
-        if panels < 1 or grading < 1:
-            raise ValueError("panels must be >= 1 and grading >= 1")
-        self.prop = prop
-        self.t_final = t_final
-        self.panels = panels
-        self.bounds = t_final * (np.arange(panels + 1) / panels) ** grading
-        widths = np.diff(self.bounds)
-        self.node_times = (self.bounds[:-1, None] + widths[:, None] * _UNIT_NODES[None, :]).ravel()
-        z = prop.exponent
-        self._full_moments = [_poly_exp_moments(z * w) for w in widths]
-
-    def coefficients(self, forcing_specs: np.ndarray) -> tuple[list, list]:
-        """Per-panel interpolant coefficients and precontracted full-panel sums."""
-        if forcing_specs.shape != (4 * self.panels, self.prop.grid.n_points):
-            raise StructuralError("forcing stack does not match the node layout")
-        cms, fulls = [], []
-        for j in range(self.panels):
-            cm = _VANDERMONDE_INV @ forcing_specs[4 * j : 4 * j + 4]
-            width = self.bounds[j + 1] - self.bounds[j]
-            g = self._full_moments[j]
-            fulls.append(width * (cm[0] * g[0] + cm[1] * g[1] + cm[2] * g[2] + cm[3] * g[3]))
-            cms.append(cm)
-        return cms, fulls
-
-    def integrate_with(self, cms: list, fulls: list, t: float) -> np.ndarray:
-        if t < 0 or t > self.t_final * (1 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {self.t_final}]")
-        z = self.prop.exponent
-        acc = np.zeros(self.prop.grid.n_points, dtype=complex)
-        for j in range(self.panels):
-            a, b = self.bounds[j], self.bounds[j + 1]
-            if a >= t:
-                break
-            if b <= t:
-                acc += np.exp(z * (t - b)) * fulls[j]
-            else:
-                width = b - a
-                uc = (t - a) / width
-                g = _poly_exp_moments(z * (t - a))
-                cm = cms[j]
-                ucp = uc ** np.arange(1, 5)
-                acc += width * (
-                    cm[0] * ucp[0] * g[0]
-                    + cm[1] * ucp[1] * g[1]
-                    + cm[2] * ucp[2] * g[2]
-                    + cm[3] * ucp[3] * g[3]
-                )
-        return acc
-
-    def integrate(self, forcing_specs: np.ndarray, t: float) -> np.ndarray:
-        cms, fulls = self.coefficients(forcing_specs)
-        return self.integrate_with(cms, fulls, t)
-
-
-def _forcing_stack(fields: dict, node_times: np.ndarray, prob: IvpProblem) -> np.ndarray:
-    return np.stack([nonlinearity_eval(fields[float(t)], prob.k, prob.mode).spec for t in node_times])
-
-
 class PicardSolution:
-    """Converged iterate: stored fields plus single-evaluation access anywhere.
+    """Converged iterate: stored fields plus single-sweep access anywhere.
 
     Calling the solution at a stored time returns the stored field; any other
-    time in [0, T] is produced by one Duhamel evaluation against the stored
-    nodal forcing of the converged iterate.
+    time in [0, T] is produced by one duhamel_sweep against the nodal forcing
+    of the stored iterate, which the first such call evaluates and keeps.
     """
 
-    def __init__(self, prop, prob, rule, forcing_specs, stored_fields):
+    def __init__(self, prop, prob, t_final, panels, grading, stored_fields):
         self.prop = prop
         self.prob = prob
-        self.rule = rule
+        self.t_final = t_final
+        self.panels = panels
+        self.grading = grading
         self._v0_spec = prob.initial_data.spec.copy()
-        self._forcing = forcing_specs
-        self._cms, self._fulls = rule.coefficients(forcing_specs)
         self._stored = dict(stored_fields)
-        self._times = np.array(sorted(self._stored))
+        self.times = np.array(sorted(self._stored))
 
-    @property
-    def t_final(self) -> float:
-        return self.rule.t_final
+    @cached_property
+    def _nodal_forcing(self) -> dict:
+        nodes = duhamel_nodes(self.t_final, self.panels, self.grading).ravel()
+        return {
+            float(tau): nonlinearity_eval(self._stored[float(tau)], self.prob.k, self.prob.mode)
+            for tau in nodes
+        }
 
-    @property
-    def times(self) -> np.ndarray:
-        return self._times
+    def _integral(self, t: float) -> np.ndarray:
+        if t < 0 or t > self.t_final * (1 + 1e-12):
+            raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
+        sweep = duhamel_sweep(self.prop, self._nodal_forcing.__getitem__, [t], self.t_final,
+                              self.panels, self.grading)
+        return next(sweep)
 
     def __call__(self, t: float) -> SpectralField:
         t = float(t)
         if t in self._stored:
             return self._stored[t]
-        if t < 0 or t > self.t_final * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
-        spec = self.prop.multiplier(t) * self._v0_spec - self.rule.integrate_with(
-            self._cms, self._fulls, t
-        )
+        spec = self.prop.multiplier(t) * self._v0_spec - self._integral(t)
         return inverse_transform(SpectralField(self.prob.grid, spec=spec))
 
     def free_part(self, t: float) -> SpectralField:
@@ -374,8 +271,7 @@ class PicardSolution:
 
     def duhamel_part(self, t: float) -> SpectralField:
         """The signed integral term of the solution, v(t) - V(t)v0."""
-        spec = -self.rule.integrate_with(self._cms, self._fulls, float(t))
-        return inverse_transform(SpectralField(self.prob.grid, spec=spec))
+        return inverse_transform(SpectralField(self.prob.grid, spec=-self._integral(float(t))))
 
 
 def picard_iterate(
@@ -407,9 +303,9 @@ def picard_iterate(
     else:
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, tuple(norm_times))
     space = prob.space_norm
-    rule = _DuhamelProductRule(prop, t_final, panels=panels, grading=grading)
+    nodes = duhamel_nodes(t_final, panels, grading).ravel()
     eval_times = sorted(
-        {float(t) for t in rule.node_times}
+        {float(t) for t in nodes}
         | {float(t) for t in cfg.sample_times}
         | {float(t_final)}
     )
@@ -417,15 +313,15 @@ def picard_iterate(
     current = {
         t: inverse_transform(SpectralField(prob.grid, spec=free_specs[t])) for t in eval_times
     }
-    forcing = _forcing_stack(current, rule.node_times, prob)
 
     trace = PicardTrace(r=r, t_final=t_final, c_calibrated=calibrated_c)
     prev_increment = None
     for it in range(1, max_iter + 1):
-        cms, fulls = rule.coefficients(forcing)
+        forcing = lambda tau, _cur=current: nonlinearity_eval(_cur[tau], prob.k, prob.mode)
+        sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels, grading=grading)
         new = {}
-        for t in eval_times:
-            spec = free_specs[t] - rule.integrate_with(cms, fulls, t)
+        for t, integral in zip(eval_times, sweep):
+            spec = free_specs[t] - integral
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
             new[t] = inverse_transform(SpectralField(prob.grid, spec=spec))
@@ -442,12 +338,11 @@ def picard_iterate(
                 f"iterate {it} left the ball: space norm {size:.4g} > 10*r = {10 * r:.4g}"
             )
         current = new
-        forcing = _forcing_stack(current, rule.node_times, prob)
         prev_increment = increment
         if increment <= tol:
             trace.converged = True
             break
-    solution = PicardSolution(prop, prob, rule, forcing, current)
+    solution = PicardSolution(prop, prob, t_final, panels, grading, current)
     return solution, trace
 
 

@@ -107,15 +107,6 @@ class SpectralField:
             )
         return cls(grid, phys=values)
 
-    @classmethod
-    def from_spec(cls, grid: GridSpec, coeffs) -> "SpectralField":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (grid.n_points,):
-            raise StructuralError(
-                f"expected {grid.n_points} coefficients, got shape {coeffs.shape}"
-            )
-        return cls(grid, spec=coeffs)
-
 
 def _require_coherent(f: SpectralField) -> None:
     if not f.coherent or f.spec is None or f.phys is None:
@@ -158,11 +149,6 @@ def inverse_transform(f: SpectralField) -> SpectralField:
 def coherent_field(grid: GridSpec, values) -> SpectralField:
     """Build a coherent field from physical samples."""
     return forward_transform(SpectralField.from_phys(grid, values))
-
-
-def coherent_field_from_spec(grid: GridSpec, coeffs) -> SpectralField:
-    """Build a coherent field from Hermitian-symmetric coefficients."""
-    return inverse_transform(SpectralField.from_spec(grid, coeffs))
 
 
 def zero_field(grid: GridSpec) -> SpectralField:

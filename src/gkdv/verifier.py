@@ -26,7 +26,7 @@ from .probes import rough_field
 from .semigroup import (
     Propagator,
     apply_semigroup,
-    duhamel_integral,
+    duhamel_trajectory,
     free_trajectory,
     smoothing_norm_profile,
 )
@@ -271,6 +271,21 @@ def verify_weighted_linear(
     )
 
 
+def _inadmissible_report(ident: str, w: float, tolerance: float) -> EstimateReport:
+    """Skipped report for a (k, p) pair with nonpositive contraction exponent."""
+    return EstimateReport(
+        estimate_id=ident,
+        theoretical_exponent=w,
+        fitted_exponent=None,
+        fit_window=(0.0, 0.0),
+        residual=0.0,
+        empirical_constant=0.0,
+        tolerance=tolerance,
+        verdict="skipped",
+        notes={"status": "inadmissible", "reason": "contraction exponent nonpositive"},
+    )
+
+
 def verify_nonlinear_estimate(
     prob: IvpProblem,
     t_values,
@@ -285,24 +300,29 @@ def verify_nonlinear_estimate(
 
     The space norm of int_0^t V(t-tau) N(V(.)g)(tau) dtau over (0, T] must
     grow no slower than T^omega_k allows: fitted exponent >= omega_k - margin.
-    An explicit probe field overrides the seeded rough data.
+    An explicit probe field overrides the seeded rough data.  Inadmissible
+    (k, p) pairs produce a skipped report before any Duhamel work.
     """
     w = omega_k(prob.k, prob.symbol.p)
+    ident = f"nonlinear-growth-{prob.symbol.name}-k{prob.k:g}"
+    if w <= 0:
+        return _inadmissible_report(ident, w, margin)
+    t_values = np.asarray(sorted(t_values), dtype=float)
     prop = Propagator(prob.symbol, prob.grid)
     g = probe if probe is not None else rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
     traj = free_trajectory(prop, g)
     forcing = lambda tau: nonlinearity_eval(traj(tau), prob.k, prob.mode)
     space = prob.space_norm
-    t_values = np.asarray(sorted(t_values), dtype=float)
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
-        dtraj = lambda t: duhamel_integral(prop, forcing, t, panels=panels, grading=grading)
+        dtraj = duhamel_trajectory(prop, forcing, cfg.sample_times, t_final,
+                                   panels=panels, grading=grading)
         lhs.append(space(dtraj, cfg).total)
     lhs = np.array(lhs)
     if np.all(lhs < 1e-300):
         return EstimateReport(
-            estimate_id=f"nonlinear-growth-{prob.symbol.name}-k{prob.k:g}",
+            estimate_id=ident,
             theoretical_exponent=w,
             fitted_exponent=None,
             fit_window=(float(t_values[0]), float(t_values[-1])),
@@ -318,7 +338,7 @@ def verify_nonlinear_estimate(
     if ok and fitted > w + _WEAK_MARGIN:
         verdict = "pass-weak"
     return EstimateReport(
-        estimate_id=f"nonlinear-growth-{prob.symbol.name}-k{prob.k:g}",
+        estimate_id=ident,
         theoretical_exponent=w,
         fitted_exponent=fitted,
         fit_window=(float(t_values[0]), float(t_values[-1])),
@@ -378,17 +398,7 @@ def verify_contraction_scaling(
     w = omega_k(prob.k, prob.symbol.p)
     ident = f"contraction-scaling-{prob.symbol.name}-k{prob.k:g}"
     if w <= 0:
-        return EstimateReport(
-            estimate_id=ident,
-            theoretical_exponent=w,
-            fitted_exponent=None,
-            fit_window=(0.0, 0.0),
-            residual=0.0,
-            empirical_constant=0.0,
-            tolerance=rel_tol,
-            verdict="skipped",
-            notes={"status": "inadmissible", "reason": "contraction exponent nonpositive"},
-        )
+        return _inadmissible_report(ident, w, rel_tol)
     if t_values is None:
         t_values = default_contraction_window(prob)
     t_values = np.asarray(sorted(t_values), dtype=float)
@@ -397,20 +407,18 @@ def verify_contraction_scaling(
     space = prob.space_norm
     probe_exp = contraction_probe_exponent(prob.k)
 
-    pairs = []
+    trajectories = []
     for i in range(n_pairs):
         gv = rough_field(prob.grid, seed=seed + 2 * i, spectral_exponent=probe_exp)
         gw = rough_field(prob.grid, seed=seed + 2 * i + 1, spectral_exponent=probe_exp)
-        pairs.append((gv, gw))
+        trajectories.append((free_trajectory(prop, gv), free_trajectory(prop, gw)))
 
     rhos = []
     for t_final in t_values:
         times = tuple(np.geomspace(t_floor, t_final, n_times))
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
         best = 0.0
-        for gv, gw in pairs:
-            tv = free_trajectory(prop, gv)
-            tw = free_trajectory(prop, gw)
+        for tv, tw in trajectories:
             denom = space(lambda t: linear_combination(tv(t), tw(t), 1.0, -1.0), cfg).total
             if denom < 1e-12:
                 continue
@@ -420,11 +428,9 @@ def verify_contraction_scaling(
                 1.0,
                 -1.0,
             )
-            num = space(
-                lambda t: duhamel_integral(prop, forcing, t, panels=panels, grading=grading),
-                cfg,
-            ).total
-            best = max(best, num / denom)
+            dtraj = duhamel_trajectory(prop, forcing, times, t_final,
+                                       panels=panels, grading=grading)
+            best = max(best, space(dtraj, cfg).total / denom)
         rhos.append(best)
     rhos = np.array(rhos)
     fitted, constant, residual = fit_power_law(t_values, rhos)

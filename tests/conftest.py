@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkdv.spectral import GridSpec
+from gkdv.spectral import GridSpec, SpectralField, inverse_transform
 
 
 def rel_l2(a, b):
@@ -27,6 +27,24 @@ def bracket_sup(p, theta, taus):
         hi = np.where(rising, hi, mid)
     xi = 0.5 * (lo + hi)
     return (1.0 + xi) ** theta * np.exp(-taus * xi ** p)
+
+
+def gl_duhamel(prop, forcing, t, panels=16, grading=2.0):
+    """Reference int_0^t V(t - tau) forcing(tau) dtau by per-time quadrature.
+
+    Composite 4-node Gauss-Legendre on the graded mesh t*(j/panels)^grading,
+    applied to the whole integrand V(t - tau) forcing(tau); it is exact when
+    that integrand is constant in tau, which the product rule is not.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    bounds = t * (np.arange(panels + 1) / panels) ** grading
+    acc = np.zeros(prop.grid.n_points, dtype=complex)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        for node, weight in zip(nodes, weights):
+            tau = mid + half * node
+            acc += (half * weight) * prop.multiplier(t - tau) * forcing(tau).spec
+    return inverse_transform(SpectralField(prop.grid, spec=acc))
 
 
 @pytest.fixture

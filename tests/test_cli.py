@@ -168,6 +168,20 @@ class TestSolveCommand:
         res = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
         assert res.exit_code == 1
 
+    def test_unconverged_picard_exit_1(self, tmp_path):
+        cfg = solve_config(solver={"max_iter": 1, "tol": 1e-30})
+        path = write_config(tmp_path, "unconverged.json", cfg)
+        runner = CliRunner()
+        res = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert "no convergence" in res.output
+        run_dir = next((tmp_path / "out").iterdir())
+        trace = json.loads((run_dir / "reports" / "picard_trace.json").read_text())
+        assert trace["converged"] is False
+        assert len(trace["iterates"]) == 1
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "reports/picard_trace.json" in {f["path"] for f in manifest["files"]}
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GKDV_OUT", str(tmp_path / "envout"))
         path = write_config(tmp_path, "s.json", solve_config())
@@ -206,6 +220,8 @@ class TestVerifyCommand:
         verdicts = {p["estimate_id"]: p["verdict"] for p in payloads}
         skipped = [v for key, v in verdicts.items() if key.startswith("contraction")]
         assert skipped == ["skipped"]
+        growth = [v for key, v in verdicts.items() if key.startswith("nonlinear-growth")]
+        assert growth == ["skipped"]
 
     def test_bad_suite_exit_2(self, tmp_path):
         cfg = verify_config(suite="everything")
@@ -259,6 +275,17 @@ class TestSweepCommand:
         rows = (run_dir / "data" / "sweep.csv").read_text().splitlines()[1:]
         combos = {tuple(r.split(",")[:3]) for r in rows}
         assert len(combos) == 4
+
+    @pytest.mark.parametrize("sweep", [{"p": [4.0, -1.0]}, {"k": [1.0, -2.0]}])
+    def test_invalid_combination_exit_2(self, tmp_path, sweep):
+        cfg = self.sweep_cfg()
+        cfg["sweep"] = sweep
+        path = write_config(tmp_path, "bad-sweep.json", cfg)
+        runner = CliRunner()
+        res = runner.invoke(main, ["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "config error" in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = self.sweep_cfg()

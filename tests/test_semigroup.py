@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,23 @@ from gkdv.norms import lebesgue_norm
 from gkdv.semigroup import (
     Propagator,
     apply_semigroup,
-    duhamel_integral,
+    duhamel_sweep,
+    duhamel_trajectory,
     free_trajectory,
     smoothing_norm_profile,
 )
-from gkdv.spectral import GridSpec, SpectralField, coherent_field, inverse_transform
+from gkdv.solver import nonlinearity_eval
+from gkdv.spectral import (
+    GridSpec,
+    SpectralField,
+    coherent_field,
+    inverse_transform,
+    linear_combination,
+)
 from gkdv.symbols import builtin_symbol, symbol_constants
 from gkdv.probes import gaussian_field
+
+from conftest import gl_duhamel
 
 
 def single_mode(grid, k, amp=0.5):
@@ -77,19 +89,51 @@ class TestApplySemigroup:
             assert np.all(np.diff(norms) <= 1e-12)
 
 
+def sweep_at(prop, forcing, t, **kwargs):
+    """The Duhamel integral at the single time t, with t as the horizon."""
+    return inverse_transform(
+        SpectralField(prop.grid, spec=next(duhamel_sweep(prop, forcing, [t], t, **kwargs)))
+    )
+
+
+def scaled(field, c):
+    return linear_combination(field, field, c, 0.0)
+
+
+def poly_kernel_integral(z, t, k):
+    """int_0^t exp(z*(t - s)) s^k ds per mode, independently of the package.
+
+    Small |z*t| sums the series t^(k+1) k! sum_j (z*t)^j/(j+k+1)!; elsewhere
+    the closed form k!/z^(k+1) (exp(z*t) - sum_{j<=k} (z*t)^j/j!) has no
+    harmful cancellation.
+    """
+    w = z * t
+    out = np.empty_like(w)
+    small = np.abs(w) <= 2.0
+    series = np.zeros(np.count_nonzero(small), dtype=complex)
+    for j in reversed(range(40)):
+        series = series * w[small] + math.factorial(k) / math.factorial(j + k + 1)
+    out[small] = t ** (k + 1) * series
+    wb, zb = w[~small], z[~small]
+    head = sum(wb ** j / math.factorial(j) for j in range(k + 1))
+    out[~small] = math.factorial(k) / zb ** (k + 1) * (np.exp(wb) - head)
+    return out
+
+
 class TestDuhamelIntegral:
     def test_zero_forcing(self, grid):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
         zero = coherent_field(grid, np.zeros(grid.n_points))
-        out = duhamel_integral(prop, lambda tau: zero, 0.4)
+        out = sweep_at(prop, lambda tau: zero, 0.4)
         assert np.all(out.spec == 0)
 
     def test_free_evolution_forcing_oracle(self, grid):
-        # forcing V(tau)g makes the integrand V(t)g, constant in tau
+        # forcing V(tau)g makes the integrand V(t)g, constant in tau; the
+        # Gauss-Legendre reference is exact there, the product rule is not
         prop = Propagator(builtin_symbol("pure-power", p=2), grid)
         g = gaussian_field(grid, width=0.7)
         t = 0.37
-        out = duhamel_integral(prop, free_trajectory(prop, g), t, panels=8)
+        out = gl_duhamel(prop, free_trajectory(prop, g), t, panels=8)
         expected = t * np.asarray(apply_semigroup(prop, g, t).spec)
         err = np.max(np.abs(out.spec - expected)) / np.max(np.abs(expected))
         assert err <= 1e-8
@@ -106,11 +150,35 @@ class TestDuhamelIntegral:
         exact = 0.5 * (np.exp(b * t) - np.exp(a * t)) / (b - a)
         errs = []
         for panels in (1, 2, 4):
-            out = duhamel_integral(prop, forcing, t, panels=panels, grading=1.0)
+            out = sweep_at(prop, forcing, t, panels=panels, grading=1.0)
             errs.append(abs(out.spec[3] - exact))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert errs[-1] < errs[0]
         assert max(orders) >= 4.0
+
+    @pytest.mark.parametrize("panels", [1, 4])
+    def test_exact_on_panelwise_cubic_forcing(self, grid, panels):
+        # a cubic in tau times a fixed field is its own interpolant on every
+        # panel, so only roundoff separates the sweep from the exact integral
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        g = gaussian_field(grid, width=0.7)
+        poly = (0.3, -1.2, 2.5, -4.0)
+        forcing = lambda tau: scaled(g, sum(c * tau ** k for k, c in enumerate(poly)))
+        times = [0.0, 0.013, 0.2, 0.37, 0.5]
+        for t, spec in zip(times, duhamel_sweep(prop, forcing, times, 0.5, panels=panels)):
+            exact = g.spec * sum(
+                c * poly_kernel_integral(prop.exponent, t, k) for k, c in enumerate(poly)
+            )
+            assert np.max(np.abs(spec - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_matches_gl_oracle_on_nonlinear_forcing(self, grid, t):
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        traj = free_trajectory(prop, gaussian_field(grid, amplitude=1.0, width=0.7))
+        forcing = lambda tau: nonlinearity_eval(traj(tau), 1.0, "conservative")
+        out = sweep_at(prop, forcing, t)
+        ref = gl_duhamel(prop, forcing, t, panels=64)
+        assert np.max(np.abs(out.spec - ref.spec)) <= 1e-8 * np.max(np.abs(ref.spec))
 
     def test_linearity_in_forcing(self, grid):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
@@ -122,8 +190,8 @@ class TestDuhamelIntegral:
             SpectralField(grid, spec=2.0 * f1(tau).spec - 0.5 * f2(tau).spec)
         )
         t = 0.3
-        lhs = duhamel_integral(prop, combo, t)
-        rhs = 2.0 * duhamel_integral(prop, f1, t).spec - 0.5 * duhamel_integral(prop, f2, t).spec
+        lhs = sweep_at(prop, combo, t)
+        rhs = 2.0 * sweep_at(prop, f1, t).spec - 0.5 * sweep_at(prop, f2, t).spec
         assert np.max(np.abs(lhs.spec - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_incompatible_grid_rejected(self, grid):
@@ -131,14 +199,32 @@ class TestDuhamelIntegral:
         other = GridSpec(2 * np.pi, 64)
         bad = gaussian_field(other, width=0.7)
         with pytest.raises(StructuralError):
-            duhamel_integral(prop, lambda tau: bad, 0.2)
+            sweep_at(prop, lambda tau: bad, 0.2)
 
     def test_time_domain(self, grid):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
         zero = coherent_field(grid, np.zeros(grid.n_points))
-        assert np.all(duhamel_integral(prop, lambda tau: zero, 0.0).spec == 0)
+        assert np.all(next(duhamel_sweep(prop, lambda tau: zero, [0.0], 0.4)) == 0)
         with pytest.raises(ValueError):
-            duhamel_integral(prop, lambda tau: zero, 1.5)
+            sweep_at(prop, lambda tau: zero, 1.5)
+        with pytest.raises(ValueError):
+            duhamel_sweep(prop, lambda tau: zero, [0.5], 0.4)
+        with pytest.raises(ValueError):
+            duhamel_sweep(prop, lambda tau: zero, [0.3, 0.1], 0.4)
+
+    def test_trajectory_refuses_out_of_order_times(self, grid):
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        forcing = free_trajectory(prop, gaussian_field(grid, width=0.7))
+        times = (0.1, 0.2, 0.4)
+        batch = list(duhamel_sweep(prop, forcing, times, 0.4))
+        traj = duhamel_trajectory(prop, forcing, times, 0.4)
+        assert np.array_equal(traj(0.1).spec, batch[0])
+        with pytest.raises(ValueError, match="out of order"):
+            traj(0.4)
+        traj = duhamel_trajectory(prop, forcing, times, 0.4)
+        traj(0.1)
+        with pytest.raises(ValueError, match="out of order"):
+            traj(0.1)
 
 
 class TestSmoothingProfile:

@@ -4,7 +4,7 @@ import pytest
 from gkdv.errors import AdmissibilityError, DivergenceError, StabilityError
 from gkdv.norms import WeightedNormConfig, sobolev_norm, x_norm
 from gkdv.probes import gaussian_field, rough_field
-from gkdv.semigroup import Propagator, apply_semigroup, free_trajectory
+from gkdv.semigroup import Propagator, apply_semigroup, duhamel_sweep, free_trajectory
 from gkdv.solver import (
     IvpProblem,
     calibrate_c,
@@ -193,6 +193,23 @@ class TestPicard:
             cfg,
         ).total
         assert residual <= 2 * tol
+
+    def test_off_grid_call_matches_batch_sweep(self):
+        prob = make_problem(name="kdv-ks", amplitude=0.3)
+        r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
+        t_final = 0.01
+        sol, trace = picard_iterate(prob, r, t_final, tol=1e-10)
+        assert trace.converged
+        t_off = 0.37 * t_final
+        assert t_off not in sol.times
+        prop = Propagator(prob.symbol, prob.grid)
+        # the stored iterate at the sweep nodes gives the nodal forcing
+        forcing = lambda tau: nonlinearity_eval(sol(tau), prob.k, prob.mode)
+        times = [0.1 * t_final, t_off, t_final]
+        batch = dict(zip(times, duhamel_sweep(prop, forcing, times, t_final)))
+        expected = prop.multiplier(t_off) * prob.initial_data.spec - batch[t_off]
+        assert np.array_equal(sol(t_off).spec, expected)
+        assert np.array_equal(sol.duhamel_part(t_off).spec, -batch[t_off])
 
     def test_first_iterate_obeys_linear_bound(self):
         g = GridSpec(200 * np.pi, 2 ** 11)

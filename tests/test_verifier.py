@@ -117,6 +117,20 @@ class TestNonlinearEstimate:
         assert rep.fitted_exponent is None
         assert rep.notes["degenerate"] == "zero probe"
 
+    def test_inadmissible_skipped(self, monkeypatch):
+        def no_duhamel(*args, **kwargs):
+            raise AssertionError("an inadmissible pair must not reach the Duhamel sweep")
+
+        monkeypatch.setattr("gkdv.verifier.duhamel_trajectory", no_duhamel)
+        g = GridSpec(100.0, 256)
+        prob = IvpProblem(symbol=builtin_symbol("kdv-burgers"), grid=g, k=1.0,
+                          mode="conservative", s=0.0, initial_data=zero_field(g))
+        rep = verify_nonlinear_estimate(prob, [0.01, 0.02, 0.04])
+        assert rep.verdict == "skipped"
+        assert rep.notes["status"] == "inadmissible"
+        assert rep.fitted_exponent is None
+        assert rep.passed
+
     def test_growth_bound(self):
         g = GridSpec(100 * np.pi, 2 ** 11)
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
