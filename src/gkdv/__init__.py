@@ -9,9 +9,7 @@ from .spectral import (
     bessel_potential,
     coherent_field,
     dealias,
-    forward_transform,
     fractional_derivative_shifted,
-    inverse_transform,
 )
 from .symbols import (
     DissipativeSymbol,

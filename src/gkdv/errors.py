@@ -9,10 +9,6 @@ class StructuralError(GkdvError):
     """Array shapes or grids do not match the operation's contract."""
 
 
-class SymmetryError(GkdvError):
-    """Spectral data is not Hermitian-symmetric for a real field."""
-
-
 class MultiplierEvaluationError(GkdvError):
     """A Fourier multiplier or symbol produced a non-finite value."""
 

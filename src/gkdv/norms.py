@@ -13,17 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import (
-    SpectralField,
-    _require_coherent,
-    fractional_derivative_shifted,
-    spatial_derivative,
-)
+from .spectral import SpectralField, fractional_derivative_shifted, spatial_derivative
 
 
 def lebesgue_norm(f: SpectralField, q: float) -> float:
     """Discrete L^q norm (rectangle rule); q = inf gives the max norm."""
-    _require_coherent(f)
     if q == np.inf:
         return float(np.max(np.abs(f.phys)))
     if q < 1:
@@ -35,23 +29,22 @@ def spectral_lq_norm(f: SpectralField, q: float) -> float:
     """L^q norm of the continuum-scale transform, measure dxi/(2*pi).
 
     The coefficient of mode k at continuum scale is length * spec[k]; the
-    measure dxi/(2*pi) = 1/length per mode makes this norm match the physical
-    L^2 norm exactly at q = 2 (Parseval).
+    measure dxi/(2*pi) = 1/length per mode, with each stored mode counted
+    as often as it occurs in the full spectrum, makes this norm match the
+    physical L^2 norm exactly at q = 2 (Parseval).
     """
-    _require_coherent(f)
     coeffs = f.grid.length * np.abs(f.spec)
     if q == np.inf:
         return float(np.max(coeffs))
     if q < 1:
         raise ValueError(f"Lebesgue exponent must satisfy q >= 1, got {q}")
-    return float((np.sum(coeffs ** q) / f.grid.length) ** (1.0 / q))
+    return float((np.sum(f.grid.mode_weights * coeffs ** q) / f.grid.length) ** (1.0 / q))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: L^2 norm of (1+|xi|)^s-weighted coefficients."""
-    _require_coherent(f)
-    w = (1.0 + np.abs(f.grid.xi)) ** s
-    return float(np.sqrt(f.grid.length * np.sum((w * np.abs(f.spec)) ** 2)))
+    w = (1.0 + f.grid.xi) ** s
+    return float(np.sqrt(f.grid.length * np.sum(f.grid.mode_weights * (w * np.abs(f.spec)) ** 2)))
 
 
 def gamma_k(k: float) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, coherent_field, inverse_transform
+from .spectral import GridSpec, SpectralField, coherent_field
 
 
 def gaussian_field(
@@ -35,17 +35,12 @@ def rough_field(
     Phases are drawn mode-by-mode in increasing order, so grids that share
     length and seed produce nested spectra: the 2N-grid field extends the
     N-grid field by new high modes following the same law.  The Nyquist mode
-    is left empty to keep the field exactly real.
+    is left empty.
     """
     a = spectral_exponent if spectral_exponent is not None else sobolev_index + 0.5 + margin
-    n = grid.n_points
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n // 2 - 1)
-    spec = np.zeros(n, dtype=complex)
+    phases = rng.uniform(0.0, 2.0 * np.pi, grid.n_points // 2 - 1)
+    spec = np.zeros_like(grid.xi, dtype=complex)
     spec[0] = 1.0
-    k = np.arange(1, n // 2)
-    mods = (1.0 + np.abs(grid.xi[k])) ** (-a)
-    spec[k] = mods * np.exp(1j * phases)
-    spec[-k] = np.conj(spec[k])
-    spec *= amplitude
-    return inverse_transform(SpectralField(grid, spec=spec))
+    spec[1:-1] = (1.0 + grid.xi[1:-1]) ** (-a) * np.exp(1j * phases)
+    return SpectralField(grid, amplitude * spec)

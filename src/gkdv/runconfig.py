@@ -27,7 +27,7 @@ _COMMON_KEYS = {"symbol", "grid", "k", "s", "mode", "seed", "output_dir"}
 _ALLOWED = {
     "solve": _COMMON_KEYS | {"initial_data", "output_times", "solver"},
     "verify": _COMMON_KEYS | {"suite", "verify"},
-    "sweep": _COMMON_KEYS | {"sweep", "suite", "verify", "jobs"},
+    "sweep": _COMMON_KEYS | {"sweep", "suite", "verify"},
 }
 _SOLVER_KEYS = {"max_iter", "tol", "panels", "grading"}
 _VERIFY_KEYS = {

@@ -21,14 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResolutionError, StructuralError
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    _odd_multiplier_frequencies,
-    apply_multiplier_values,
-    inverse_transform,
-    _require_coherent,
-)
+from .spectral import GridSpec, SpectralField, _odd_multiplier_frequencies, apply_multiplier_values
 from .symbols import DissipativeSymbol, evaluate_phi
 
 # Panel nodes of the product rule: the 4 Gauss-Legendre points on [0, 1],
@@ -77,7 +70,6 @@ def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralFi
 
 def free_trajectory(prop: Propagator, w0: SpectralField):
     """Return the callable t -> V(t) w0."""
-    _require_coherent(w0)
     return lambda t: apply_semigroup(prop, w0, t)
 
 
@@ -152,9 +144,9 @@ def duhamel_sweep(prop: Propagator, forcing, times, t_final: float,
 
 def _sweep(prop, forcing, times, bounds, nodes):
     grid = prop.grid
-    values = np.empty((4, grid.n_points), dtype=complex)
+    values = np.empty((4,) + grid.xi.shape, dtype=complex)
     coeffs = np.empty_like(values)
-    acc = np.zeros(grid.n_points, dtype=complex)
+    acc = np.zeros_like(grid.xi, dtype=complex)
     k = 0
     for a, b, panel_nodes in zip(bounds[:-1], bounds[1:], nodes):
         if k == len(times):
@@ -163,7 +155,6 @@ def _sweep(prop, forcing, times, bounds, nodes):
             field = forcing(float(tau))
             if not isinstance(field, SpectralField) or field.grid != grid:
                 raise StructuralError("forcing returned a field on an incompatible grid")
-            _require_coherent(field)
             values[i] = field.spec
         np.matmul(_VANDERMONDE_INV, values, out=coeffs)
         while k < len(times) and times[k] <= b:
@@ -198,7 +189,7 @@ def duhamel_trajectory(prop: Propagator, forcing, times, t_final: float,
         want, spec = next(steps, (None, None))
         if want != t:
             raise ValueError(f"Duhamel sweep asked for t={t} out of order (next is {want})")
-        return inverse_transform(SpectralField(prop.grid, spec=spec))
+        return SpectralField(prop.grid, spec)
 
     return at
 
@@ -217,10 +208,10 @@ def smoothing_norm_profile(
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0) or np.any(taus > 1):
         raise ValueError("every tau must lie in (0, 1]")
-    xs = np.abs(grid.xi)
-    xi_top = xs.max()
+    xs = grid.xi
+    xi_top = xs[-1]
     weight = (1.0 + xs) ** theta
-    phi = np.asarray(evaluate_phi(sym, grid.xi), dtype=float)
+    phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
     out = []
     for tau in taus:
         vals = weight * np.exp(sym.eta * tau * phi)

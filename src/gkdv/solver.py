@@ -44,15 +44,7 @@ from .semigroup import (
     duhamel_trajectory,
     free_trajectory,
 )
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    _require_coherent,
-    dealias,
-    inverse_transform,
-    linear_combination,
-    spatial_derivative,
-)
+from .spectral import GridSpec, SpectralField, dealias, linear_combination, spatial_derivative
 from .symbols import DissipativeSymbol
 
 MODES = ("conservative", "gradient")
@@ -144,20 +136,21 @@ def signed_power(values: np.ndarray, k: float) -> np.ndarray:
 def nonlinearity_eval(f: SpectralField, k: float, mode: str) -> SpectralField:
     """Nonlinear term N(v): d_x(P(v)) (conservative) or P(d_x u) (gradient).
 
-    Dealiasing is applied before and after the pointwise power.
+    Dealiasing is applied before and after the pointwise power, which is the
+    only step that leaves spectral space: one inverse and one forward real
+    transform per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if k <= 0:
         raise ValueError(f"nonlinearity degree must be positive, got {k}")
-    _require_coherent(f)
     g = dealias(f)
     if mode == "gradient":
         g = spatial_derivative(g)
     powered = signed_power(g.phys, k)
     if not np.all(np.isfinite(powered)):
         raise BlowUpError("pointwise power overflowed; field amplitude too large")
-    out = dealias(SpectralField(f.grid, phys=powered, spec=np.fft.fft(powered) / f.grid.n_points, coherent=True))
+    out = dealias(SpectralField(f.grid, np.fft.rfft(powered, norm="forward")))
     if mode == "conservative":
         out = spatial_derivative(out)
     return out
@@ -262,16 +255,14 @@ class PicardSolution:
         if t in self._stored:
             return self._stored[t]
         spec = self.prop.multiplier(t) * self._v0_spec - self._integral(t)
-        return inverse_transform(SpectralField(self.prob.grid, spec=spec))
+        return SpectralField(self.prob.grid, spec)
 
     def free_part(self, t: float) -> SpectralField:
-        return inverse_transform(
-            SpectralField(self.prob.grid, spec=self.prop.multiplier(t) * self._v0_spec)
-        )
+        return SpectralField(self.prob.grid, self.prop.multiplier(t) * self._v0_spec)
 
     def duhamel_part(self, t: float) -> SpectralField:
         """The signed integral term of the solution, v(t) - V(t)v0."""
-        return inverse_transform(SpectralField(self.prob.grid, spec=-self._integral(float(t))))
+        return SpectralField(self.prob.grid, -self._integral(float(t)))
 
 
 def picard_iterate(
@@ -296,7 +287,6 @@ def picard_iterate(
         raise ValueError(f"t_final must lie in (0, 1], got {t_final}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    _require_coherent(prob.initial_data)
     prop = Propagator(prob.symbol, prob.grid)
     if norm_times is None:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
@@ -310,9 +300,7 @@ def picard_iterate(
         | {float(t_final)}
     )
     free_specs = {t: prop.multiplier(t) * prob.initial_data.spec for t in eval_times}
-    current = {
-        t: inverse_transform(SpectralField(prob.grid, spec=free_specs[t])) for t in eval_times
-    }
+    current = {t: SpectralField(prob.grid, free_specs[t]) for t in eval_times}
 
     trace = PicardTrace(r=r, t_final=t_final, c_calibrated=calibrated_c)
     prev_increment = None
@@ -324,7 +312,7 @@ def picard_iterate(
             spec = free_specs[t] - integral
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
-            new[t] = inverse_transform(SpectralField(prob.grid, spec=spec))
+            new[t] = SpectralField(prob.grid, spec)
         increment = space(
             lambda t: linear_combination(new[t], current[t], 1.0, -1.0), cfg
         ).total
@@ -434,7 +422,6 @@ def reference_integrate(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    _require_coherent(prob.initial_data)
     prop = Propagator(prob.symbol, prob.grid)
     dt = t_final / n_steps
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coefficients(prop.exponent, dt)
@@ -449,16 +436,17 @@ def reference_integrate(
     def nl(vhat: np.ndarray) -> np.ndarray:
         if not include_nonlinearity:
             return np.zeros_like(vhat)
-        fld = inverse_transform(SpectralField(prob.grid, spec=vhat))
-        return -nonlinearity_eval(fld, prob.k, prob.mode).spec
+        return -nonlinearity_eval(SpectralField(prob.grid, vhat), prob.k, prob.mode).spec
 
-    length = prob.grid.length
-    vhat = prob.initial_data.spec.astype(complex).copy()
+    def l2_norm(vhat: np.ndarray) -> float:
+        return sobolev_norm(SpectralField(prob.grid, vhat), 0.0)
+
+    vhat = prob.initial_data.spec.copy()
     times = [0.0]
-    l2 = [float(np.sqrt(length * np.sum(np.abs(vhat) ** 2)))]
+    l2 = [l2_norm(vhat)]
     snapshots = {}
     if 0 in want:
-        snapshots[want[0]] = inverse_transform(SpectralField(prob.grid, spec=vhat.copy()))
+        snapshots[want[0]] = SpectralField(prob.grid, vhat.copy())
     for step in range(1, n_steps + 1):
         n0 = nl(vhat)
         a = e_half * vhat + q * n0
@@ -467,18 +455,18 @@ def reference_integrate(
         nb = nl(b)
         cstage = e_half * a + q * (2.0 * nb - n0)
         nc = nl(cstage)
-        vnew = e_full * vhat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-        norm_prev, norm_new = np.linalg.norm(vhat), np.linalg.norm(vnew)
-        if not np.isfinite(norm_new) or (norm_prev > 0 and norm_new > 10.0 * norm_prev):
+        vhat = e_full * vhat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+        norm = l2_norm(vhat)
+        if not np.isfinite(norm) or (l2[-1] > 0 and norm > 10.0 * l2[-1]):
             raise StabilityError(
                 f"norm grew by more than 10x in step {step}; reduce the step size"
             )
-        vhat = vnew
         times.append(step * dt)
-        l2.append(float(np.sqrt(length * np.sum(np.abs(vhat) ** 2))))
+        l2.append(norm)
         if step in want:
-            snapshots[want[step]] = inverse_transform(SpectralField(prob.grid, spec=vhat.copy()))
-    final = inverse_transform(SpectralField(prob.grid, spec=vhat))
+            snapshots[want[step]] = SpectralField(prob.grid, vhat.copy())
+    final = SpectralField(prob.grid, vhat)
+    final.phys  # the run hands back the final state with its samples
     return ReferenceRun(
         grid=prob.grid,
         times=np.array(times),

@@ -1,18 +1,22 @@
-"""Periodic grid, discrete transform pair, and Fourier multiplier application.
+"""Periodic grid, real-field spectra, and Fourier multiplier application.
 
 The real line is approximated by a torus [-L/2, L/2) with rapidly decaying
-data.  Transforms use numpy's FFT with the convention that the physical to
-spectral direction carries the 1/n factor, so a coherent field satisfies
+data.  A real field is stored as its rfft half spectrum, the n/2 + 1 modes
+k = 0..n/2; the negative modes are the complex conjugates and are never
+stored.  The physical to spectral direction carries the 1/n factor, so
 
-    phys[j] = sum_k spec[k] * exp(2j*pi*j*k/n)
+    phys[j] = sum_{k = 1-n/2}^{n/2} spec[k] * exp(2j*pi*j*k/n),  spec[-k] = conj(spec[k]).
 
-and the discrete Parseval identity reads
+A sum over the full spectrum weights stored mode k by GridSpec.mode_weights
+(1 at k = 0 and k = n/2, 2 elsewhere), so the discrete Parseval identity reads
 
-    sum |phys|^2 * h == length * sum |spec|^2.
+    sum |phys|^2 * h == length * sum mode_weights * |spec|^2.
 
-Mode k carries the frequency xi_k = 2*pi*k/length; the spectral phase is
-referenced to the left endpoint of the domain, which is invisible to every
-diagonal (multiplier) operation and to every norm.
+Mode k carries the frequency xi_k = 2*pi*k/length >= 0; the spectral phase
+is referenced to the left endpoint of the domain, which is invisible to every
+diagonal (multiplier) operation and to every norm.  Multipliers, dealiasing
+and linear combinations act on spectra only; samples are formed by one
+inverse transform the first time a field's phys is read.
 """
 
 from __future__ import annotations
@@ -22,11 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MultiplierEvaluationError, StructuralError, SymmetryError
-
-# Relative size of the imaginary residue tolerated when a spectrum claimed to
-# represent a real field is inverted.
-_HERMITIAN_RTOL = 1e-8
+from .errors import MultiplierEvaluationError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -76,95 +76,60 @@ class GridSpec:
 
     @cached_property
     def xi(self) -> np.ndarray:
-        """Signed frequencies in FFT order, xi_k = 2*pi*k/length."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
+        """Frequencies of the stored modes, xi_k = 2*pi*k/length for k = 0..n/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.h)
 
     @cached_property
-    def modes(self) -> np.ndarray:
-        """Integer mode numbers in FFT order."""
-        return np.rint(np.fft.fftfreq(self.n_points) * self.n_points).astype(int)
+    def mode_weights(self) -> np.ndarray:
+        """Multiplicity of each stored mode in the full spectrum: 1, 2, ..., 2, 1."""
+        w = np.full_like(self.xi, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
 
 
 @dataclass
 class SpectralField:
-    """Real periodic field with paired samples and Fourier coefficients.
+    """Real periodic field held as its rfft half spectrum.
 
-    ``coherent`` marks that phys and spec currently represent the same
-    function.  Operations never mutate fields in place.
+    phys is formed by one inverse transform the first time it is read and
+    then kept; a field built from samples keeps those.  Operations never
+    mutate fields in place.
     """
 
     grid: GridSpec
-    phys: np.ndarray | None = None
-    spec: np.ndarray | None = None
-    coherent: bool = False
+    spec: np.ndarray
 
-    @classmethod
-    def from_phys(cls, grid: GridSpec, values) -> "SpectralField":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_points,):
+    def __post_init__(self):
+        self.spec = np.asarray(self.spec, dtype=complex)
+        if self.spec.shape != self.grid.xi.shape:
             raise StructuralError(
-                f"expected {grid.n_points} samples, got shape {values.shape}"
+                f"expected {self.grid.xi.size} coefficients for "
+                f"n_points={self.grid.n_points}, got shape {self.spec.shape}"
             )
-        return cls(grid, phys=values)
 
-
-def _require_coherent(f: SpectralField) -> None:
-    if not f.coherent or f.spec is None or f.phys is None:
-        raise StructuralError("field is not coherent; apply forward_transform first")
-
-
-def forward_transform(f: SpectralField) -> SpectralField:
-    """Populate spec from phys (normalization: spectral side carries 1/n)."""
-    if f.phys is None:
-        raise StructuralError("forward_transform requires populated samples")
-    if f.phys.shape != (f.grid.n_points,):
-        raise StructuralError(
-            f"sample count {f.phys.shape} does not match grid n_points={f.grid.n_points}"
-        )
-    spec = np.fft.fft(f.phys) / f.grid.n_points
-    return SpectralField(f.grid, phys=np.array(f.phys, dtype=float), spec=spec, coherent=True)
-
-
-def inverse_transform(f: SpectralField) -> SpectralField:
-    """Populate phys from spec, checking the spectrum describes a real field."""
-    if f.spec is None:
-        raise StructuralError("inverse_transform requires populated coefficients")
-    if f.spec.shape != (f.grid.n_points,):
-        raise StructuralError(
-            f"coefficient count {f.spec.shape} does not match grid n_points={f.grid.n_points}"
-        )
-    z = np.fft.ifft(f.spec) * f.grid.n_points
-    scale = np.max(np.abs(z))
-    resid = np.max(np.abs(z.imag))
-    # Absolute floor: roundoff-sized residues inherited from order-one
-    # parents must not flag near-zero difference fields.
-    if resid > _HERMITIAN_RTOL * scale + 1e-13:
-        raise SymmetryError(
-            f"spectrum is not Hermitian-symmetric (imaginary residue {resid:.3e} "
-            f"vs field scale {scale:.3e})"
-        )
-    return SpectralField(f.grid, phys=z.real, spec=np.array(f.spec, dtype=complex), coherent=True)
+    @cached_property
+    def phys(self) -> np.ndarray:
+        return np.fft.irfft(self.spec, self.grid.n_points, norm="forward")
 
 
 def coherent_field(grid: GridSpec, values) -> SpectralField:
-    """Build a coherent field from physical samples."""
-    return forward_transform(SpectralField.from_phys(grid, values))
+    """Build a field from physical samples, which it keeps."""
+    values = np.array(values, dtype=float)
+    if values.shape != (grid.n_points,):
+        raise StructuralError(f"expected {grid.n_points} samples, got shape {values.shape}")
+    f = SpectralField(grid, np.fft.rfft(values, norm="forward"))
+    f.phys = values
+    return f
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(
-        grid,
-        phys=np.zeros(grid.n_points),
-        spec=np.zeros(grid.n_points, dtype=complex),
-        coherent=True,
-    )
+    return SpectralField(grid, np.zeros_like(grid.xi, dtype=complex))
 
 
 def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralField:
     """Apply a precomputed multiplier array m(xi_k) on the spectral side."""
-    _require_coherent(f)
     values = np.asarray(values)
-    if values.shape != (f.grid.n_points,):
+    if values.shape != f.spec.shape:
         raise StructuralError("multiplier array does not match the frequency lattice")
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -172,13 +137,19 @@ def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralFie
         raise MultiplierEvaluationError(
             f"multiplier is not finite at frequency xi={f.grid.xi[k]:.6g}"
         )
-    return inverse_transform(SpectralField(f.grid, spec=f.spec * values))
+    return SpectralField(f.grid, f.spec * values)
 
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Apply the Fourier multiplier m(xi) (a callable on frequency arrays)."""
-    _require_coherent(f)
-    return apply_multiplier_values(f, np.asarray(m(f.grid.xi), dtype=complex))
+    """Apply the Fourier multiplier m(xi) (a callable on frequency arrays).
+
+    m is evaluated at the stored frequencies xi >= 0 only.  Modes 0 and n/2
+    of a real field are real, so they take the real part of m; an odd
+    multiplier such as i*xi acts as zero on the Nyquist mode.
+    """
+    out = apply_multiplier_values(f, np.asarray(m(f.grid.xi), dtype=complex))
+    out.spec[[0, -1]] = out.spec[[0, -1]].real
+    return out
 
 
 def _odd_multiplier_frequencies(grid: GridSpec) -> np.ndarray:
@@ -186,7 +157,7 @@ def _odd_multiplier_frequencies(grid: GridSpec) -> np.ndarray:
     # coefficient; odd multipliers act as zero there (the sampled derivative
     # of the Nyquist cosine vanishes at the grid points).
     xi = np.array(grid.xi)
-    xi[grid.n_points // 2] = 0.0
+    xi[-1] = 0.0
     return xi
 
 
@@ -203,40 +174,25 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
     """
     if s <= -1:
         raise ValueError(f"shifted fractional derivative needs s > -1, got {s}")
-    xi = _odd_multiplier_frequencies(f.grid)
-    if s == 0:
-        values = 1j * xi
-    else:
-        values = 1j * np.sign(xi) * np.abs(xi) ** (s + 1.0)
-        values[0] = 0.0
-    return apply_multiplier_values(f, values)
+    return apply_multiplier_values(f, 1j * _odd_multiplier_frequencies(f.grid) ** (s + 1.0))
 
 
 def bessel_potential(f: SpectralField, s: float) -> SpectralField:
     """Apply (1 + |xi|)^s; the bracket is 1 + |xi|, not (1 + xi^2)^(1/2)."""
-    _require_coherent(f)
-    return apply_multiplier_values(f, (1.0 + np.abs(f.grid.xi)) ** s)
+    return apply_multiplier_values(f, (1.0 + f.grid.xi) ** s)
 
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with |k| >= cutoff (orthogonal projection)."""
-    _require_coherent(f)
-    spec = np.array(f.spec, dtype=complex)
-    spec[np.abs(f.grid.modes) >= f.grid.dealias_cutoff] = 0.0
-    return inverse_transform(SpectralField(f.grid, spec=spec))
+    spec = f.spec.copy()
+    spec[f.grid.dealias_cutoff:] = 0.0
+    return SpectralField(f.grid, spec)
 
 
 def linear_combination(
     a: SpectralField, b: SpectralField, ca: float = 1.0, cb: float = 1.0
 ) -> SpectralField:
-    """Return ca*a + cb*b as a coherent field."""
-    _require_coherent(a)
-    _require_coherent(b)
+    """Return ca*a + cb*b."""
     if a.grid != b.grid:
         raise StructuralError("cannot combine fields on different grids")
-    return SpectralField(
-        a.grid,
-        phys=ca * a.phys + cb * b.phys,
-        spec=ca * a.spec + cb * b.spec,
-        coherent=True,
-    )
+    return SpectralField(a.grid, ca * a.spec + cb * b.spec)

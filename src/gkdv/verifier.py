@@ -174,8 +174,8 @@ def verify_multiplier_decay(
     if weight == "bracket":
         profile = smoothing_norm_profile(sym, theta, taus, grid)
     else:
-        xs = np.abs(grid.xi)
-        phi = np.asarray(evaluate_phi(sym, grid.xi), dtype=float)
+        xs = grid.xi
+        phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
         profile = [float(np.max(xs ** theta * np.exp(sym.eta * tau * phi))) for tau in taus]
     theo = -theta / sym.p
     fitted, constant, residual = fit_power_law(taus, profile)
@@ -489,8 +489,8 @@ def verify_smoothing(
 
     data_c = rough_field(coarse, sobolev_index=s, seed=seed, amplitude=data_scale)
     data_f = rough_field(fine, sobolev_index=s, seed=seed, amplitude=data_scale)
-    prob_c = replace_problem(prob, grid=coarse, initial_data=data_c, s=s)
-    prob_f = replace_problem(prob, grid=fine, initial_data=data_f, s=s)
+    prob_c = replace(prob, grid=coarse, initial_data=data_c, s=s)
+    prob_f = replace(prob, grid=fine, initial_data=data_f, s=s)
 
     c = calibrate_c(prob_c, [data_c], panels=panels)
     r, t_final = select_radius_and_time(prob_c, c)
@@ -542,10 +542,6 @@ def verify_smoothing(
             "continuity_decreasing": decreasing,
         },
     )
-
-
-def replace_problem(prob: IvpProblem, **changes) -> IvpProblem:
-    return replace(prob, **changes)
 
 
 def verify_hausdorff_young(

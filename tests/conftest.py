@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gkdv.spectral import GridSpec, SpectralField, inverse_transform
+from gkdv.solver import signed_power
+from gkdv.spectral import GridSpec, SpectralField
 
 
 def rel_l2(a, b):
@@ -38,13 +39,36 @@ def gl_duhamel(prop, forcing, t, panels=16, grading=2.0):
     """
     nodes, weights = np.polynomial.legendre.leggauss(4)
     bounds = t * (np.arange(panels + 1) / panels) ** grading
-    acc = np.zeros(prop.grid.n_points, dtype=complex)
+    acc = np.zeros(prop.grid.n_points // 2 + 1, dtype=complex)
     for a, b in zip(bounds[:-1], bounds[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for node, weight in zip(nodes, weights):
             tau = mid + half * node
             acc += (half * weight) * prop.multiplier(t - tau) * forcing(tau).spec
-    return inverse_transform(SpectralField(prop.grid, spec=acc))
+    return SpectralField(prop.grid, acc)
+
+
+def full_spectrum_nonlinearity(grid, values, k, mode):
+    """Reference N(v) from real samples by complex fft/ifft on all n modes.
+
+    The kernel as it ran when fields held both halves of the spectrum:
+    dealias by |mode| >= cutoff, i*xi with the Nyquist mode zeroed, samples
+    by ifft, the pointwise power, fft, dealias, i*xi.  Returns the full
+    spectrum (1/n on the forward side) and the samples of N(v).
+    """
+    n = grid.n_points
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
+    xi_odd = xi.copy()
+    xi_odd[n // 2] = 0.0
+    keep = np.abs(np.rint(np.fft.fftfreq(n) * n)) < grid.dealias_cutoff
+    spec = np.where(keep, np.fft.fft(values) / n, 0.0)
+    if mode == "gradient":
+        spec = spec * (1j * xi_odd)
+    powered = signed_power(np.fft.ifft(spec).real * n, k)
+    out = np.where(keep, np.fft.fft(powered) / n, 0.0)
+    if mode == "conservative":
+        out = out * (1j * xi_odd)
+    return out, np.fft.ifft(out).real * n
 
 
 @pytest.fixture

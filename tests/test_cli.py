@@ -287,6 +287,16 @@ class TestSweepCommand:
         assert "config error" in res.output
         assert not (tmp_path / "out").exists()
 
+    def test_jobs_config_key_rejected(self, tmp_path):
+        # --jobs is the only parallelism control; a config key would be ignored
+        cfg = self.sweep_cfg()
+        cfg["jobs"] = 4
+        path = write_config(tmp_path, "jobs-sweep.json", cfg)
+        res = CliRunner().invoke(main, ["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "unknown key(s) ['jobs']" in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = self.sweep_cfg()
         cfg["sweep"] = {"k": [1.0, 2.0]}

@@ -184,13 +184,12 @@ class TestHausdorffYoung:
         assert rep.empirical_constant == pytest.approx(1.0, rel=1e-12)
 
     def test_single_mode_closed_form(self):
-        from gkdv.spectral import SpectralField, inverse_transform
+        from gkdv.spectral import SpectralField
 
         g = GridSpec(10.0, 64)
-        spec = np.zeros(64, complex)
+        spec = np.zeros(33, complex)
         spec[2] = 0.5
-        spec[-2] = 0.5
-        f = inverse_transform(SpectralField(g, spec=spec))
+        f = SpectralField(g, spec)
         p1 = 4.0
         q1 = p1 / (p1 - 1.0)
         # f = cos(xi_2(x + L/2)): ||f||_4 = (3L/8)^(1/4), coefficients both L/2
