@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gkdv.solver import signed_power
 from gkdv.spectral import GridSpec, SpectralField
 
 
@@ -53,8 +52,9 @@ def full_spectrum_nonlinearity(grid, values, k, mode):
 
     The kernel as it ran when fields held both halves of the spectrum:
     dealias by |mode| >= cutoff, i*xi with the Nyquist mode zeroed, samples
-    by ifft, the pointwise power, fft, dealias, i*xi.  Returns the full
-    spectrum (1/n on the forward side) and the samples of N(v).
+    by ifft, the pointwise power, fft, dealias, i*xi.  The power is formed
+    here by np.power: v^(k+1) for integer k+1, else |v|^k * v.  Returns the
+    full spectrum (1/n on the forward side) and the samples of N(v).
     """
     n = grid.n_points
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
@@ -64,7 +64,12 @@ def full_spectrum_nonlinearity(grid, values, k, mode):
     spec = np.where(keep, np.fft.fft(values) / n, 0.0)
     if mode == "gradient":
         spec = spec * (1j * xi_odd)
-    powered = signed_power(np.fft.ifft(spec).real * n, k)
+    v = np.fft.ifft(spec).real * n
+    kp1 = k + 1.0
+    if abs(kp1 - round(kp1)) < 1e-12:
+        powered = np.power(v, int(round(kp1)))
+    else:
+        powered = np.power(np.abs(v), k) * v
     out = np.where(keep, np.fft.fft(powered) / n, 0.0)
     if mode == "conservative":
         out = out * (1j * xi_odd)

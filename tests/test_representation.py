@@ -46,6 +46,25 @@ def test_nonlinearity_matches_full_spectrum_oracle(n, k, mode):
     assert rel_max(out.phys, ref_phys) <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["conservative", "gradient"])
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "grid", [GridSpec(40.0, 256, dealias_fraction=1.0), GridSpec(2 * np.pi, 4)],
+    ids=["cut-half-n", "cut-1"],
+)
+def test_nonlinearity_at_extreme_cutoffs(grid, k, mode):
+    # cut = n/2 keeps every mode below Nyquist; cut = 1 keeps the mean only,
+    # whose derivative is zero, so both sides must be exactly zero there
+    values = np.random.default_rng(7).standard_normal(grid.n_points)
+    values *= 1.0 if mode == "conservative" else 0.1
+    out = nonlinearity_eval(coherent_field(grid, values), k, mode)
+    ref_spec, ref_phys = full_spectrum_nonlinearity(grid, values, k, mode)
+    n = grid.n_points
+    assert out.spec[n // 2] == 0
+    assert np.max(np.abs(out.spec - ref_spec[: n // 2 + 1])) <= 1e-12 * np.max(np.abs(ref_spec))
+    assert np.max(np.abs(out.phys - ref_phys)) <= 1e-12 * np.max(np.abs(ref_phys))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_spec_is_the_nonnegative_half_of_the_fft(n):
     grid, values = real_field(n, seed=n)
@@ -97,11 +116,12 @@ def fft_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["conservative", "gradient"])
-def test_nonlinearity_makes_one_real_transform_pair(fft_calls, mode):
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+def test_nonlinearity_makes_one_real_transform_pair(fft_calls, k, mode):
     grid, values = real_field(512, seed=1, scale=0.1)
     f = coherent_field(grid, values)
     fft_calls.clear()
-    nonlinearity_eval(f, 1.0, mode)
+    nonlinearity_eval(f, k, mode)
     assert fft_calls == Counter(irfft=1, rfft=1)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkdv.errors import AdmissibilityError, DivergenceError, StabilityError
+from gkdv.errors import AdmissibilityError, BlowUpError, DivergenceError, StabilityError
 from gkdv.norms import WeightedNormConfig, sobolev_norm, x_norm
 from gkdv.probes import gaussian_field, rough_field
 from gkdv.semigroup import Propagator, apply_semigroup, duhamel_sweep, free_trajectory
@@ -52,6 +52,34 @@ class TestSignedPower:
     def test_fractional_on_nonnegative(self):
         v = np.linspace(0.0, 2.0, 11)
         assert np.allclose(signed_power(v, 0.5), v ** 1.5)
+
+    @pytest.mark.parametrize("kp1", [2, 3, 4, 5, 6])
+    def test_integer_powers_match_np_power(self, kp1):
+        v = np.random.default_rng(kp1).standard_normal(4096)
+        ref = np.power(v, kp1)
+        assert np.max(np.abs(signed_power(v, kp1 - 1.0) - ref) / np.abs(ref)) <= 1e-14
+
+    def test_near_integer_takes_integer_branch(self):
+        # exact cubes; |v|^(2 + 1e-13) * v would miss them by ~1e-13 relative
+        v = np.array([-2.0, -0.5, -3.0, 1.5])
+        out = signed_power(v, 2.0 + 1e-13)
+        assert np.array_equal(out, np.array([-8.0, -0.125, -27.0, 3.375]))
+
+    def test_nonpositive_degree_rejected(self):
+        with pytest.raises(ValueError):
+            signed_power(np.ones(4), 0.0)
+        with pytest.raises(ValueError):
+            signed_power(np.ones(4), -3.0)
+
+    def test_overflow_and_nan_raise_blow_up(self):
+        g = GridSpec(100.0, 256)
+        u = gaussian_field(g, amplitude=1.0, width=6.0).phys
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError):
+                nonlinearity_eval(coherent_field(g, 1e110 * u), 2.0, "conservative")
+            u[17] = np.nan
+            with pytest.raises(BlowUpError):
+                nonlinearity_eval(coherent_field(g, u), 2.0, "conservative")
 
 
 class TestNonlinearity:
