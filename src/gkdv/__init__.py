@@ -8,7 +8,6 @@ from .spectral import (
     apply_multiplier,
     bessel_potential,
     coherent_field,
-    dealias,
     fractional_derivative_shifted,
 )
 from .symbols import (

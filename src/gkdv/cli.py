@@ -196,6 +196,7 @@ def run_verify(config_path: str, suite: str | None = None, out_override: str | N
         chosen = suite or cfg.suite
         if chosen not in SUITES:
             raise ConfigError(f"unknown suite {chosen!r}; choose from {SUITES}")
+        cfg.build_problem()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2

@@ -3,7 +3,8 @@
 The Sobolev bracket is 1 + |xi| throughout.  Trajectory norms replace the
 continuum sup over (0, T] by a max over a finite sample-time grid (a lower
 bound of the true norm); sample grids should include geometrically spaced
-small times, which WeightedNormConfig.default provides.
+small times, which WeightedNormConfig.default provides.  A trajectory is
+passed as its fields at those sample times, in order.
 """
 
 from __future__ import annotations
@@ -120,14 +121,20 @@ class NormReport:
         }
 
 
-def _weighted_report(trajectory, cfg: WeightedNormConfig, weighted_parts, space: str) -> NormReport:
-    """Shared driver: sup over sample times of H^s plus weighted component sum."""
-    wexp = cfg.weight_exponent
+def _weighted_report(fields, cfg: WeightedNormConfig, weighted_parts, space: str,
+                     wexp: float | None = None) -> NormReport:
+    """Shared driver: sup over sample times of H^s plus weighted component sum.
+
+    fields holds the trajectory at cfg.sample_times, one field per time in
+    order; a count that differs raises ValueError.  Each weighted part at
+    time t carries the factor t^wexp, by default cfg.weight_exponent.
+    """
+    if wexp is None:
+        wexp = cfg.weight_exponent
     rows = []
     sup_total = 0.0
     sup_hs = 0.0
-    for t in cfg.sample_times:
-        f = trajectory(t)
+    for t, f in zip(cfg.sample_times, fields, strict=True):
         hs = sobolev_norm(f, cfg.s)
         weighted = 0.0
         part_rows = []
@@ -144,12 +151,15 @@ def _weighted_report(trajectory, cfg: WeightedNormConfig, weighted_parts, space:
     return NormReport(space=space, h_s=sup_hs, components=rows, total=sup_total)
 
 
-def x_norm(trajectory, cfg: WeightedNormConfig) -> NormReport:
+def x_norm(fields, cfg: WeightedNormConfig) -> NormReport:
     """Space norm for the conservative-form problem.
 
-    Per sample t:  ||f(t)||_{H^s} + t^(gamma_k/p) * ( ||f||_{L^q}
-    + ||d_x f||_{L^q} + ||D^s d_x f||_{L^q} ),  q = 2(k+1); the report's
-    total is the max of the sum over sample times.
+    fields is an iterable of SpectralField, the trajectory at
+    cfg.sample_times in order; it is read once, and a count other than
+    len(cfg.sample_times) raises ValueError.  Per sample t:
+    ||f(t)||_{H^s} + t^(gamma_k/p) * ( ||f||_{L^q} + ||d_x f||_{L^q}
+    + ||D^s d_x f||_{L^q} ),  q = 2(k+1); the report's total is the max of
+    the sum over sample times.
     """
     q = 2.0 * (cfg.k + 1.0)
     parts = [
@@ -157,45 +167,38 @@ def x_norm(trajectory, cfg: WeightedNormConfig) -> NormReport:
         ("w_dx_lq", lambda f: lebesgue_norm(spatial_derivative(f), q)),
         ("w_dxs_lq", lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)),
     ]
-    return _weighted_report(trajectory, cfg, parts, space="x")
+    return _weighted_report(fields, cfg, parts, space="x")
 
 
-def y_norm(trajectory, cfg: WeightedNormConfig) -> NormReport:
-    """Space norm for the gradient-form problem (two weighted components)."""
+def y_norm(fields, cfg: WeightedNormConfig) -> NormReport:
+    """Space norm for the gradient-form problem (two weighted components).
+
+    fields is read as in x_norm.
+    """
     q = 2.0 * (cfg.k + 1.0)
     parts = [
         ("w_dx_lq", lambda f: lebesgue_norm(spatial_derivative(f), q)),
         ("w_dxs_lq", lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)),
     ]
-    return _weighted_report(trajectory, cfg, parts, space="y")
+    return _weighted_report(fields, cfg, parts, space="y")
 
 
-def z_norm(trajectory, cfg: WeightedNormConfig) -> float:
+def z_norm(fields, cfg: WeightedNormConfig) -> float:
     """Auxiliary smoothing norm: sup of H^s plus t^(gamma_k/p)*||f||_{L^(2k+1)}.
 
-    The odd exponent 2k+1 is intentional and differs from the 2(k+1) used by
-    x_norm/y_norm.
+    fields is read as in x_norm.  The odd exponent 2k+1 is intentional and
+    differs from the 2(k+1) used by x_norm/y_norm.
     """
     q = 2.0 * cfg.k + 1.0
-    wexp = cfg.weight_exponent
-    sup = 0.0
-    for t in cfg.sample_times:
-        f = trajectory(t)
-        val = sobolev_norm(f, cfg.s) + t ** wexp * lebesgue_norm(f, q)
-        if not np.isfinite(val):
-            raise BlowUpError(f"non-finite norm at sample time t={t:g}")
-        sup = max(sup, val)
-    return sup
+    parts = [("w_lq", lambda f: lebesgue_norm(f, q))]
+    return _weighted_report(fields, cfg, parts, space="z").total
 
 
-def z_tilde_norm(trajectory, cfg: WeightedNormConfig) -> float:
-    """Auxiliary norm: sup of H^s plus t^((1+|s|)/p)*||d_x f||_{L^2}."""
-    wexp = (1.0 + abs(cfg.s)) / cfg.p
-    sup = 0.0
-    for t in cfg.sample_times:
-        f = trajectory(t)
-        val = sobolev_norm(f, cfg.s) + t ** wexp * lebesgue_norm(spatial_derivative(f), 2)
-        if not np.isfinite(val):
-            raise BlowUpError(f"non-finite norm at sample time t={t:g}")
-        sup = max(sup, val)
-    return sup
+def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
+    """Auxiliary norm: sup of H^s plus t^((1+|s|)/p)*||d_x f||_{L^2}.
+
+    fields is read as in x_norm.
+    """
+    parts = [("w_dx_l2", lambda f: lebesgue_norm(spatial_derivative(f), 2))]
+    return _weighted_report(fields, cfg, parts, space="z_tilde",
+                            wexp=(1.0 + abs(cfg.s)) / cfg.p).total

@@ -16,7 +16,12 @@ from .errors import ConfigError
 from .probes import gaussian_field, rough_field
 from .solver import IvpProblem
 from .spectral import GridSpec, SpectralField, zero_field
-from .symbols import DissipativeSymbol, builtin_symbol, tabulated_symbol
+from .symbols import (
+    DissipativeSymbol,
+    builtin_symbol,
+    tabulated_symbol,
+    validate_decomposition,
+)
 
 _GRID_KEYS = {"length", "n_points", "dealias_fraction"}
 _SYMBOL_KEYS = {"name", "p", "q", "c_phi1", "eta", "table"}
@@ -121,26 +126,35 @@ class RunConfig:
             raise ConfigError(f"invalid grid section: {exc}") from exc
 
     def build_symbol(self, p_override: float | None = None) -> DissipativeSymbol:
+        """The configured symbol; a tabulated one must keep its stated bound
+        |Phi1| <= c_phi1*(1 + |xi|^q) on the grid's range [0, nyquist]."""
         sec = self.raw["symbol"]
         name = sec.get("name")
         if name is None:
             raise ConfigError("symbol section requires a name")
         eta = float(sec.get("eta", 1.0))
         try:
-            if "table" in sec:
-                return tabulated_symbol(
-                    name=name,
-                    p=float(sec["p"]),
-                    q=float(sec.get("q", 0.0)),
-                    c_phi1=float(sec.get("c_phi1", 0.0)),
-                    eta=eta,
-                    xi_table=[row[0] for row in sec["table"]],
-                    phi1_table=[row[1] for row in sec["table"]],
-                )
-            p = p_override if p_override is not None else sec.get("p")
-            return builtin_symbol(name, p=p, eta=eta)
+            if "table" not in sec:
+                p = p_override if p_override is not None else sec.get("p")
+                return builtin_symbol(name, p=p, eta=eta)
+            sym = tabulated_symbol(
+                name=name,
+                p=float(sec["p"]),
+                q=float(sec.get("q", 0.0)),
+                c_phi1=float(sec.get("c_phi1", 0.0)),
+                eta=eta,
+                xi_table=[row[0] for row in sec["table"]],
+                phi1_table=[row[1] for row in sec["table"]],
+            )
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid symbol section: {exc}") from exc
+        nyquist = self.build_grid().nyquist
+        if not validate_decomposition(sym, nyquist):
+            raise ConfigError(
+                f"tabulated symbol {name!r} breaks its bound |Phi1| <= c_phi1*(1 + |xi|^q) "
+                f"on the resolved range [0, {nyquist:.6g}]"
+            )
+        return sym
 
     def build_initial_data(self, grid: GridSpec) -> SpectralField:
         sec = self.raw.get("initial_data", {"type": "zero"})

@@ -68,11 +68,6 @@ def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralFi
     return apply_multiplier_values(w0, prop.multiplier(t))
 
 
-def free_trajectory(prop: Propagator, w0: SpectralField):
-    """Return the callable t -> V(t) w0."""
-    return lambda t: apply_semigroup(prop, w0, t)
-
-
 def _poly_exp_moments(omega: np.ndarray) -> np.ndarray:
     """G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu for m = 0..3, stably.
 
@@ -174,24 +169,6 @@ def _panel_step(z, acc, coeffs, width, h):
     return np.exp(z * h) * acc + width * sum(
         coeffs[m] * ((h / width) ** (m + 1) * g[m]) for m in range(4)
     )
-
-
-def duhamel_trajectory(prop: Propagator, forcing, times, t_final: float,
-                       panels: int = 16, grading: float = 2.0):
-    """The callable t -> int_0^t V(t - tau) forcing(tau) dtau for a norm driver.
-
-    It streams one duhamel_sweep over times, so it must be asked for exactly
-    those times, each once and in order; any other request raises ValueError.
-    """
-    steps = zip(times, duhamel_sweep(prop, forcing, times, t_final, panels, grading))
-
-    def at(t: float) -> SpectralField:
-        want, spec = next(steps, (None, None))
-        if want != t:
-            raise ValueError(f"Duhamel sweep asked for t={t} out of order (next is {want})")
-        return SpectralField(prop.grid, spec)
-
-    return at
 
 
 def smoothing_norm_profile(

@@ -37,13 +37,7 @@ from .errors import (
     StructuralError,
 )
 from .norms import WeightedNormConfig, omega_k, sobolev_norm, x_norm, y_norm
-from .semigroup import (
-    Propagator,
-    duhamel_nodes,
-    duhamel_sweep,
-    duhamel_trajectory,
-    free_trajectory,
-)
+from .semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
 from .spectral import GridSpec, SpectralField, linear_combination
 from .symbols import DissipativeSymbol
 
@@ -218,13 +212,12 @@ def calibrate_c(
         hs = sobolev_norm(g, prob.s)
         if hs == 0.0:
             continue
-        traj = free_trajectory(prop, g)
-        denom = space(traj, cfg).total
+        denom = space((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg).total
         ratios.append(denom / hs)
-        forcing = lambda tau, _traj=traj: nonlinearity_eval(_traj(tau), prob.k, prob.mode)
-        dtraj = duhamel_trajectory(prop, forcing, cfg.sample_times, t_cal,
-                                   panels=panels, grading=grading)
-        num = space(dtraj, cfg).total
+        forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
+        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_cal,
+                              panels=panels, grading=grading)
+        num = space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total
         ratios.append(num / (t_cal ** w * denom ** (prob.k + 1.0)))
     if not ratios:
         raise ValueError("calibration needs at least one nonzero probe")
@@ -270,9 +263,6 @@ class PicardSolution:
             return self._stored[t]
         spec = self.prop.multiplier(t) * self._v0_spec - self._integral(t)
         return SpectralField(self.prob.grid, spec)
-
-    def free_part(self, t: float) -> SpectralField:
-        return SpectralField(self.prob.grid, self.prop.multiplier(t) * self._v0_spec)
 
     def duhamel_part(self, t: float) -> SpectralField:
         """The signed integral term of the solution, v(t) - V(t)v0."""
@@ -328,9 +318,9 @@ def picard_iterate(
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
             new[t] = SpectralField(prob.grid, spec)
         increment = space(
-            lambda t: linear_combination(new[t], current[t], 1.0, -1.0), cfg
+            (linear_combination(new[t], current[t], 1.0, -1.0) for t in cfg.sample_times), cfg
         ).total
-        size = space(lambda t: new[t], cfg).total
+        size = space((new[t] for t in cfg.sample_times), cfg).total
         ratio = None
         if prev_increment is not None and prev_increment > 0:
             ratio = increment / prev_increment

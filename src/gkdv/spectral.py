@@ -14,9 +14,9 @@ A sum over the full spectrum weights stored mode k by GridSpec.mode_weights
 
 Mode k carries the frequency xi_k = 2*pi*k/length >= 0; the spectral phase
 is referenced to the left endpoint of the domain, which is invisible to every
-diagonal (multiplier) operation and to every norm.  Multipliers, dealiasing
-and linear combinations act on spectra only; samples are formed by one
-inverse transform the first time a field's phys is read.
+diagonal (multiplier) operation and to every norm.  Multipliers and linear
+combinations act on spectra only; samples are formed by one inverse
+transform the first time a field's phys is read.
 """
 
 from __future__ import annotations
@@ -180,13 +180,6 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
 def bessel_potential(f: SpectralField, s: float) -> SpectralField:
     """Apply (1 + |xi|)^s; the bracket is 1 + |xi|, not (1 + xi^2)^(1/2)."""
     return apply_multiplier_values(f, (1.0 + f.grid.xi) ** s)
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all modes with |k| >= cutoff (orthogonal projection)."""
-    spec = f.spec.copy()
-    spec[f.grid.dealias_cutoff:] = 0.0
-    return SpectralField(f.grid, spec)
 
 
 def linear_combination(

@@ -23,13 +23,7 @@ from .norms import (
     x_norm,
 )
 from .probes import rough_field
-from .semigroup import (
-    Propagator,
-    apply_semigroup,
-    duhamel_trajectory,
-    free_trajectory,
-    smoothing_norm_profile,
-)
+from .semigroup import Propagator, apply_semigroup, duhamel_sweep, smoothing_norm_profile
 from .solver import (
     IvpProblem,
     calibrate_c,
@@ -37,7 +31,13 @@ from .solver import (
     picard_iterate,
     select_radius_and_time,
 )
-from .spectral import GridSpec, linear_combination, spatial_derivative
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    apply_multiplier_values,
+    linear_combination,
+    spatial_derivative,
+)
 from .symbols import DissipativeSymbol, evaluate_phi, threshold_M
 
 DEFAULT_LENGTH = 200.0 * np.pi
@@ -242,7 +242,8 @@ def verify_weighted_linear(
     constants = []
     for i in range(n_seeds):
         wi = rough_field(grid, sobolev_index=0.0, seed=base_seed + i)
-        constants.append(x_norm(free_trajectory(prop, wi), cfg).total / sobolev_norm(wi, s))
+        free = (apply_semigroup(prop, wi, t) for t in cfg.sample_times)
+        constants.append(x_norm(free, cfg).total / sobolev_norm(wi, s))
     constants = np.array(constants)
     mean_c = float(np.mean(constants))
     spread = float(np.max(np.abs(constants - mean_c)) / mean_c)
@@ -310,15 +311,14 @@ def verify_nonlinear_estimate(
     t_values = np.asarray(sorted(t_values), dtype=float)
     prop = Propagator(prob.symbol, prob.grid)
     g = probe if probe is not None else rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
-    traj = free_trajectory(prop, g)
-    forcing = lambda tau: nonlinearity_eval(traj(tau), prob.k, prob.mode)
+    forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
     space = prob.space_norm
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
-        dtraj = duhamel_trajectory(prop, forcing, cfg.sample_times, t_final,
-                                   panels=panels, grading=grading)
-        lhs.append(space(dtraj, cfg).total)
+        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final,
+                              panels=panels, grading=grading)
+        lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total)
     lhs = np.array(lhs)
     if np.all(lhs < 1e-300):
         return EstimateReport(
@@ -407,30 +407,35 @@ def verify_contraction_scaling(
     space = prob.space_norm
     probe_exp = contraction_probe_exponent(prob.k)
 
-    trajectories = []
+    pairs = []
     for i in range(n_pairs):
         gv = rough_field(prob.grid, seed=seed + 2 * i, spectral_exponent=probe_exp)
         gw = rough_field(prob.grid, seed=seed + 2 * i + 1, spectral_exponent=probe_exp)
-        trajectories.append((free_trajectory(prop, gv), free_trajectory(prop, gw)))
+        pairs.append((gv, gw))
+
+    def free_pair(pair, t):
+        # One multiplier serves both members of the pair.
+        m = prop.multiplier(t)
+        return [apply_multiplier_values(g, m) for g in pair]
 
     rhos = []
     for t_final in t_values:
         times = tuple(np.geomspace(t_floor, t_final, n_times))
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
         best = 0.0
-        for tv, tw in trajectories:
-            denom = space(lambda t: linear_combination(tv(t), tw(t), 1.0, -1.0), cfg).total
+        for pair in pairs:
+            diffs = (linear_combination(*free_pair(pair, t), 1.0, -1.0) for t in times)
+            denom = space(diffs, cfg).total
             if denom < 1e-12:
                 continue
             forcing = lambda tau: linear_combination(
-                nonlinearity_eval(tv(tau), prob.k, prob.mode),
-                nonlinearity_eval(tw(tau), prob.k, prob.mode),
+                *[nonlinearity_eval(f, prob.k, prob.mode) for f in free_pair(pair, tau)],
                 1.0,
                 -1.0,
             )
-            dtraj = duhamel_trajectory(prop, forcing, times, t_final,
-                                       panels=panels, grading=grading)
-            best = max(best, space(dtraj, cfg).total / denom)
+            sweep = duhamel_sweep(prop, forcing, times, t_final, panels=panels, grading=grading)
+            dfields = (SpectralField(prob.grid, spec) for spec in sweep)
+            best = max(best, space(dfields, cfg).total / denom)
         rhos.append(best)
     rhos = np.array(rhos)
     fitted, constant, residual = fit_power_law(t_values, rhos)

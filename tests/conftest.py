@@ -29,6 +29,13 @@ def bracket_sup(p, theta, taus):
     return (1.0 + xi) ** theta * np.exp(-taus * xi ** p)
 
 
+def band_limit(f):
+    """f with every mode at or above the grid's dealias cutoff zeroed."""
+    spec = f.spec.copy()
+    spec[f.grid.dealias_cutoff:] = 0.0
+    return SpectralField(f.grid, spec)
+
+
 def gl_duhamel(prop, forcing, t, panels=16, grading=2.0):
     """Reference int_0^t V(t - tau) forcing(tau) dtau by per-time quadrature.
 

@@ -103,6 +103,21 @@ class TestRunConfig:
 
         assert evaluate_phi(sym, 2.0) == pytest.approx(-8.0 + 2.0)
 
+    def test_tabulated_symbol_breaking_its_bound_rejected(self, tmp_path):
+        # |Phi1| reaches 50 where c_phi1*(1 + |xi|^q) is 0.2; the solve used to
+        # report convergence at r ~ 1e19, T ~ 1e-106 and exit 0
+        cfg = solve_config(
+            symbol={"name": "custom", "p": 4.0, "q": 0.0, "c_phi1": 0.1, "eta": 1.0,
+                    "table": [[0.0, 0.0], [1.0, 50.0], [100.0, 50.0]]},
+            initial_data={"type": "gaussian", "amplitude": 0.02, "width": 4.0},
+        )
+        with pytest.raises(ConfigError, match="bound"):
+            RunConfig.from_dict(cfg, "solve").build_symbol()
+        path = write_config(tmp_path, "custom.json", cfg)
+        res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCommand:
     def test_zero_data_success(self, tmp_path):
@@ -203,6 +218,14 @@ class TestVerifyCommand:
         reports = list((run_dir / "reports").glob("*.json"))
         assert len(reports) >= 3
         assert (run_dir / "reports" / "summary.txt").exists()
+
+    def test_bad_grid_exit_2_without_run_dir(self, tmp_path):
+        path = write_config(tmp_path, "grid.json",
+                            verify_config(grid={"length": 100.0, "n_points": 100}))
+        res = CliRunner().invoke(main, ["verify", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "config error" in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_inadmissible_pair_skips_contraction(self, tmp_path):
         cfg = verify_config(symbol={"name": "kdv-burgers"})

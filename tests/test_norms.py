@@ -17,7 +17,7 @@ from gkdv.norms import (
     z_tilde_norm,
 )
 from gkdv.probes import gaussian_field, rough_field
-from gkdv.semigroup import Propagator, free_trajectory
+from gkdv.semigroup import Propagator, apply_semigroup
 from gkdv.spectral import GridSpec, SpectralField, coherent_field
 from gkdv.symbols import builtin_symbol
 
@@ -143,10 +143,11 @@ class TestTrajectoryNorms:
         g = GridSpec(10.0, 64)
         zero = coherent_field(g, np.zeros(64))
         cfg = cfg_for()
-        assert x_norm(lambda t: zero, cfg).total == 0.0
-        assert y_norm(lambda t: zero, cfg).total == 0.0
-        assert z_norm(lambda t: zero, cfg) == 0.0
-        assert z_tilde_norm(lambda t: zero, cfg) == 0.0
+        fields = [zero] * len(cfg.sample_times)
+        assert x_norm(fields, cfg).total == 0.0
+        assert y_norm(fields, cfg).total == 0.0
+        assert z_norm(fields, cfg) == 0.0
+        assert z_tilde_norm(fields, cfg) == 0.0
 
     def test_stationary_smooth_weight_vanishes(self):
         # for a time-independent field the weighted part scales exactly like
@@ -154,7 +155,7 @@ class TestTrajectoryNorms:
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
         cfg = cfg_for(t_final=1.0, n_times=12)
-        rep = x_norm(lambda t: bump, cfg)
+        rep = x_norm([bump] * len(cfg.sample_times), cfg)
         weighted = {}
         for t, name, value in rep.components:
             if name != "hs":
@@ -171,7 +172,7 @@ class TestTrajectoryNorms:
         w0 = rough_field(g, sobolev_index=0.0, seed=4)
         prop = Propagator(builtin_symbol("kdv-ks"), g)
         cfg = WeightedNormConfig(0.0, 1.0, 4.0, 1.0, tuple(np.geomspace(1e-4, 1.0, 12)))
-        rep = x_norm(free_trajectory(prop, w0), cfg)
+        rep = x_norm([apply_semigroup(prop, w0, t) for t in cfg.sample_times], cfg)
         l2 = lebesgue_norm(w0, 2)
         for t, name, value in rep.components:
             if name != "hs":
@@ -181,7 +182,7 @@ class TestTrajectoryNorms:
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
         cfg = cfg_for(s=0.0)
-        rep = y_norm(lambda t: bump, cfg)
+        rep = y_norm([bump] * len(cfg.sample_times), cfg)
         by_time = {}
         for t, name, value in rep.components:
             by_time.setdefault(t, {})[name] = value
@@ -192,7 +193,8 @@ class TestTrajectoryNorms:
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
         cfg = cfg_for(s=0.0)
-        assert y_norm(lambda t: bump, cfg).total <= x_norm(lambda t: bump, cfg).total + 1e-14
+        fields = [bump] * len(cfg.sample_times)
+        assert y_norm(fields, cfg).total <= x_norm(fields, cfg).total + 1e-14
 
     def test_z_tilde_stationary_oracle(self):
         g = GridSpec(40.0, 256)
@@ -204,28 +206,41 @@ class TestTrajectoryNorms:
         expected = sobolev_norm(bump, s) + t_final ** ((1 + abs(s)) / p) * lebesgue_norm(
             spatial_derivative(bump), 2
         )
-        assert z_tilde_norm(lambda t: bump, cfg) == pytest.approx(expected, rel=1e-12)
+        fields = [bump] * len(cfg.sample_times)
+        assert z_tilde_norm(fields, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_z_finite_whenever_x_finite(self):
         g = GridSpec(40.0, 256)
         rng = np.random.default_rng(9)
         f = coherent_field(g, rng.standard_normal(256))
         cfg = cfg_for()
-        assert np.isfinite(x_norm(lambda t: f, cfg).total)
-        assert np.isfinite(z_norm(lambda t: f, cfg))
+        fields = [f] * len(cfg.sample_times)
+        assert np.isfinite(x_norm(fields, cfg).total)
+        assert np.isfinite(z_norm(fields, cfg))
 
     def test_blow_up_named_time(self):
         g = GridSpec(10.0, 64)
         bad = SpectralField(g, np.full(33, np.nan, complex))
         cfg = cfg_for()
         with pytest.raises(BlowUpError, match="t="):
-            x_norm(lambda t: bad, cfg)
+            x_norm([bad] * len(cfg.sample_times), cfg)
+
+    def test_field_count_must_match_sample_times(self):
+        g = GridSpec(40.0, 256)
+        bump = gaussian_field(g, width=2.0)
+        cfg = cfg_for()
+        n = len(cfg.sample_times)
+        for count in (n - 1, n + 1):
+            with pytest.raises(ValueError):
+                x_norm([bump] * count, cfg)
+            with pytest.raises(ValueError):
+                z_norm([bump] * count, cfg)
 
     def test_report_serialization(self):
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
         cfg = cfg_for(n_times=4)
-        rep = x_norm(lambda t: bump, cfg)
+        rep = x_norm([bump] * len(cfg.sample_times), cfg)
         rows = rep.to_csv_rows()
         assert rows[0] == "time,component,value"
         assert len(rows) == 1 + 4 * 4  # hs + three weighted parts per time

@@ -12,7 +12,7 @@ import pytest
 
 from gkdv.semigroup import Propagator, apply_semigroup
 from gkdv.solver import nonlinearity_eval
-from gkdv.spectral import GridSpec, coherent_field, dealias, spatial_derivative
+from gkdv.spectral import GridSpec, coherent_field, spatial_derivative
 from gkdv.symbols import builtin_symbol, evaluate_phi
 
 from conftest import full_spectrum_nonlinearity
@@ -125,12 +125,11 @@ def test_nonlinearity_makes_one_real_transform_pair(fft_calls, k, mode):
     assert fft_calls == Counter(irfft=1, rfft=1)
 
 
-@pytest.mark.parametrize("op", ["dealias", "spatial_derivative", "apply_semigroup"])
+@pytest.mark.parametrize("op", ["spatial_derivative", "apply_semigroup"])
 def test_spectral_operations_transform_only_when_samples_are_read(fft_calls, op):
     grid, values = real_field(512, seed=2)
     f = coherent_field(grid, values)
     apply = {
-        "dealias": dealias,
         "spatial_derivative": spatial_derivative,
         "apply_semigroup": lambda g: apply_semigroup(
             Propagator(builtin_symbol("kdv-ks"), grid), g, 0.1

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,8 +10,6 @@ from gkdv.semigroup import (
     Propagator,
     apply_semigroup,
     duhamel_sweep,
-    duhamel_trajectory,
-    free_trajectory,
     smoothing_norm_profile,
 )
 from gkdv.solver import nonlinearity_eval
@@ -129,7 +128,7 @@ class TestDuhamelIntegral:
         prop = Propagator(builtin_symbol("pure-power", p=2), grid)
         g = gaussian_field(grid, width=0.7)
         t = 0.37
-        out = gl_duhamel(prop, free_trajectory(prop, g), t, panels=8)
+        out = gl_duhamel(prop, functools.partial(apply_semigroup, prop, g), t, panels=8)
         expected = t * np.asarray(apply_semigroup(prop, g, t).spec)
         err = np.max(np.abs(out.spec - expected)) / np.max(np.abs(expected))
         assert err <= 1e-8
@@ -168,8 +167,9 @@ class TestDuhamelIntegral:
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_matches_gl_oracle_on_nonlinear_forcing(self, grid, t):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
-        traj = free_trajectory(prop, gaussian_field(grid, amplitude=1.0, width=0.7))
-        forcing = lambda tau: nonlinearity_eval(traj(tau), 1.0, "conservative")
+        g = gaussian_field(grid, amplitude=1.0, width=0.7)
+        free = functools.partial(apply_semigroup, prop, g)
+        forcing = lambda tau: nonlinearity_eval(free(tau), 1.0, "conservative")
         out = sweep_at(prop, forcing, t)
         ref = gl_duhamel(prop, forcing, t, panels=64)
         assert np.max(np.abs(out.spec - ref.spec)) <= 1e-8 * np.max(np.abs(ref.spec))
@@ -178,8 +178,8 @@ class TestDuhamelIntegral:
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
         g1 = gaussian_field(grid, width=0.5)
         g2 = gaussian_field(grid, width=0.9, center=1.0)
-        f1 = free_trajectory(prop, g1)
-        f2 = free_trajectory(prop, g2)
+        f1 = functools.partial(apply_semigroup, prop, g1)
+        f2 = functools.partial(apply_semigroup, prop, g2)
         combo = lambda tau: SpectralField(grid, 2.0 * f1(tau).spec - 0.5 * f2(tau).spec)
         t = 0.3
         lhs = sweep_at(prop, combo, t)
@@ -203,20 +203,6 @@ class TestDuhamelIntegral:
             duhamel_sweep(prop, lambda tau: zero, [0.5], 0.4)
         with pytest.raises(ValueError):
             duhamel_sweep(prop, lambda tau: zero, [0.3, 0.1], 0.4)
-
-    def test_trajectory_refuses_out_of_order_times(self, grid):
-        prop = Propagator(builtin_symbol("kdv-ks"), grid)
-        forcing = free_trajectory(prop, gaussian_field(grid, width=0.7))
-        times = (0.1, 0.2, 0.4)
-        batch = list(duhamel_sweep(prop, forcing, times, 0.4))
-        traj = duhamel_trajectory(prop, forcing, times, 0.4)
-        assert np.array_equal(traj(0.1).spec, batch[0])
-        with pytest.raises(ValueError, match="out of order"):
-            traj(0.4)
-        traj = duhamel_trajectory(prop, forcing, times, 0.4)
-        traj(0.1)
-        with pytest.raises(ValueError, match="out of order"):
-            traj(0.1)
 
 
 class TestSmoothingProfile:

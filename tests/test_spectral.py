@@ -10,17 +10,18 @@ from gkdv.spectral import (
     apply_multiplier,
     bessel_potential,
     coherent_field,
-    dealias,
     fractional_derivative_shifted,
     linear_combination,
     spatial_derivative,
 )
 
+from conftest import band_limit
+
 
 def random_field(grid, seed=0, band_limited=True):
     rng = np.random.default_rng(seed)
     f = coherent_field(grid, rng.standard_normal(grid.n_points))
-    return dealias(f) if band_limited else f
+    return band_limit(f) if band_limited else f
 
 
 class TestGridSpec:
@@ -146,7 +147,7 @@ class TestFractionalDerivative:
 
     def test_s_one_two_path(self):
         g = GridSpec(2 * np.pi * 4, 128)
-        f = dealias(coherent_field(g, np.sin(g.x)))
+        f = band_limit(coherent_field(g, np.sin(g.x)))
         a = fractional_derivative_shifted(f, 1.0)
         xi = np.array(g.xi)
         xi[g.n_points // 2] = 0.0
@@ -183,27 +184,3 @@ class TestBesselPotential:
         out = bessel_potential(f, s)
         xi4 = 2 * np.pi * 4 / g.length
         assert out.spec[4] == pytest.approx(0.5 * (1 + xi4) ** s, rel=1e-14)
-
-
-class TestDealias:
-    def test_band_limited_unchanged(self, small_grid):
-        f = random_field(small_grid, band_limited=True)
-        again = dealias(f)
-        assert np.array_equal(again.spec, f.spec)
-
-    def test_top_mode_removed(self, small_grid):
-        spec = np.zeros(33, complex)
-        cut = small_grid.dealias_cutoff
-        spec[cut] = 1.0
-        f = SpectralField(small_grid, spec)
-        assert np.all(dealias(f).spec == 0)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 100))
-    def test_projection(self, seed):
-        g = GridSpec(7.0, 128)
-        f = random_field(g, seed=seed, band_limited=False)
-        once = dealias(f)
-        twice = dealias(once)
-        assert np.array_equal(once.spec, twice.spec)
-        assert np.sum(np.abs(once.spec) ** 2) <= np.sum(np.abs(f.spec) ** 2) + 1e-30

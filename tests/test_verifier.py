@@ -121,7 +121,7 @@ class TestNonlinearEstimate:
         def no_duhamel(*args, **kwargs):
             raise AssertionError("an inadmissible pair must not reach the Duhamel sweep")
 
-        monkeypatch.setattr("gkdv.verifier.duhamel_trajectory", no_duhamel)
+        monkeypatch.setattr("gkdv.verifier.duhamel_sweep", no_duhamel)
         g = GridSpec(100.0, 256)
         prob = IvpProblem(symbol=builtin_symbol("kdv-burgers"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
