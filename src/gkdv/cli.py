@@ -79,6 +79,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _set_keys(section: dict, **casts) -> dict:
+    """Keyword arguments for the keys a config section sets, each cast as given.
+
+    A key that is absent or null is left out, so the called function's own
+    default applies.
+    """
+    return {key: cast(section[key]) for key, cast in casts.items() if section.get(key) is not None}
+
+
 def run_solve(config_path: str, out_override: str | None = None) -> int:
     started = time.time()
     try:
@@ -88,15 +97,10 @@ def run_solve(config_path: str, out_override: str | None = None) -> int:
         click.echo(f"config error: {exc}", err=True)
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
-    solver_opts = cfg.raw.get("solver", {})
+    solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int,
+                            grading=float)
     try:
-        solution, trace = solve(
-            prob,
-            max_iter=int(solver_opts.get("max_iter", 40)),
-            tol=solver_opts.get("tol"),
-            panels=int(solver_opts.get("panels", 16)),
-            grading=float(solver_opts.get("grading", 2.0)),
-        )
+        solution, trace = solve(prob, **solver_opts)
         output_times = cfg.raw.get("output_times") or [trace.t_final]
         for idx, t in enumerate(output_times):
             t = min(float(t), trace.t_final)
@@ -132,60 +136,36 @@ def _verify_reports(cfg: RunConfig, suite: str, p_override: float | None = None,
     reports = []
     if suite in ("all", "linear"):
         for theta in opts.get("theta_values", [1.0]):
-            window = opts.get("tau_window")
-            reports.append(
-                verify_multiplier_decay(
-                    symbol,
-                    float(theta),
-                    tau_window=tuple(window) if window else None,
-                    n_tau=int(opts.get("n_tau", 24)),
-                )
-            )
-        reports.append(
-            verify_weighted_linear(
-                symbol, k, s=s, grid=grid, n_seeds=int(opts.get("n_seeds", 10)), base_seed=seed
-            )
-        )
+            reports.append(verify_multiplier_decay(
+                symbol, float(theta), **_set_keys(opts, tau_window=tuple, n_tau=int)
+            ))
+        reports.append(verify_weighted_linear(
+            symbol, k, s=s, grid=grid, base_seed=seed, **_set_keys(opts, n_seeds=int)
+        ))
         hy_fields = [
             gaussian_field(grid, amplitude=1.0 + 0.1 * i, width=grid.length / (20.0 + i))
             for i in range(4)
         ]
         for p1 in opts.get("hy_exponents", [2.0, 4.0]):
             reports.append(verify_hausdorff_young(hy_fields, float(p1)))
-        reports.append(
-            verify_threshold_conditions(symbol, xi_max=float(opts.get("xi_max", 64.0)))
-        )
+        reports.append(verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float)))
     if suite in ("all", "nonlinear"):
         prob = cfg.build_problem(p_override=p_override, k=k, s=s, mode=mode,
                                  initial_data=cfg.build_initial_data(grid))
-        t_values = opts.get("t_values", [2.0 ** (-j) for j in range(10, 4, -1)])
-        reports.append(
-            verify_nonlinear_estimate(
-                prob, t_values, seed=seed,
-                panels=int(opts.get("panels", 12)),
-                n_times=int(opts.get("n_times", 10)),
-            )
-        )
-        reports.append(
-            verify_contraction_scaling(
-                prob,
-                t_values=opts.get("t_values"),  # None -> deep default window
-                n_pairs=int(opts.get("n_pairs", 2)), seed=seed,
-                panels=int(opts.get("panels", 10)),
-                n_times=int(opts.get("n_times", 8)),
-            )
-        )
+        # gkdv verify's own choices for this check, not the function's defaults
+        growth = {"t_values": [2.0 ** (-j) for j in range(10, 4, -1)], "panels": 12, "n_times": 10}
+        growth.update(_set_keys(opts, t_values=list, panels=int, n_times=int))
+        reports.append(verify_nonlinear_estimate(prob, seed=seed, **growth))
+        reports.append(verify_contraction_scaling(
+            prob, seed=seed,
+            **_set_keys(opts, t_values=list, n_pairs=int, panels=int, n_times=int),
+        ))
     if suite in ("all", "smoothing"):
         prob = cfg.build_problem(p_override=p_override, k=k, s=s, mode=mode,
                                  initial_data=cfg.build_initial_data(grid))
-        horizon = opts.get("t_horizon")
-        reports.append(
-            verify_smoothing(
-                prob, seed=seed, panels=int(opts.get("panels", 16)),
-                t_horizon=float(horizon) if horizon is not None else None,
-                data_scale=float(opts.get("data_scale", 0.15)),
-            )
-        )
+        reports.append(verify_smoothing(
+            prob, seed=seed, **_set_keys(opts, panels=int, t_horizon=float, data_scale=float)
+        ))
     return reports
 
 

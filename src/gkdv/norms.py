@@ -89,8 +89,9 @@ class WeightedNormConfig:
         return gamma_k(self.k) / self.p
 
     @classmethod
-    def default(cls, s, k, p, t_final, n_times: int = 20, span: float = 1e-4):
-        times = tuple(np.geomspace(span * t_final, t_final, n_times))
+    def default(cls, s, k, p, t_final, n_times: int = 20):
+        """n_times sample times geometrically spaced over [1e-4*t_final, t_final]."""
+        times = tuple(np.geomspace(1e-4 * t_final, t_final, n_times))
         return cls(s=s, k=k, p=p, t_final=t_final, sample_times=times)
 
 

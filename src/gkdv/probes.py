@@ -22,12 +22,11 @@ def rough_field(
     sobolev_index: float = 0.0,
     seed: int = 0,
     amplitude: float = 1.0,
-    margin: float = 0.01,
     spectral_exponent: float | None = None,
 ) -> SpectralField:
     """Random-phase field with coefficient modulus (1+|xi_k|)^(-a).
 
-    With a = sobolev_index + 1/2 + margin the field lies just inside
+    With a = sobolev_index + 1/2 + 0.01 the field lies just inside
     H^{sobolev_index} as the lattice refines, the near-extremal family for
     probing sharp time-weighted estimates.  Passing spectral_exponent sets a
     directly instead.
@@ -37,7 +36,7 @@ def rough_field(
     N-grid field by new high modes following the same law.  The Nyquist mode
     is left empty.
     """
-    a = spectral_exponent if spectral_exponent is not None else sobolev_index + 0.5 + margin
+    a = spectral_exponent if spectral_exponent is not None else sobolev_index + 0.5 + 0.01
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, grid.n_points // 2 - 1)
     spec = np.zeros_like(grid.xi, dtype=complex)

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .probes import gaussian_field, rough_field
 from .solver import IvpProblem
@@ -51,10 +53,46 @@ _VERIFY_KEYS = {
 }
 
 
+def _number(test):
+    return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and test(v)
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(_number(test), v))
+
+
+def _in_unit(v) -> bool:
+    return 0 < v <= 1
+
+
+# Accepted values of the numeric solver and verify keys and of output_times,
+# as (description, test); a null value means unset and is not checked.
+_RANGES = {
+    "n_tau": ("a number >= 3", _number(lambda v: v >= 3)),
+    **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter", "grading"],
+                    ("a number >= 1", _number(lambda v: v >= 1))),
+    **dict.fromkeys(["tol", "xi_max", "data_scale"], ("a number > 0", _number(lambda v: v > 0))),
+    "theta_values": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
+    "hy_exponents": ("a list of numbers >= 2", _list_of(lambda v: v >= 2)),
+    "output_times": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
+    "t_horizon": ("a number in (0, 1]", _number(_in_unit)),
+    "t_values": ("a list of at least 3 numbers in (0, 1]",
+                 lambda v: _list_of(_in_unit)(v) and len(v) >= 3),
+    "tau_window": ("two numbers lo, hi with 0 < lo < hi <= 1",
+                   lambda v: _list_of(_in_unit)(v) and len(v) == 2 and v[0] < v[1]),
+}
+
+
 def _check_keys(section: dict, allowed: set, context: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
+
+
+def _check_ranges(section: dict, context: str) -> None:
+    for key, (accepted, ok) in _RANGES.items():
+        if section.get(key) is not None and not ok(section[key]):
+            raise ConfigError(f"{key!r} in {context} must be {accepted}, got {section[key]!r}")
 
 
 @dataclass
@@ -90,6 +128,9 @@ class RunConfig:
                 raise ConfigError("sweep section must list at least one of k/p/s")
         if command == "solve" and "initial_data" not in data:
             raise ConfigError("solve config requires an initial_data section")
+        _check_ranges(data, f"{command} config")
+        _check_ranges(data.get("solver", {}), "solver section")
+        _check_ranges(data.get("verify", {}), "verify section")
         return cls(command=command, raw=data)
 
     @classmethod
@@ -127,7 +168,8 @@ class RunConfig:
 
     def build_symbol(self, p_override: float | None = None) -> DissipativeSymbol:
         """The configured symbol; a tabulated one must keep its stated bound
-        |Phi1| <= c_phi1*(1 + |xi|^q) on the grid's range [0, nyquist]."""
+        |Phi1| <= c_phi1*(1 + |xi|^q) on the grid's range [0, nyquist], checked
+        at every table row in it (exact for q <= 1) and on an even sampling."""
         sec = self.raw["symbol"]
         name = sec.get("name")
         if name is None:
@@ -137,19 +179,23 @@ class RunConfig:
             if "table" not in sec:
                 p = p_override if p_override is not None else sec.get("p")
                 return builtin_symbol(name, p=p, eta=eta)
+            rows_xi = [row[0] for row in sec["table"]]
             sym = tabulated_symbol(
                 name=name,
                 p=float(sec["p"]),
                 q=float(sec.get("q", 0.0)),
                 c_phi1=float(sec.get("c_phi1", 0.0)),
                 eta=eta,
-                xi_table=[row[0] for row in sec["table"]],
+                xi_table=rows_xi,
                 phi1_table=[row[1] for row in sec["table"]],
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid symbol section: {exc}") from exc
         nyquist = self.build_grid().nyquist
-        if not validate_decomposition(sym, nyquist):
+        rows_xi = np.asarray(rows_xi, dtype=float)
+        rows_xi = rows_xi[(rows_xi >= 0) & (rows_xi <= nyquist)]
+        over_at_rows = np.abs(sym.phi1(rows_xi)) > sym.c_phi1 * (1.0 + rows_xi ** sym.q)
+        if np.any(over_at_rows) or not validate_decomposition(sym, nyquist):
             raise ConfigError(
                 f"tabulated symbol {name!r} breaks its bound |Phi1| <= c_phi1*(1 + |xi|^q) "
                 f"on the resolved range [0, {nyquist:.6g}]"

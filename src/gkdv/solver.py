@@ -164,6 +164,17 @@ def nonlinearity_eval(f: SpectralField, k: float, mode: str) -> SpectralField:
     return SpectralField(grid, out)
 
 
+def _admissible_omega(prob: IvpProblem) -> float:
+    """The contraction exponent omega_k; AdmissibilityError when it is nonpositive."""
+    w = omega_k(prob.k, prob.symbol.p)
+    if w <= 0:
+        raise AdmissibilityError(
+            f"contraction exponent {w:.4g} is nonpositive for k={prob.k}, "
+            f"p={prob.symbol.p}; the pair is outside the admissible range p > 3k/2 + 1"
+        )
+    return w
+
+
 def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
     """Ball radius and existence time: r = 4c*||v0||_{H^s}, c*T^omega*r^k = 1/4.
 
@@ -171,12 +182,7 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
     """
     if c <= 0:
         raise ValueError(f"constant c must be positive, got {c}")
-    w = omega_k(prob.k, prob.symbol.p)
-    if w <= 0:
-        raise AdmissibilityError(
-            f"contraction exponent {w:.4g} is nonpositive for k={prob.k}, "
-            f"p={prob.symbol.p}; the pair is outside the admissible range p > 3k/2 + 1"
-        )
+    w = _admissible_omega(prob)
     hs = sobolev_norm(prob.initial_data, prob.s)
     r = 4.0 * c * hs
     if r == 0.0:
@@ -188,10 +194,8 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
 def calibrate_c(
     prob: IvpProblem,
     probe_set,
-    t_cal: float = 1.0,
     panels: int = 16,
     grading: float = 2.0,
-    n_times: int = 12,
 ) -> float:
     """Empirical constant of the fixed-point estimates, with a 2x safety factor.
 
@@ -199,13 +203,12 @@ def calibrate_c(
     free iterate must fit in the ball (c at least the linear-estimate ratio
     ||V(.)g||_space / ||g||_{H^s}) and the Duhamel term must contract (c at
     least ||int V(t-tau) N(Vg)(tau) dtau||_space / (T^omega *
-    ||Vg||_space^(k+1)) at T = t_cal).  The maximum of both ratios over the
-    probes is returned, doubled.  Zero probes are skipped; an all-zero set is
-    an error.
+    ||Vg||_space^(k+1)) at T = 1, where T^omega = 1; both norms sample 12
+    times).  The maximum of both ratios over the probes is returned, doubled.
+    Zero probes are skipped; an all-zero set is an error.
     """
     prop = Propagator(prob.symbol, prob.grid)
-    cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_cal, n_times=n_times)
-    w = omega_k(prob.k, prob.symbol.p)
+    cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, 1.0, n_times=12)
     space = prob.space_norm
     ratios = []
     for g in probe_set:
@@ -215,10 +218,10 @@ def calibrate_c(
         denom = space((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg).total
         ratios.append(denom / hs)
         forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
-        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_cal,
+        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, 1.0,
                               panels=panels, grading=grading)
         num = space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total
-        ratios.append(num / (t_cal ** w * denom ** (prob.k + 1.0)))
+        ratios.append(num / denom ** (prob.k + 1.0))
     if not ratios:
         raise ValueError("calibration needs at least one nonzero probe")
     return 2.0 * max(ratios)
@@ -277,7 +280,6 @@ def picard_iterate(
     tol: float = 1e-9,
     panels: int = 16,
     grading: float = 2.0,
-    norm_times=None,
     calibrated_c: float | None = None,
 ) -> tuple[PicardSolution, PicardTrace]:
     """Iterate v^(n+1) = Psi(v^n) from the free evolution until the space norm
@@ -292,10 +294,7 @@ def picard_iterate(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     prop = Propagator(prob.symbol, prob.grid)
-    if norm_times is None:
-        cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
-    else:
-        cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, tuple(norm_times))
+    cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
     space = prob.space_norm
     nodes = duhamel_nodes(t_final, panels, grading).ravel()
     eval_times = sorted(
@@ -340,19 +339,13 @@ def picard_iterate(
 
 def solve(
     prob: IvpProblem,
-    probes=None,
     max_iter: int = 40,
     tol: float | None = None,
     panels: int = 16,
     grading: float = 2.0,
 ) -> tuple[PicardSolution, PicardTrace]:
-    """Calibrate c, select (r, T), and run the Picard iteration."""
-    w = omega_k(prob.k, prob.symbol.p)
-    if w <= 0:
-        raise AdmissibilityError(
-            f"contraction exponent {w:.4g} is nonpositive for k={prob.k}, "
-            f"p={prob.symbol.p}; the pair is outside the admissible range p > 3k/2 + 1"
-        )
+    """Calibrate c on the initial data, select (r, T), and run the Picard iteration."""
+    _admissible_omega(prob)
     hs0 = sobolev_norm(prob.initial_data, prob.s)
     if hs0 == 0.0:
         solution, trace = picard_iterate(
@@ -360,8 +353,7 @@ def solve(
             panels=panels, grading=grading,
         )
         return solution, trace
-    c = calibrate_c(prob, probes if probes is not None else [prob.initial_data],
-                    panels=panels, grading=grading)
+    c = calibrate_c(prob, [prob.initial_data], panels=panels, grading=grading)
     r, t_final = select_radius_and_time(prob, c)
     if tol is None:
         tol = min(1e-6, max(1e-12, 1e-8 * r))
@@ -376,7 +368,7 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def _etdrk4_coefficients(z: np.ndarray, dt: float, n_contour: int = 32):
+def _etdrk4_coefficients(z: np.ndarray, dt: float):
     """Stage coefficients with phi-functions evaluated by contour averaging.
 
     Each coefficient is the mean of the defining formula over 32 points on a
@@ -384,7 +376,7 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float, n_contour: int = 32):
     avoids the cancellation of the direct formulas near z = 0.
     """
     w = dt * z
-    circle = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     pts = w[:, None] + circle[None, :]
     ez = np.exp(pts)
     q = dt * np.mean((np.exp(pts / 2.0) - 1.0) / pts, axis=1)

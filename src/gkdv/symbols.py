@@ -119,15 +119,11 @@ def tabulated_symbol(
     return DissipativeSymbol(name=name, p=p, q=q, c_phi1=c_phi1, eta=eta, phi1=phi1)
 
 
-def validate_decomposition(
-    sym: DissipativeSymbol, xi_max: float, n_samples: int = 2048
-) -> bool:
-    """Check |Phi1(xi)| <= c_phi1*(1+|xi|^q) on n_samples points of [0, xi_max]."""
+def validate_decomposition(sym: DissipativeSymbol, xi_max: float) -> bool:
+    """Check |Phi1(xi)| <= c_phi1*(1+|xi|^q) on 2048 evenly spaced points of [0, xi_max]."""
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    xs = np.linspace(0.0, xi_max, n_samples)
+    xs = np.linspace(0.0, xi_max, 2048)
     if sym.phi1 is None:
         return True
     pert = np.abs(np.asarray(sym.phi1(xs), dtype=float))
@@ -188,14 +184,14 @@ def threshold_M(sym: DissipativeSymbol, xi_max: float, tol: float = 1e-9) -> flo
     return float(hi)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximizer of a scalar function on [lo, hi]."""
+def _golden_max(fun, lo: float, hi: float) -> float:
+    """Golden-section maximizer of a scalar function on [lo, hi], at most 80 steps."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -224,11 +220,9 @@ def upper_bound_CM(sym: DissipativeSymbol, m: float) -> float:
     return best
 
 
-def symbol_constants(
-    sym: DissipativeSymbol, xi_max: float, tol: float = 1e-9
-) -> SymbolConstants:
+def symbol_constants(sym: DissipativeSymbol, xi_max: float) -> SymbolConstants:
     """Compute (M, C_M, sup Phi) on the finite range [0, xi_max]."""
-    m = threshold_M(sym, xi_max, tol)
+    m = threshold_M(sym, xi_max)
     return SymbolConstants(
         threshold_m=m,
         c_m=upper_bound_CM(sym, m),

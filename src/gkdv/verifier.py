@@ -148,7 +148,6 @@ def verify_multiplier_decay(
     theta: float,
     tau_window: tuple | None = None,
     n_tau: int = 24,
-    grid: GridSpec | None = None,
     rel_tol: float = 0.05,
     weight: str = "bracket",
 ) -> EstimateReport:
@@ -169,8 +168,7 @@ def verify_multiplier_decay(
     if tau_window is None:
         tau_window = _auto_tau_window(sym, theta)
     taus = np.geomspace(tau_window[0], tau_window[1], n_tau)
-    if grid is None:
-        grid = _lattice_for_profile(sym, theta, taus[0])
+    grid = _lattice_for_profile(sym, theta, taus[0])
     if weight == "bracket":
         profile = smoothing_norm_profile(sym, theta, taus, grid)
     else:
@@ -205,19 +203,16 @@ def verify_weighted_linear(
     grid: GridSpec | None = None,
     n_seeds: int = 10,
     base_seed: int = 0,
-    t_window: tuple = (1e-4, 1.0),
     n_t: int = 20,
-    fit_window: tuple = (1e-4, 1e-1),
-    margin: float = 0.05,
-    spread_tol: float = 0.2,
 ) -> EstimateReport:
     """Check the weighted decay of the free evolution of barely-L^2 data.
 
-    (a) the decay exponent of ||d_x V(t) w0||_{L^{2(k+1)}} must not fall below
-    -gamma_k/p - margin; (b) the sup and across-decades ratio of the weighted
+    On n_t times geometrically spaced over [1e-4, 1]: (a) the decay exponent
+    of ||d_x V(t) w0||_{L^{2(k+1)}}, fitted on t <= 0.1, must not fall below
+    -gamma_k/p - 0.05; (b) the sup and across-decades ratio of the weighted
     quantity are reported; (c) the ratio x_norm(V(.)w0)/||w0||_{H^s} over
-    seeded draws gives the empirical constant, required stable within
-    spread_tol of the mean.
+    seeded draws gives the empirical constant, required stable within 20% of
+    the mean.
     """
     if grid is None:
         grid = GridSpec(DEFAULT_LENGTH, DEFAULT_N_POINTS)
@@ -225,23 +220,24 @@ def verify_weighted_linear(
     q = 2.0 * (k + 1.0)
     wexp = gamma_k(k) / sym.p
     theo = -wexp
+    margin, spread_tol = 0.05, 0.2
 
-    ts = np.geomspace(t_window[0], t_window[1], n_t)
+    cfg = WeightedNormConfig.default(s, k, sym.p, 1.0, n_times=n_t)
+    ts = np.array(cfg.sample_times)
     w0 = rough_field(grid, sobolev_index=0.0, seed=base_seed)
     ys = np.array(
         [lebesgue_norm(spatial_derivative(apply_semigroup(prop, w0, t)), q) for t in ts]
     )
-    mask = (ts >= fit_window[0]) & (ts <= fit_window[1])
+    mask = ts <= 1e-1
     fitted, _, residual = fit_power_law(ts[mask], ys[mask])
 
     weighted = ts ** wexp * ys
     sup_weighted = float(np.max(weighted))
     ratio_decades = float(np.max(weighted) / np.min(weighted))
 
-    cfg = WeightedNormConfig.default(s, k, sym.p, 1.0, n_times=n_t)
     constants = []
     for i in range(n_seeds):
-        wi = rough_field(grid, sobolev_index=0.0, seed=base_seed + i)
+        wi = w0 if i == 0 else rough_field(grid, sobolev_index=0.0, seed=base_seed + i)
         free = (apply_semigroup(prop, wi, t) for t in cfg.sample_times)
         constants.append(x_norm(free, cfg).total / sobolev_norm(wi, s))
     constants = np.array(constants)
@@ -292,18 +288,17 @@ def verify_nonlinear_estimate(
     t_values,
     seed: int = 0,
     panels: int = 16,
-    grading: float = 2.0,
     n_times: int = 12,
-    margin: float = 0.1,
     probe=None,
 ) -> EstimateReport:
     """Growth in T of the Duhamel nonlinear term of a free rough probe.
 
     The space norm of int_0^t V(t-tau) N(V(.)g)(tau) dtau over (0, T] must
-    grow no slower than T^omega_k allows: fitted exponent >= omega_k - margin.
+    grow no slower than T^omega_k allows: fitted exponent >= omega_k - 0.1.
     An explicit probe field overrides the seeded rough data.  Inadmissible
     (k, p) pairs produce a skipped report before any Duhamel work.
     """
+    margin = 0.1
     w = omega_k(prob.k, prob.symbol.p)
     ident = f"nonlinear-growth-{prob.symbol.name}-k{prob.k:g}"
     if w <= 0:
@@ -316,27 +311,19 @@ def verify_nonlinear_estimate(
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
-        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final,
-                              panels=panels, grading=grading)
+        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=panels)
         lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total)
     lhs = np.array(lhs)
     if np.all(lhs < 1e-300):
-        return EstimateReport(
-            estimate_id=ident,
-            theoretical_exponent=w,
-            fitted_exponent=None,
-            fit_window=(float(t_values[0]), float(t_values[-1])),
-            residual=0.0,
-            empirical_constant=0.0,
-            tolerance=margin,
-            verdict="pass",
-            notes={"degenerate": "zero probe"},
-        )
-    fitted, constant, residual = fit_power_law(t_values, lhs)
-    ok = fitted >= w - margin
-    verdict = "pass" if ok else "fail"
-    if ok and fitted > w + _WEAK_MARGIN:
-        verdict = "pass-weak"
+        fitted, constant, residual = None, 0.0, 0.0
+        verdict, notes = "pass", {"degenerate": "zero probe"}
+    else:
+        fitted, constant, residual = fit_power_law(t_values, lhs)
+        ok = fitted >= w - margin
+        verdict = "pass" if ok else "fail"
+        if ok and fitted > w + _WEAK_MARGIN:
+            verdict = "pass-weak"
+        notes = {"lhs": [float(v) for v in lhs]}
     return EstimateReport(
         estimate_id=ident,
         theoretical_exponent=w,
@@ -346,7 +333,7 @@ def verify_nonlinear_estimate(
         empirical_constant=constant,
         tolerance=margin,
         verdict=verdict,
-        notes={"lhs": [float(v) for v in lhs]},
+        notes=notes,
     )
 
 
@@ -361,17 +348,17 @@ def contraction_probe_exponent(k: float) -> float:
     return (1.0 - 2.0 * k) / (2.0 * (k + 1.0))
 
 
-def default_contraction_window(prob: IvpProblem, span: float = 64.0) -> list[float]:
+def default_contraction_window(prob: IvpProblem) -> list[float]:
     """Geometric T window deep enough for the ratio scaling to be asymptotic.
 
     The effective bandwidth (eta*T)^(-1/p) must stay well below the dealias
     cutoff across the whole window, so T_lo pins it at cutoff/3.2 and the
-    window spans the factor `span` upward.
+    window spans a factor 64 upward.
     """
     cutoff_xi = prob.grid.dealias_cutoff * 2.0 * np.pi / prob.grid.length
     t_lo = (cutoff_xi / 3.2) ** (-prob.symbol.p) / prob.symbol.eta
-    t_hi = min(span * t_lo, 1.0)
-    return list(np.geomspace(t_hi / span, t_hi, 6))
+    t_hi = min(64.0 * t_lo, 1.0)
+    return list(np.geomspace(t_hi / 64.0, t_hi, 6))
 
 
 def verify_contraction_scaling(
@@ -379,22 +366,21 @@ def verify_contraction_scaling(
     t_values=None,
     n_pairs: int = 2,
     seed: int = 0,
-    rel_tol: float = 0.15,
     panels: int = 10,
-    grading: float = 2.0,
     n_times: int = 8,
 ) -> EstimateReport:
     """Fit the T-scaling of the Duhamel map's Lipschitz ratio on ball pairs.
 
     For pairs (v, w) of free evolutions of scaling-critical random data the
     measured rho(T) = max ||Psi(v)-Psi(w)|| / ||v-w|| should scale as
-    T^omega_k; pass when the fitted exponent is within rel_tol of omega_k.
+    T^omega_k; pass when the fitted exponent is within 15% of omega_k.
     Inadmissible (k, p) pairs produce a skipped report.
 
     The discrete sup over (0, T] samples down to an absolute time floor
     shared by every T in the sweep; a floor relative to T would drag a
     spurious T-dependence into the denominator.
     """
+    rel_tol = 0.15
     w = omega_k(prob.k, prob.symbol.p)
     ident = f"contraction-scaling-{prob.symbol.name}-k{prob.k:g}"
     if w <= 0:
@@ -433,7 +419,7 @@ def verify_contraction_scaling(
                 1.0,
                 -1.0,
             )
-            sweep = duhamel_sweep(prop, forcing, times, t_final, panels=panels, grading=grading)
+            sweep = duhamel_sweep(prop, forcing, times, t_final, panels=panels)
             dfields = (SpectralField(prob.grid, spec) for spec in sweep)
             best = max(best, space(dfields, cfg).total / denom)
         rhos.append(best)
@@ -462,20 +448,18 @@ def verify_contraction_scaling(
 def verify_smoothing(
     prob: IvpProblem,
     s: float | None = None,
-    t_probe: float | None = None,
     t_horizon: float | None = None,
     seed: int = 7,
     data_scale: float = 0.15,
-    stab_tol: float = 0.10,
-    n_approach: int = 5,
     panels: int = 16,
 ) -> EstimateReport:
     """Regularity gain of the free flow and of the Duhamel term of the fixed point.
 
-    (a) free smoothing: ||V(t)w0||_{H^(s+mu)} for data with an H^s-law
-    spectrum stabilizes between the problem grid and its 2x refinement;
-    (b) the fixed point's Duhamel term does the same in H^(s+mu); (c) the
-    H^(s+mu) continuity sequence along dyadic approaches to t0 decreases.
+    At the probe time t0 = T/2: (a) free smoothing: ||V(t0)w0||_{H^(s+mu)}
+    for data with an H^s-law spectrum stabilizes, within 10%, between the
+    problem grid and its 2x refinement; (b) the fixed point's Duhamel term
+    does the same in H^(s+mu); (c) the H^(s+mu) continuity sequence along
+    five dyadic approaches to t0 decreases.
     mu = (p-1-s)/2 in the window s < p-1, else 1/2.
 
     The probe data is synthesized here (seeded, nested across the two grids);
@@ -487,6 +471,7 @@ def verify_smoothing(
     """
     if s is None:
         s = prob.s
+    stab_tol = 0.10
     p = prob.symbol.p
     mu = 0.5 * (p - 1.0 - s) if s < p - 1.0 else 0.5
     coarse = prob.grid
@@ -503,8 +488,7 @@ def verify_smoothing(
         t_final = t_horizon
     sol_c, trace_c = picard_iterate(prob_c, r, t_final, panels=panels, calibrated_c=c)
     sol_f, trace_f = picard_iterate(prob_f, r, t_final, panels=panels, calibrated_c=c)
-    if t_probe is None:
-        t_probe = 0.5 * t_final
+    t_probe = 0.5 * t_final
 
     prop_c = Propagator(prob.symbol, coarse)
     prop_f = Propagator(prob.symbol, fine)
@@ -512,13 +496,13 @@ def verify_smoothing(
     free_f = sobolev_norm(apply_semigroup(prop_f, data_f, t_probe), s + mu)
     free_ratio = abs(free_f - free_c) / free_c
 
-    duh_c = sobolev_norm(sol_c.duhamel_part(t_probe), s + mu)
+    base = sol_c.duhamel_part(t_probe)
+    duh_c = sobolev_norm(base, s + mu)
     duh_f = sobolev_norm(sol_f.duhamel_part(t_probe), s + mu)
     duh_ratio = abs(duh_f - duh_c) / duh_c if duh_c > 0 else 0.0
 
-    base = sol_c.duhamel_part(t_probe)
     deltas = []
-    for j in range(1, n_approach + 1):
+    for j in range(1, 6):
         tj = t_probe + (t_final - t_probe) * 2.0 ** (-j)
         deltas.append(
             sobolev_norm(linear_combination(sol_c.duhamel_part(tj), base, 1.0, -1.0), s + mu)
@@ -553,13 +537,13 @@ def verify_hausdorff_young(
     field_set,
     p1: float,
     refined_set=None,
-    stab_tol: float = 0.10,
 ) -> EstimateReport:
     """Empirical constant of ||f||_{L^p1} <= C ||f^||_{L^q1}, 1/p1 + 1/q1 = 1.
 
     At p1 = 2 the ratio is exactly 1 (Parseval).  When a refined field set is
-    supplied, the constant must be stable under refinement within stab_tol.
+    supplied, the constant must be stable under refinement within 10%.
     """
+    stab_tol = 0.10
     if p1 < 2:
         raise ValueError(f"Hausdorff-Young needs p1 >= 2, got {p1}")
     q1 = p1 / (p1 - 1.0) if np.isfinite(p1) else 1.0
@@ -589,23 +573,21 @@ def verify_hausdorff_young(
 def verify_threshold_conditions(
     sym: DissipativeSymbol,
     xi_max: float = 64.0,
-    n_samples: int = 10 ** 4,
-    tol: float = 1e-9,
     m_override: float | None = None,
 ) -> EstimateReport:
-    """Re-validate the three high-frequency conditions above the threshold M.
+    """Re-validate the three high-frequency conditions on 10^4 points above M.
 
     With m_override the scan starts at the given (possibly wrong) threshold
     instead, exposing violations below the true M.
     """
-    m = m_override if m_override is not None else threshold_M(sym, xi_max, tol)
-    xs = np.linspace(m, xi_max, n_samples)
+    m = m_override if m_override is not None else threshold_M(sym, xi_max)
+    xs = np.linspace(m, xi_max, 10 ** 4)
     phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
     lead = xs ** sym.p
     pert = np.zeros_like(xs) if sym.phi1 is None else np.asarray(sym.phi1(xs), dtype=float)
     viol = ~((phi < -1.0) & (np.abs(pert) <= 0.5 * lead) & (np.abs(phi) >= 0.5 * lead))
     n_viol = int(np.count_nonzero(viol))
-    notes = {"threshold_m": float(m), "n_samples": n_samples, "violations": n_viol}
+    notes = {"threshold_m": float(m), "n_samples": xs.size, "violations": n_viol}
     if n_viol:
         notes["first_violating_xi"] = float(xs[np.argmax(viol)])
     return EstimateReport(

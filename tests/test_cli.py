@@ -105,18 +105,53 @@ class TestRunConfig:
 
     def test_tabulated_symbol_breaking_its_bound_rejected(self, tmp_path):
         # |Phi1| reaches 50 where c_phi1*(1 + |xi|^q) is 0.2; the solve used to
-        # report convergence at r ~ 1e19, T ~ 1e-106 and exit 0
-        cfg = solve_config(
-            symbol={"name": "custom", "p": 4.0, "q": 0.0, "c_phi1": 0.1, "eta": 1.0,
-                    "table": [[0.0, 0.0], [1.0, 50.0], [100.0, 50.0]]},
-            initial_data={"type": "gaussian", "amplitude": 0.02, "width": 4.0},
-        )
-        with pytest.raises(ConfigError, match="bound"):
-            RunConfig.from_dict(cfg, "solve").build_symbol()
-        path = write_config(tmp_path, "custom.json", cfg)
-        res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
-        assert res.exit_code == 2
-        assert not (tmp_path / "out").exists()
+        # report convergence at r ~ 1e19, T ~ 1e-106 and exit 0.  The second
+        # table's spike is narrower than the spacing of an even sampling of
+        # [0, nyquist], so only its table row shows it.
+        tables = [
+            [[0.0, 0.0], [1.0, 50.0], [100.0, 50.0]],
+            [[0.0, 0.0], [1.0, 0.0], [1.0005, 50.0], [1.001, 0.0], [100.0, 0.0]],
+        ]
+        for i, table in enumerate(tables):
+            cfg = solve_config(
+                symbol={"name": "custom", "p": 4.0, "q": 0.0, "c_phi1": 0.1, "eta": 1.0,
+                        "table": table},
+                initial_data={"type": "gaussian", "amplitude": 0.02, "width": 4.0},
+            )
+            with pytest.raises(ConfigError, match="bound"):
+                RunConfig.from_dict(cfg, "solve").build_symbol()
+            path = write_config(tmp_path, f"custom{i}.json", cfg)
+            out = tmp_path / f"out{i}"
+            res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(out)])
+            assert res.exit_code == 2
+            assert not out.exists()
+
+
+OUT_OF_RANGE = [
+    ("verify", "verify", "hy_exponents", [1.0]),
+    ("verify", "verify", "theta_values", [-1.0]),
+    ("verify", "verify", "n_tau", 2),
+    ("verify", "verify", "n_seeds", 0),
+    ("verify", "verify", "panels", 0),
+    ("verify", "verify", "t_horizon", 5.0),
+    ("verify", "verify", "t_values", [0.5, 2.0, 4.0]),
+    ("solve", None, "output_times", [-0.1]),
+    ("solve", "solver", "panels", 0),
+    ("solve", "solver", "max_iter", 0),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", OUT_OF_RANGE,
+                         ids=[f"{case[0]}-{case[2]}" for case in OUT_OF_RANGE])
+def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, key, value):
+    cfg = verify_config() if command == "verify" else solve_config()
+    target = cfg if section is None else cfg.setdefault(section, {})
+    target[key] = value
+    path = write_config(tmp_path, "range.json", cfg)
+    res = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output and key in res.output
+    assert not (tmp_path / "out").exists()
 
 
 class TestSolveCommand:
