@@ -21,8 +21,8 @@ import click
 from . import __version__
 from .errors import ConfigError, GkdvError
 from .probes import gaussian_field
-from .runconfig import RunConfig
-from .solver import solve
+from .runconfig import SUITES, RunConfig
+from .solver import IvpProblem, solve
 from .verifier import (
     render_report_table,
     verify_contraction_scaling,
@@ -33,8 +33,6 @@ from .verifier import (
     verify_threshold_conditions,
     verify_weighted_linear,
 )
-
-SUITES = ("all", "linear", "nonlinear", "smoothing")
 
 
 def _out_root(cfg: RunConfig, override: str | None) -> Path:
@@ -124,14 +122,10 @@ def run_solve(config_path: str, out_override: str | None = None) -> int:
     return 0
 
 
-def _verify_reports(cfg: RunConfig, suite: str, p_override: float | None = None,
-                    k_override: float | None = None, s_override: float | None = None) -> list:
+def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str) -> list:
+    """The reports of one suite on prob, the problem cfg builds."""
     opts = cfg.raw.get("verify", {})
-    grid = cfg.build_grid()
-    symbol = cfg.build_symbol(p_override=p_override)
-    k = k_override if k_override is not None else float(cfg.raw.get("k", 1.0))
-    s = s_override if s_override is not None else float(cfg.raw.get("s", 0.0))
-    mode = cfg.raw.get("mode", "conservative")
+    grid, symbol, k, s = prob.grid, prob.symbol, prob.k, prob.s
     seed = cfg.seed
     reports = []
     if suite in ("all", "linear"):
@@ -150,8 +144,6 @@ def _verify_reports(cfg: RunConfig, suite: str, p_override: float | None = None,
             reports.append(verify_hausdorff_young(hy_fields, float(p1)))
         reports.append(verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float)))
     if suite in ("all", "nonlinear"):
-        prob = cfg.build_problem(p_override=p_override, k=k, s=s, mode=mode,
-                                 initial_data=cfg.build_initial_data(grid))
         # gkdv verify's own choices for this check, not the function's defaults
         growth = {"t_values": [2.0 ** (-j) for j in range(10, 4, -1)], "panels": 12, "n_times": 10}
         growth.update(_set_keys(opts, t_values=list, panels=int, n_times=int))
@@ -161,8 +153,6 @@ def _verify_reports(cfg: RunConfig, suite: str, p_override: float | None = None,
             **_set_keys(opts, t_values=list, n_pairs=int, panels=int, n_times=int),
         ))
     if suite in ("all", "smoothing"):
-        prob = cfg.build_problem(p_override=p_override, k=k, s=s, mode=mode,
-                                 initial_data=cfg.build_initial_data(grid))
         reports.append(verify_smoothing(
             prob, seed=seed, **_set_keys(opts, panels=int, t_horizon=float, data_scale=float)
         ))
@@ -173,16 +163,13 @@ def run_verify(config_path: str, suite: str | None = None, out_override: str | N
     started = time.time()
     try:
         cfg = RunConfig.from_file(config_path, "verify")
-        chosen = suite or cfg.suite
-        if chosen not in SUITES:
-            raise ConfigError(f"unknown suite {chosen!r}; choose from {SUITES}")
-        cfg.build_problem()
+        prob = cfg.build_problem()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
     try:
-        reports = _verify_reports(cfg, chosen)
+        reports = _verify_reports(cfg, prob, suite or cfg.suite)
     except GkdvError as exc:
         click.echo(f"verification failure: {exc}", err=True)
         _write_manifest(cfg, run_dir, started)
@@ -197,25 +184,16 @@ def run_verify(config_path: str, suite: str | None = None, out_override: str | N
     return 1 if failed else 0
 
 
-def _sweep_job(args) -> list[dict]:
-    raw, combo, suite = args
-    cfg = RunConfig.from_dict(raw, "sweep")
-    reports = _verify_reports(
-        cfg, suite, p_override=combo["p"], k_override=combo["k"], s_override=combo["s"]
-    )
+def _sweep_job(cfg: RunConfig) -> list[str]:
+    """The sweep.csv rows of one combination, labelled with the k, p and s of
+    the problem that ran."""
+    prob = cfg.build_problem()
+    kps = ",".join(repr(float(v)) for v in (prob.k, prob.symbol.p, prob.s))
     rows = []
-    for rep in reports:
-        rows.append(
-            {
-                "k": combo["k"],
-                "p": combo["p"] if combo["p"] is not None else cfg.raw["symbol"].get("p"),
-                "s": combo["s"],
-                "estimate_id": rep.estimate_id,
-                "theoretical": rep.theoretical_exponent,
-                "fitted": rep.fitted_exponent,
-                "verdict": rep.verdict,
-            }
-        )
+    for rep in _verify_reports(cfg, prob, cfg.suite):
+        theo = "" if rep.theoretical_exponent is None else repr(float(rep.theoretical_exponent))
+        fit = "" if rep.fitted_exponent is None else repr(float(rep.fitted_exponent))
+        rows.append(f"{kps},{rep.estimate_id},{theo},{fit},{rep.verdict}")
     return rows
 
 
@@ -223,40 +201,29 @@ def run_sweep(config_path: str, jobs: int = 1, out_override: str | None = None) 
     started = time.time()
     try:
         cfg = RunConfig.from_file(config_path, "sweep")
-        combos = cfg.sweep_values()
-        suite = cfg.suite
-        if suite not in SUITES:
-            raise ConfigError(f"unknown suite {suite!r}")
+        combos = cfg.sweep_configs()
         for combo in combos:
-            cfg.build_problem(p_override=combo["p"], k=combo["k"], s=combo["s"])
+            combo.build_problem()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
-    job_args = [(cfg.raw, combo, suite) for combo in combos]
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_job, job_args))
+                results = list(pool.map(_sweep_job, combos))
         else:
-            results = [_sweep_job(a) for a in job_args]
+            results = [_sweep_job(combo) for combo in combos]
     except GkdvError as exc:
         click.echo(f"sweep failure: {exc}", err=True)
         _write_manifest(cfg, run_dir, started)
         return 1
-    lines = ["k,p,s,estimate_id,theoretical,fitted,verdict"]
-    any_fail = False
-    for rows in results:
-        for row in rows:
-            any_fail = any_fail or row["verdict"] == "fail"
-            theo = "" if row["theoretical"] is None else repr(float(row["theoretical"]))
-            fit = "" if row["fitted"] is None else repr(float(row["fitted"]))
-            kps = ",".join(repr(float(row[key])) for key in ("k", "p", "s"))
-            lines.append(f"{kps},{row['estimate_id']},{theo},{fit},{row['verdict']}")
-    (run_dir / "data" / "sweep.csv").write_text("\n".join(lines) + "\n")
+    rows = [row for combo_rows in results for row in combo_rows]
+    header = "k,p,s,estimate_id,theoretical,fitted,verdict"
+    (run_dir / "data" / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
     _write_manifest(cfg, run_dir, started)
     click.echo(f"sweep: {len(combos)} combinations -> {run_dir}")
-    return 1 if any_fail else 0
+    return 1 if any(row.endswith(",fail") for row in rows) else 0
 
 
 @click.group()

@@ -8,6 +8,7 @@ keys, fixed separators) backs the deterministic config hash used as run id.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,10 +26,7 @@ from .symbols import (
     validate_decomposition,
 )
 
-_GRID_KEYS = {"length", "n_points", "dealias_fraction"}
-_SYMBOL_KEYS = {"name", "p", "q", "c_phi1", "eta", "table"}
-_DATA_KEYS = {"type", "amplitude", "width", "center", "sobolev_index", "seed"}
-_SWEEP_KEYS = {"k", "p", "s"}
+SUITES = ("all", "linear", "nonlinear", "smoothing")
 
 _COMMON_KEYS = {"symbol", "grid", "k", "s", "mode", "seed", "output_dir"}
 _ALLOWED = {
@@ -36,20 +34,15 @@ _ALLOWED = {
     "verify": _COMMON_KEYS | {"suite", "verify"},
     "sweep": _COMMON_KEYS | {"sweep", "suite", "verify"},
 }
-_SOLVER_KEYS = {"max_iter", "tol", "panels", "grading"}
-_VERIFY_KEYS = {
-    "theta_values",
-    "tau_window",
-    "n_tau",
-    "t_values",
-    "n_seeds",
-    "n_pairs",
-    "hy_exponents",
-    "xi_max",
-    "n_times",
-    "panels",
-    "t_horizon",
-    "data_scale",
+# The keys of each section; every section is a JSON object.
+_SECTIONS = {
+    "grid": {"length", "n_points", "dealias_fraction"},
+    "symbol": {"name", "p", "q", "c_phi1", "eta", "table"},
+    "initial_data": {"type", "amplitude", "width", "center", "sobolev_index", "seed"},
+    "solver": {"max_iter", "tol", "panels", "grading"},
+    "verify": {"theta_values", "tau_window", "n_tau", "t_values", "n_seeds", "n_pairs",
+               "hy_exponents", "xi_max", "n_times", "panels", "t_horizon", "data_scale"},
+    "sweep": {"k", "p", "s"},
 }
 
 
@@ -65,13 +58,18 @@ def _in_unit(v) -> bool:
     return 0 < v <= 1
 
 
-# Accepted values of the numeric solver and verify keys and of output_times,
-# as (description, test); a null value means unset and is not checked.
+# Accepted values of the top-level k, s, suite and output_times and of the
+# numeric initial_data, solver and verify keys, as (description, test); a null
+# value means unset and is not checked.  s > -1 is where every space norm's
+# shifted fractional derivative is defined.
 _RANGES = {
+    "suite": (f"one of {SUITES}", lambda v: v in SUITES),
+    "s": ("a number > -1", _number(lambda v: v > -1)),
     "n_tau": ("a number >= 3", _number(lambda v: v >= 3)),
     **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter", "grading"],
                     ("a number >= 1", _number(lambda v: v >= 1))),
-    **dict.fromkeys(["tol", "xi_max", "data_scale"], ("a number > 0", _number(lambda v: v > 0))),
+    **dict.fromkeys(["k", "width", "tol", "xi_max", "data_scale"],
+                    ("a number > 0", _number(lambda v: v > 0))),
     "theta_values": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
     "hy_exponents": ("a list of numbers >= 2", _list_of(lambda v: v >= 2)),
     "output_times": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
@@ -114,23 +112,22 @@ class RunConfig:
                 raise ConfigError(f"missing required key '{key}'")
         if not isinstance(data["seed"], int):
             raise ConfigError("seed must be an integer")
-        _check_keys(data["grid"], _GRID_KEYS, "grid section")
-        _check_keys(data["symbol"], _SYMBOL_KEYS, "symbol section")
-        if "initial_data" in data:
-            _check_keys(data["initial_data"], _DATA_KEYS, "initial_data section")
-        if "solver" in data:
-            _check_keys(data["solver"], _SOLVER_KEYS, "solver section")
-        if "verify" in data:
-            _check_keys(data["verify"], _VERIFY_KEYS, "verify section")
-        if "sweep" in data:
-            _check_keys(data["sweep"], _SWEEP_KEYS, "sweep section")
-            if command == "sweep" and not data["sweep"]:
-                raise ConfigError("sweep section must list at least one of k/p/s")
+        for name, keys in _SECTIONS.items():
+            if name in data:
+                if not isinstance(data[name], dict):
+                    raise ConfigError(f"{name} section must be a JSON object, got {data[name]!r}")
+                _check_keys(data[name], keys, f"{name} section")
+        if command == "sweep" and not data.get("sweep"):
+            raise ConfigError("sweep section must list at least one of k/p/s")
+        for key, values in data.get("sweep", {}).items():
+            if not (_list_of(lambda v: True)(values) and values):
+                raise ConfigError(f"sweep {key!r} must be a non-empty list of numbers, "
+                                  f"got {values!r}")
         if command == "solve" and "initial_data" not in data:
             raise ConfigError("solve config requires an initial_data section")
         _check_ranges(data, f"{command} config")
-        _check_ranges(data.get("solver", {}), "solver section")
-        _check_ranges(data.get("verify", {}), "verify section")
+        for name in ("initial_data", "solver", "verify"):
+            _check_ranges(data.get(name, {}), f"{name} section")
         return cls(command=command, raw=data)
 
     @classmethod
@@ -163,10 +160,10 @@ class RunConfig:
                 n_points=int(g["n_points"]),
                 dealias_fraction=float(g.get("dealias_fraction", 2.0 / 3.0)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid grid section: {exc}") from exc
 
-    def build_symbol(self, p_override: float | None = None) -> DissipativeSymbol:
+    def build_symbol(self) -> DissipativeSymbol:
         """The configured symbol; a tabulated one must keep its stated bound
         |Phi1| <= c_phi1*(1 + |xi|^q) on the grid's range [0, nyquist], checked
         at every table row in it (exact for q <= 1) and on an even sampling."""
@@ -174,11 +171,10 @@ class RunConfig:
         name = sec.get("name")
         if name is None:
             raise ConfigError("symbol section requires a name")
-        eta = float(sec.get("eta", 1.0))
         try:
+            eta = float(sec.get("eta", 1.0))
             if "table" not in sec:
-                p = p_override if p_override is not None else sec.get("p")
-                return builtin_symbol(name, p=p, eta=eta)
+                return builtin_symbol(name, p=sec.get("p"), eta=eta)
             rows_xi = [row[0] for row in sec["table"]]
             sym = tabulated_symbol(
                 name=name,
@@ -223,32 +219,36 @@ class RunConfig:
             )
         raise ConfigError(f"unknown initial_data type {kind!r}")
 
-    def build_problem(self, p_override: float | None = None, **overrides) -> IvpProblem:
+    def build_problem(self) -> IvpProblem:
         grid = self.build_grid()
-        symbol = self.build_symbol(p_override=p_override)
-        params = dict(
-            symbol=symbol,
-            grid=grid,
-            k=float(self.raw.get("k", 1.0)),
-            mode=self.raw.get("mode", "conservative"),
-            s=float(self.raw.get("s", 0.0)),
-            initial_data=self.build_initial_data(grid),
-        )
-        params.update(overrides)
+        symbol = self.build_symbol()
+        initial_data = self.build_initial_data(grid)
         try:
-            return IvpProblem(**params)
-        except ValueError as exc:
+            return IvpProblem(
+                symbol=symbol,
+                grid=grid,
+                k=float(self.raw.get("k", 1.0)),
+                mode=self.raw.get("mode", "conservative"),
+                s=float(self.raw.get("s", 0.0)),
+                initial_data=initial_data,
+            )
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    def sweep_values(self) -> list[dict]:
-        """Cartesian (k, p, s) combinations for the sweep command."""
-        sec = self.raw.get("sweep", {})
-        ks = [float(v) for v in sec.get("k", [self.raw.get("k", 1.0)])]
-        ps = sec.get("p")
-        ss = [float(v) for v in sec.get("s", [self.raw.get("s", 0.0)])]
-        combos = []
-        for k in ks:
-            for p in [None] if ps is None else [float(v) for v in ps]:
-                for s in ss:
-                    combos.append({"k": k, "p": p, "s": s})
-        return combos
+    def sweep_configs(self) -> list["RunConfig"]:
+        """One verify config per Cartesian (k, p, s) combination of the sweep
+        section, with k and s at the top level and p in the symbol section; a
+        key the section does not list keeps the base config's value."""
+        sec = self.raw["sweep"]
+        base = {key: value for key, value in self.raw.items() if key != "sweep"}
+        axes = [[(key, v) for v in sec[key]] for key in ("k", "p", "s") if key in sec]
+        configs = []
+        for combo in itertools.product(*axes):
+            raw = {**base, "symbol": dict(base["symbol"])}
+            for key, value in combo:
+                (raw["symbol"] if key == "p" else raw)[key] = value
+            try:
+                configs.append(RunConfig.from_dict(raw, "verify"))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep combination {dict(combo)}: {exc}") from exc
+        return configs

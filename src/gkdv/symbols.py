@@ -83,7 +83,8 @@ _BUILTINS = {
 
 
 def builtin_symbol(name: str, p: float | None = None, eta: float = 1.0) -> DissipativeSymbol:
-    """Look up a built-in symbol; "pure-power" additionally needs p."""
+    """Look up a built-in symbol; "pure-power" additionally needs p, and a p
+    given for any other builtin must equal its fixed order."""
     if name == "pure-power":
         if p is None or not p > 0:
             raise ValueError("pure-power symbol requires an explicit order p > 0")
@@ -93,6 +94,8 @@ def builtin_symbol(name: str, p: float | None = None, eta: float = 1.0) -> Dissi
     except KeyError:
         available = ", ".join(sorted(_BUILTINS) + ["pure-power"])
         raise KeyError(f"unknown symbol '{name}'; available: {available}") from None
+    if p is not None and float(p) != params["p"]:
+        raise ValueError(f"symbol {name!r} has the fixed order p = {params['p']:g}, got p = {p}")
     return DissipativeSymbol(name=name, eta=eta, **params)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +139,11 @@ OUT_OF_RANGE = [
     ("solve", None, "output_times", [-0.1]),
     ("solve", "solver", "panels", 0),
     ("solve", "solver", "max_iter", 0),
+    ("solve", None, "k", "x"),
+    ("solve", None, "k", 0),
+    ("solve", None, "s", "x"),
+    ("solve", None, "s", -5.0),
+    ("solve", "initial_data", "width", 0.0),
 ]
 
 
@@ -152,6 +158,39 @@ def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, k
     assert res.exit_code == 2
     assert "config error" in res.output and key in res.output
     assert not (tmp_path / "out").exists()
+
+
+MALFORMED = {
+    "grid-not-object": ("verify", {"grid": 5}),
+    "sweep-entry-not-list": ("sweep", {"sweep": {"k": 1.0}}),
+    "sweep-entry-not-numbers": ("sweep", {"sweep": {"k": ["a"]}}),
+    "sweep-entry-empty": ("sweep", {"sweep": {"p": []}}),
+    "sweep-unknown-suite": ("sweep", {"sweep": {"k": [1.0]}, "suite": "everything"}),
+}
+
+
+@pytest.mark.parametrize("command,changes", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_shape_exit_2_without_run_dir(tmp_path, command, changes):
+    cfg = verify_config(**changes)
+    if command == "sweep":
+        cfg.setdefault("sweep", {"k": [1.0]})
+    path = write_config(tmp_path, "shape.json", cfg)
+    res = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+SHIPPED_CONFIGS = {"kdvks.json": "solve", "sweep.json": "sweep",
+                   "verify-pure-power.json": "verify"}
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_configs_build(path):
+    cfg = RunConfig.from_file(path, SHIPPED_CONFIGS[path.name])
+    for each in cfg.sweep_configs() if cfg.command == "sweep" else [cfg]:
+        each.build_problem()
 
 
 class TestSolveCommand:
@@ -281,6 +320,16 @@ class TestVerifyCommand:
         growth = [v for key, v in verdicts.items() if key.startswith("nonlinear-growth")]
         assert growth == ["skipped"]
 
+    def test_fixed_order_symbol_with_other_p_exit_2(self, tmp_path):
+        # kdv-ks used to run at its own p = 4 and exit 0
+        cfg = verify_config(symbol={"name": "kdv-ks", "p": 6.0})
+        path = write_config(tmp_path, "ks6.json", cfg)
+        res = CliRunner().invoke(main, ["verify", "--config", path, "--suite", "linear",
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "fixed order" in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_bad_suite_exit_2(self, tmp_path):
         cfg = verify_config(suite="everything")
         path = write_config(tmp_path, "v3.json", cfg)
@@ -344,6 +393,44 @@ class TestSweepCommand:
         assert res.exit_code == 2
         assert "config error" in res.output
         assert not (tmp_path / "out").exists()
+
+    def run_sweep_csv(self, tmp_path, cfg):
+        path = write_config(tmp_path, "sweep.json", cfg)
+        res = CliRunner().invoke(main, ["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        run_dir = next((tmp_path / "out").iterdir())
+        rows = (run_dir / "data" / "sweep.csv").read_text().splitlines()[1:]
+        return res, [row.split(",") for row in rows]
+
+    def test_fixed_order_symbol_over_k_labels_its_own_p(self, tmp_path):
+        # the p column used to read the config's absent symbol.p and crash
+        cfg = self.sweep_cfg()
+        cfg["symbol"] = {"name": "kdv-ks"}
+        cfg["sweep"] = {"k": [1.0, 2.0]}
+        res, rows = self.run_sweep_csv(tmp_path, cfg)
+        assert res.exit_code == 0
+        assert {row[0] for row in rows} == {"1.0", "2.0"}
+        assert {row[1] for row in rows} == {"4.0"}
+
+    def test_fixed_order_symbol_over_p_exit_2(self, tmp_path):
+        # the p = 6 rows used to be labelled 6.0 but run at p = 4
+        cfg = self.sweep_cfg()
+        cfg["symbol"] = {"name": "kdv-ks"}
+        cfg["sweep"] = {"p": [4.0, 6.0]}
+        path = write_config(tmp_path, "ks-p.json", cfg)
+        res = CliRunner().invoke(main, ["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "fixed order" in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_tabulated_symbol_over_p_runs_each_p(self, tmp_path):
+        # the sweep's p used to be ignored for a tabulated symbol
+        cfg = self.sweep_cfg()
+        cfg["symbol"] = {"name": "custom", "p": 3.0, "q": 1.0, "c_phi1": 2.0, "eta": 1.0,
+                         "table": [[0.0, 0.0], [1.0, 1.5], [10.0, 4.0]]}
+        cfg["sweep"] = {"p": [4.0, 6.0]}
+        _, rows = self.run_sweep_csv(tmp_path, cfg)
+        decay = {row[1]: float(row[4]) for row in rows if row[3].startswith("multiplier-decay")}
+        assert decay == {"4.0": pytest.approx(-1.0 / 4.0), "6.0": pytest.approx(-1.0 / 6.0)}
 
     def test_jobs_config_key_rejected(self, tmp_path):
         # --jobs is the only parallelism control; a config key would be ignored

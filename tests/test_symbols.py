@@ -47,6 +47,13 @@ class TestBuiltins:
         sym = builtin_symbol("pure-power", p=2.5)
         assert evaluate_phi(sym, 2.0) == pytest.approx(-(2.0 ** 2.5))
 
+    def test_fixed_order_builtin_rejects_other_p(self):
+        # a sweep or config p used to be dropped silently for these symbols
+        for name, order in (("kdv-burgers", 2.0), ("ostrovsky", 3.0), ("kdv-ks", 4.0)):
+            assert builtin_symbol(name, p=order).p == order
+            with pytest.raises(ValueError, match="fixed order"):
+                builtin_symbol(name, p=order + 2.0)
+
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="ostrovsky"):
             builtin_symbol("no-such-symbol")
