@@ -100,11 +100,12 @@ def run_solve(config_path: str, out_override: str | None = None) -> int:
     try:
         solution, trace = solve(prob, **solver_opts)
         output_times = cfg.raw.get("output_times") or [trace.t_final]
+        x_column = [repr(x) for x in prob.grid.x.tolist()]
         for idx, t in enumerate(output_times):
             t = min(float(t), trace.t_final)
             fld = solution(t)
             lines = ["x,value"]
-            lines += [f"{float(x)!r},{float(v)!r}" for x, v in zip(prob.grid.x, fld.phys)]
+            lines += [f"{x},{v!r}" for x, v in zip(x_column, fld.phys.tolist())]
             (run_dir / "data" / f"trajectory_{idx:03d}.csv").write_text("\n".join(lines) + "\n")
         _write_json(run_dir / "reports" / "picard_trace.json", trace.to_json_dict())
     except GkdvError as exc:

@@ -17,13 +17,25 @@ from .errors import BlowUpError
 from .spectral import SpectralField, fractional_derivative_shifted, spatial_derivative
 
 
+def integer_power(values: np.ndarray, n: int) -> np.ndarray:
+    """values**n for an integer n >= 1 by squarings and products, without libm pow."""
+    out = np.array(values, dtype=float)
+    for bit in bin(n)[3:]:
+        np.square(out, out=out)
+        if bit == "1":
+            np.multiply(out, values, out=out)
+    return out
+
+
 def lebesgue_norm(f: SpectralField, q: float) -> float:
     """Discrete L^q norm (rectangle rule); q = inf gives the max norm."""
     if q == np.inf:
         return float(np.max(np.abs(f.phys)))
     if q < 1:
         raise ValueError(f"Lebesgue exponent must satisfy q >= 1, got {q}")
-    return float((np.sum(np.abs(f.phys) ** q) * f.grid.h) ** (1.0 / q))
+    mag = np.abs(f.phys)
+    powered = integer_power(mag, int(q)) if float(q).is_integer() else mag ** q
+    return float((np.sum(powered) * f.grid.h) ** (1.0 / q))
 
 
 def spectral_lq_norm(f: SpectralField, q: float) -> float:
@@ -128,7 +140,8 @@ def _weighted_report(fields, cfg: WeightedNormConfig, weighted_parts, space: str
 
     fields holds the trajectory at cfg.sample_times, one field per time in
     order; a count that differs raises ValueError.  Each weighted part at
-    time t carries the factor t^wexp, by default cfg.weight_exponent.
+    time t carries the factor t^wexp, by default cfg.weight_exponent; a norm
+    function listed under two names is evaluated once per time.
     """
     if wexp is None:
         wexp = cfg.weight_exponent
@@ -139,8 +152,9 @@ def _weighted_report(fields, cfg: WeightedNormConfig, weighted_parts, space: str
         hs = sobolev_norm(f, cfg.s)
         weighted = 0.0
         part_rows = []
+        norms = {fn: fn(f) for fn in dict.fromkeys(fn for _, fn in weighted_parts)}
         for name, norm_fn in weighted_parts:
-            value = t ** wexp * norm_fn(f)
+            value = t ** wexp * norms[norm_fn]
             part_rows.append((t, name, value))
             weighted += value
         if not np.isfinite(hs) or not np.isfinite(weighted):
@@ -150,6 +164,13 @@ def _weighted_report(fields, cfg: WeightedNormConfig, weighted_parts, space: str
         sup_hs = max(sup_hs, hs)
         sup_total = max(sup_total, hs + weighted)
     return NormReport(space=space, h_s=sup_hs, components=rows, total=sup_total)
+
+
+def _derivative_parts(cfg: WeightedNormConfig, q: float) -> list:
+    """w_dx_lq and w_dxs_lq; at s = 0 they agree bit for bit and share one function."""
+    dx = lambda f: lebesgue_norm(spatial_derivative(f), q)
+    dxs = dx if cfg.s == 0 else lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)
+    return [("w_dx_lq", dx), ("w_dxs_lq", dxs)]
 
 
 def x_norm(fields, cfg: WeightedNormConfig) -> NormReport:
@@ -163,11 +184,7 @@ def x_norm(fields, cfg: WeightedNormConfig) -> NormReport:
     the sum over sample times.
     """
     q = 2.0 * (cfg.k + 1.0)
-    parts = [
-        ("w_lq", lambda f: lebesgue_norm(f, q)),
-        ("w_dx_lq", lambda f: lebesgue_norm(spatial_derivative(f), q)),
-        ("w_dxs_lq", lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)),
-    ]
+    parts = [("w_lq", lambda f: lebesgue_norm(f, q))] + _derivative_parts(cfg, q)
     return _weighted_report(fields, cfg, parts, space="x")
 
 
@@ -177,11 +194,7 @@ def y_norm(fields, cfg: WeightedNormConfig) -> NormReport:
     fields is read as in x_norm.
     """
     q = 2.0 * (cfg.k + 1.0)
-    parts = [
-        ("w_dx_lq", lambda f: lebesgue_norm(spatial_derivative(f), q)),
-        ("w_dxs_lq", lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)),
-    ]
-    return _weighted_report(fields, cfg, parts, space="y")
+    return _weighted_report(fields, cfg, _derivative_parts(cfg, q), space="y")
 
 
 def z_norm(fields, cfg: WeightedNormConfig) -> float:

@@ -203,20 +203,23 @@ class RunConfig:
         kind = sec.get("type")
         if kind == "zero":
             return zero_field(grid)
-        if kind == "gaussian":
-            return gaussian_field(
-                grid,
-                amplitude=float(sec.get("amplitude", 1.0)),
-                width=float(sec["width"]) if "width" in sec else None,
-                center=float(sec.get("center", 0.0)),
-            )
-        if kind == "rough":
-            return rough_field(
-                grid,
-                sobolev_index=float(sec.get("sobolev_index", 0.0)),
-                seed=int(sec.get("seed", self.seed)),
-                amplitude=float(sec.get("amplitude", 1.0)),
-            )
+        try:
+            if kind == "gaussian":
+                return gaussian_field(
+                    grid,
+                    amplitude=float(sec.get("amplitude", 1.0)),
+                    width=float(sec["width"]) if "width" in sec else None,
+                    center=float(sec.get("center", 0.0)),
+                )
+            if kind == "rough":
+                return rough_field(
+                    grid,
+                    sobolev_index=float(sec.get("sobolev_index", 0.0)),
+                    seed=int(sec.get("seed", self.seed)),
+                    amplitude=float(sec.get("amplitude", 1.0)),
+                )
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid initial_data section: {exc}") from exc
         raise ConfigError(f"unknown initial_data type {kind!r}")
 
     def build_problem(self) -> IvpProblem:

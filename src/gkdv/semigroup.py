@@ -30,9 +30,8 @@ from .symbols import DissipativeSymbol, evaluate_phi
 _UNIT_NODES = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
 _VANDERMONDE_INV = np.linalg.inv(np.vander(_UNIT_NODES, 4, increasing=True))
 
-_MOMENT_COEFFS = [
-    [math.factorial(m) / math.factorial(j + m + 1) for j in range(19)] for m in range(4)
-]
+# Taylor coefficients 3!/(j+4)! of G_3, highest power first as np.polyval takes them.
+_G3_SERIES = [6.0 / math.factorial(j + 4) for j in reversed(range(19))]
 
 
 @dataclass(frozen=True)
@@ -66,35 +65,6 @@ def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralFi
     if w0.grid != prop.grid:
         raise StructuralError("field grid does not match the propagator grid")
     return apply_multiplier_values(w0, prop.multiplier(t))
-
-
-def _poly_exp_moments(omega: np.ndarray) -> np.ndarray:
-    """G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu for m = 0..3, stably.
-
-    Small |w| uses the entire series m! * sum_j w^j/(j+m+1)!; elsewhere the
-    integration-by-parts recursion G_m = (m*G_{m-1} - 1)/w applies.  Re(w) is
-    bounded above by eta*C_M*panel width in all uses, so exp(w) never
-    overflows.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    out = np.empty((4,) + omega.shape, dtype=complex)
-    small = np.abs(omega) <= 0.5
-    if np.any(small):
-        ws = omega[small]
-        for m in range(4):
-            acc = np.zeros_like(ws)
-            for c in reversed(_MOMENT_COEFFS[m]):
-                acc = acc * ws + c
-            out[m][small] = acc
-    big = ~small
-    if np.any(big):
-        wb = omega[big]
-        g = (np.exp(wb) - 1.0) / wb
-        out[0][big] = g
-        for m in range(1, 4):
-            g = (m * g - 1.0) / wb
-            out[m][big] = g
-    return out
 
 
 def _panel_bounds(t_final: float, panels: int, grading: float) -> np.ndarray:
@@ -161,14 +131,32 @@ def _sweep(prop, forcing, times, bounds, nodes):
 def _panel_step(z, acc, coeffs, width, h):
     """exp(z*h) I(a) + int_a^(a+h) exp(z*(a+h-tau)) F(tau) dtau on a panel [a, a+width].
 
-    F is the cubic sum_m coeffs[m] ((tau-a)/width)^m; substituting
-    tau = a + h*(1-nu) turns the integral into width * sum_m coeffs[m]
-    (h/width)^(m+1) G_m(z*h).
+    F is the cubic sum_m coeffs[m] ((tau-a)/width)^m; tau = a + h*(1-nu) turns the
+    integral into width * sum_m coeffs[m] (h/width)^(m+1) G_m(w), w = z*h, with
+    G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu.  One exp gives the carry and G_0 =
+    (exp(w) - 1)/w; G_m = (m*G_(m-1) - 1)/w cancels for small |w| (nan at w = 0),
+    so where |w| <= 0.5 the series of G_3 and the stable downward recursion
+    G_(m-1) = (1 + w*G_m)/m overwrite it.  Re(w) <= eta*C_M*width: no overflow.
     """
-    g = _poly_exp_moments(z * h)
-    return np.exp(z * h) * acc + width * sum(
-        coeffs[m] * ((h / width) ** (m + 1) * g[m]) for m in range(4)
-    )
+    w = z * h
+    e = np.exp(w)
+    g = np.empty((4,) + w.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / w
+        g[0] = (e - 1.0) * inv
+        for m in range(1, 4):
+            g[m] = (m * g[m - 1] - 1.0) * inv
+    small = np.flatnonzero(np.abs(w) <= 0.5)
+    ws = w[small]
+    g[3, small] = gs = np.polyval(_G3_SERIES, ws)
+    for m in range(3, 0, -1):
+        g[m - 1, small] = gs = (1.0 + ws * gs) / m
+    out = e * acc
+    for m in range(4):
+        g[m] *= width * (h / width) ** (m + 1)
+        g[m] *= coeffs[m]
+        out += g[m]
+    return out
 
 
 def smoothing_norm_profile(

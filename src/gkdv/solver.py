@@ -36,7 +36,7 @@ from .errors import (
     StabilityError,
     StructuralError,
 )
-from .norms import WeightedNormConfig, omega_k, sobolev_norm, x_norm, y_norm
+from .norms import WeightedNormConfig, integer_power, omega_k, sobolev_norm, x_norm, y_norm
 from .semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
 from .spectral import GridSpec, SpectralField, linear_combination
 from .symbols import DissipativeSymbol
@@ -120,20 +120,13 @@ def signed_power(values: np.ndarray, k: float) -> np.ndarray:
 
     The sign-preserving convention keeps the nonlinearity odd and real for
     every real k > 0 and agrees with the integer case on nonnegative data.
-    An integer power is formed by binary exponentiation (squarings and
-    products), because libm pow, which ** calls, is about 50x slower on
-    negative bases.
+    An integer power is formed by norms.integer_power, without libm pow.
     """
     if k <= 0:
         raise ValueError(f"nonlinearity degree must be positive, got {k}")
     kp1 = k + 1.0
     if abs(kp1 - round(kp1)) < 1e-12:
-        out = np.array(values, dtype=float)
-        for bit in bin(int(round(kp1)))[3:]:
-            np.square(out, out=out)
-            if bit == "1":
-                np.multiply(out, values, out=out)
-        return out
+        return integer_power(values, int(round(kp1)))
     return np.abs(values) ** k * values
 
 

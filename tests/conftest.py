@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,51 @@ def gl_duhamel(prop, forcing, t, panels=16, grading=2.0):
     return SpectralField(prop.grid, acc)
 
 
+_MOMENT_COEFFS = [
+    [math.factorial(m) / math.factorial(j + m + 1) for j in range(19)] for m in range(4)
+]
+
+
+def poly_exp_moments(omega):
+    """G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu for m = 0..3, stably.
+
+    The moments as the product rule first computed them: small |w| sums the
+    entire series m! * sum_j w^j/(j+m+1)! for each m; elsewhere the
+    integration-by-parts recursion G_m = (m*G_{m-1} - 1)/w applies.
+    """
+    omega = np.asarray(omega, dtype=complex)
+    out = np.empty((4,) + omega.shape, dtype=complex)
+    small = np.abs(omega) <= 0.5
+    if np.any(small):
+        ws = omega[small]
+        for m in range(4):
+            acc = np.zeros_like(ws)
+            for c in reversed(_MOMENT_COEFFS[m]):
+                acc = acc * ws + c
+            out[m][small] = acc
+    big = ~small
+    if np.any(big):
+        wb = omega[big]
+        g = (np.exp(wb) - 1.0) / wb
+        out[0][big] = g
+        for m in range(1, 4):
+            g = (m * g - 1.0) / wb
+            out[m][big] = g
+    return out
+
+
+def panel_step(z, acc, coeffs, width, h):
+    """Reference product-rule step with the signature of semigroup._panel_step.
+
+    exp(z*h) acc + width * sum_m coeffs[m] (h/width)^(m+1) G_m(z*h), with the
+    moments from poly_exp_moments and exp(z*h) evaluated a second time.
+    """
+    g = poly_exp_moments(z * h)
+    return np.exp(z * h) * acc + width * sum(
+        coeffs[m] * ((h / width) ** (m + 1) * g[m]) for m in range(4)
+    )
+
+
 def full_spectrum_nonlinearity(grid, values, k, mode):
     """Reference N(v) from real samples by complex fft/ifft on all n modes.
 
@@ -81,6 +129,21 @@ def full_spectrum_nonlinearity(grid, values, k, mode):
     if mode == "conservative":
         out = out * (1j * xi_odd)
     return out, np.fft.ifft(out).real * n
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count calls of numpy.fft.{fft, ifft, rfft, irfft} by name."""
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        orig = getattr(np.fft, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from gkdv.cli import main
 from gkdv.errors import ConfigError
 from gkdv.runconfig import RunConfig
+from gkdv.solver import solve
 
 
 def write_config(tmp_path, name, payload):
@@ -160,6 +161,25 @@ def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, k
     assert not (tmp_path / "out").exists()
 
 
+INITIAL_DATA = {
+    "gaussian": {"type": "gaussian", "amplitude": 0.05, "width": 4.0, "center": 0.0},
+    "rough": {"type": "rough", "amplitude": 0.05, "sobolev_index": 0.5, "seed": 4},
+}
+UNCASTABLE_INITIAL_DATA = [(kind, key) for kind, section in INITIAL_DATA.items()
+                           for key in section if key not in ("type", "width")]
+
+
+@pytest.mark.parametrize("kind,key", UNCASTABLE_INITIAL_DATA,
+                         ids=[f"{kind}-{key}" for kind, key in UNCASTABLE_INITIAL_DATA])
+def test_uncastable_initial_data_exit_2_without_run_dir(tmp_path, kind, key):
+    section = {**INITIAL_DATA[kind], key: "x"}
+    path = write_config(tmp_path, "data.json", solve_config(initial_data=section))
+    res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output and "initial_data" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 MALFORMED = {
     "grid-not-object": ("verify", {"grid": 5}),
     "sweep-entry-not-list": ("sweep", {"sweep": {"k": 1.0}}),
@@ -219,6 +239,21 @@ class TestSolveCommand:
         ]
         sums = [[f["sha256"] for f in m["files"]] for m in manifests]
         assert sums[0] == sums[1]
+
+    def test_trajectory_csv_is_repr_of_each_sample(self, tmp_path):
+        cfg = solve_config(output_times=[0.0002, 0.0005])
+        path = write_config(tmp_path, "s.json", cfg)
+        res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0
+        prob = RunConfig.from_file(path, "solve").build_problem()
+        solution, trace = solve(prob)
+        for idx, t in enumerate(cfg["output_times"]):
+            fld = solution(min(t, trace.t_final))
+            lines = ["x,value"] + [
+                f"{float(x)!r},{float(v)!r}" for x, v in zip(prob.grid.x, fld.phys)
+            ]
+            written = next((tmp_path / "o").rglob(f"trajectory_{idx:03d}.csv")).read_text()
+            assert written == "\n".join(lines) + "\n"
 
     def test_manifest_lists_all_files(self, tmp_path):
         path = write_config(tmp_path, "s.json", solve_config())

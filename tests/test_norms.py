@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkdv import norms
 from gkdv.errors import BlowUpError
 from gkdv.norms import (
     WeightedNormConfig,
     gamma_k,
+    integer_power,
     lebesgue_norm,
     omega_k,
     sobolev_norm,
@@ -18,7 +20,13 @@ from gkdv.norms import (
 )
 from gkdv.probes import gaussian_field, rough_field
 from gkdv.semigroup import Propagator, apply_semigroup
-from gkdv.spectral import GridSpec, SpectralField, coherent_field
+from gkdv.spectral import (
+    GridSpec,
+    SpectralField,
+    coherent_field,
+    fractional_derivative_shifted,
+    spatial_derivative,
+)
 from gkdv.symbols import builtin_symbol
 
 
@@ -53,6 +61,30 @@ class TestLebesgue:
         f = coherent_field(g, np.ones(64))
         with pytest.raises(ValueError):
             lebesgue_norm(f, 0.5)
+
+    def test_integer_exponent_by_multiplication(self, monkeypatch):
+        # q = 4 is |f|^2 squared; other integers stay within a few ulp of pow
+        g = GridSpec(17.0, 256)
+        f = coherent_field(g, np.random.default_rng(8).standard_normal(256))
+        mag = np.abs(f.phys)
+        exponents = []
+        monkeypatch.setattr(norms, "integer_power",
+                            lambda v, n: exponents.append(n) or integer_power(v, n))
+        assert lebesgue_norm(f, 4.0) == (np.sum(np.square(np.square(mag))) * g.h) ** 0.25
+        for q in (1, 2, 3, 5, 6, 7):
+            assert lebesgue_norm(f, q) == pytest.approx(
+                (np.sum(mag ** float(q)) * g.h) ** (1.0 / q), rel=1e-15)
+        assert lebesgue_norm(f, 2.5) == (np.sum(mag ** 2.5) * g.h) ** 0.4
+        assert exponents == [4, 1, 2, 3, 5, 6, 7]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_integer_power_matches_pow(self, n):
+        v = np.random.default_rng(n).standard_normal(64)
+        out = integer_power(v, n)
+        # at most 4 roundings for n < 16, amplified by the squarings after them: < 10 ulp
+        assert np.max(np.abs(out - v ** float(n)) / np.abs(v ** float(n))) <= 2e-15
+        if n <= 2:
+            assert np.array_equal(out, v ** n)
 
 
 class TestSobolev:
@@ -188,6 +220,29 @@ class TestTrajectoryNorms:
             by_time.setdefault(t, {})[name] = value
         for entries in by_time.values():
             assert entries["w_dx_lq"] == pytest.approx(entries["w_dxs_lq"], rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_derivative_component_transformed_once_at_s0(self, fft_calls, s):
+        # the samples of f are cached; d_x f and D^s d_x f each take one
+        # inverse transform, but at s = 0 D^s d_x f is d_x f bit for bit, so
+        # both rows carry one value and the second transform is not made
+        g = GridSpec(40.0, 256)
+        cfg = cfg_for(s=s)
+        fields = [gaussian_field(g, width=2.0 + 0.1 * i) for i in range(len(cfg.sample_times))]
+        q = 2.0 * (cfg.k + 1.0)
+        fft_calls.clear()
+        rep = x_norm(fields, cfg)
+        per_time = 1 if s == 0 else 2
+        assert fft_calls["irfft"] == per_time * len(fields)
+        rows = {(t, name): value for t, name, value in rep.components}
+        for t, f in zip(cfg.sample_times, fields):
+            dxs = lebesgue_norm(fractional_derivative_shifted(f, s), q)
+            assert rows[(t, "w_dxs_lq")] == t ** cfg.weight_exponent * dxs
+            if s == 0:
+                assert rows[(t, "w_dx_lq")] == rows[(t, "w_dxs_lq")]
+        fft_calls.clear()
+        y_norm([gaussian_field(g, width=2.0)] * len(cfg.sample_times), cfg)
+        assert fft_calls["irfft"] == per_time * len(cfg.sample_times)
 
     def test_y_leq_x_at_s0(self):
         g = GridSpec(40.0, 256)

@@ -100,21 +100,6 @@ def test_apply_semigroup_matches_full_fft(name, t):
     assert rel_max(out.phys, np.fft.ifft(direct).real * grid.n_points) <= 1e-12
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Count calls of numpy.fft.{fft, ifft, rfft, irfft} by name."""
-    calls = Counter()
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        orig = getattr(np.fft, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("mode", ["conservative", "gradient"])
 @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
 def test_nonlinearity_makes_one_real_transform_pair(fft_calls, k, mode):

@@ -1,13 +1,17 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from gkdv import semigroup
 from gkdv.errors import ResolutionError, StructuralError
 from gkdv.norms import lebesgue_norm
 from gkdv.semigroup import (
     Propagator,
+    _panel_bounds,
+    _panel_step,
     apply_semigroup,
     duhamel_sweep,
     smoothing_norm_profile,
@@ -22,7 +26,7 @@ from gkdv.spectral import (
 from gkdv.symbols import builtin_symbol, symbol_constants
 from gkdv.probes import gaussian_field
 
-from conftest import gl_duhamel
+from conftest import gl_duhamel, panel_step
 
 
 def single_mode(grid, k, amp=0.5):
@@ -203,6 +207,103 @@ class TestDuhamelIntegral:
             duhamel_sweep(prop, lambda tau: zero, [0.5], 0.4)
         with pytest.raises(ValueError):
             duhamel_sweep(prop, lambda tau: zero, [0.3, 0.1], 0.4)
+
+
+# G_0..G_3 of w, G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu, at |w| = 0.49, 0.5,
+# 0.51 and 2 (real, imaginary and mixed), computed once at 50 digits by
+#
+#     import mpmath
+#     mpmath.mp.dps = 50
+#     def G(m, w):
+#         w = mpmath.mpc(w)
+#         return mpmath.quad(lambda nu: mpmath.exp(w * nu) * (1 - nu) ** m, [0, 1])
+#     for r in (0.49, 0.5, 0.51, 2.0):
+#         for w in (complex(r), complex(-r), 1j * r, r * (-0.6 + 0.8j)):
+#             print((w, tuple(complex(G(m, w)) for m in range(4))))
+G_MOMENTS_50_DIGITS = [
+    ((0.49+0j), ((1.2904412652150592+0j), (0.5927372759491002+0j), (0.3785194936697969+0j), (0.27664996124365476+0j))),
+    ((-0.49+0j), ((0.7905583792154774+0j), (0.4274318791520869+0j), (0.296196411624135+0j), (0.22736890842366309+0j))),
+    (0.49j, ((0.9604609962676695+0.24013702324465j), (0.4900755576421429+0.08069184435169498j), (0.3293544667416122+0.04050792799125357j), (0.24800772239543004+0.02436040770441542j))),
+    ((-0.294+0.392j), ((0.8459834515927994+0.15953049852314652j), (0.44904964869966846+0.0561121216568827j), (0.3079996249212452+0.028951053249533103j), (0.23486367947068987+0.01773266191806503j))),
+    ((0.5+0j), ((1.2974425414002564+0j), (0.5948850828005126+0j), (0.37954033120205033+0j), (0.2772419872123021+0j))),
+    ((-0.5+0j), ((0.7869386805747332+0j), (0.4261226388505337+0j), (0.2955094445978652+0j), (0.22694333241280867+0j))),
+    (0.5j, ((0.958851077208406+0.24483487621925457j), (0.48966975243850913+0.08229784558318799j), (0.32919138233275197+0.04132099024596346j), (0.24792594147578076+0.024851706003488027j))),
+    ((-0.3+0.4j), ((0.8427746054600077+0.16207212911361493j), (0.4479858800297747+0.05707407632764985j), (0.3074709321770203+0.02946740071836141j), (0.23454816761086164+0.01805688296420144j))),
+    ((0.51+0j), ((1.304492539109581+0j), (0.5970441943325118+0j), (0.38056546797063434+0j), (0.2778360861017707+0j))),
+    ((-0.51+0j), ((0.7833420023288903+0j), (0.42481960327668566+0j), (0.294825085189468+0j), (0.22651910672861983+0j))),
+    (0.51j, ((0.957210288005701+0.24952057324362498j), (0.4892560259678921+0.083901396067253j), (0.32902508261667845+0.04213323149846233j), (0.247842538226249+0.025342651274440582j))),
+    ((-0.306+0.40800000000000003j), ((0.8395660691075665+0.16458718249328455j), (0.44692177358840735+0.05802908866269819j), (0.30694198736123196+0.029980893849628324j), (0.23423248625272644+0.01837964981120072j))),
+    ((2+0j), ((3.194528049465325+0j), (1.0972640247326626+0j), (0.5972640247326626+0j), (0.39589603709899385+0j))),
+    ((-2+0j), ((0.43233235838169365+0j), (0.28383382080915315+0j), (0.21616617919084682+0j), (0.17575073121372975+0j))),
+    (2j, ((0.45464871341284085+0.7080734182735712j), (0.3540367091367856+0.2726756432935796j), (0.2726756432935796+0.1459632908632144j), (0.21894493629482162+0.09098653505963064j))),
+    ((-1.2+1.6j), ((0.42306473157885544+0.31319815575820187j), (0.2983598428296241+0.1368146606409973j), (0.23043582281502337+0.07922332935170236j), (0.1876757546885218+0.05217601620543985j))),
+]
+
+
+class TestPanelStep:
+    """The product-rule step against the two-exponential oracle and 50-digit moments."""
+
+    WIDTH = 2e-3
+
+    @pytest.fixture(scope="class")
+    def kdvks_8192(self):
+        prop = Propagator(builtin_symbol("kdv-ks"), GridSpec(100.0, 8192))
+        rng = np.random.default_rng(3)
+        shape = prop.exponent.shape
+        # the carry is scaled like the panel integral, so neither term hides
+        # the other's error
+        acc = self.WIDTH * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        coeffs = rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+        return prop, acc, coeffs
+
+    @pytest.mark.parametrize("h", [0.0, 5e-6, 1e-4, 1e-3, WIDTH])
+    def test_matches_oracle_step(self, kdvks_8192, h):
+        prop, acc, coeffs = kdvks_8192
+        new = _panel_step(prop.exponent, acc, coeffs, self.WIDTH, h)
+        ref = panel_step(prop.exponent, acc, coeffs, self.WIDTH, h)
+        assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_sweep_at_panel_bounds_matches_oracle(self, monkeypatch):
+        grid = GridSpec(100.0, 8192)
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        g = gaussian_field(grid, amplitude=1.0, width=4.0)
+        free = functools.partial(apply_semigroup, prop, g)
+        forcing = lambda tau: nonlinearity_eval(free(tau), 1.0, "conservative")
+        t_final = 1e-3
+        times = list(_panel_bounds(t_final, 16, 2.0))
+        new = list(duhamel_sweep(prop, forcing, times, t_final))
+        monkeypatch.setattr(semigroup, "_panel_step", panel_step)
+        ref = list(duhamel_sweep(prop, forcing, times, t_final))
+        assert len(new) == len(ref) == 17
+        for a, b in zip(new[1:], ref[1:]):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+        assert np.all(new[0] == 0) and np.all(ref[0] == 0)
+
+    @pytest.mark.parametrize("w, moments", G_MOMENTS_50_DIGITS)
+    def test_moments_match_50_digit_values(self, w, moments):
+        # with acc = 0, h = width = 1 and coeffs the m-th unit cubic, the
+        # step returns G_m(z) itself.  Above |w| = 0.5 the upward recursion
+        # amplifies roundoff by up to 3!/|w|^3, about 45 at |w| = 0.51.
+        z = np.array([w])
+        tol = 1e-13 if 0.5 < abs(w) < 1.0 else 1e-15
+        for m, exact in enumerate(moments):
+            coeffs = np.zeros((4, 1), dtype=complex)
+            coeffs[m] = 1.0
+            got = _panel_step(z, np.zeros(1, dtype=complex), coeffs, 1.0, 1.0)[0]
+            assert abs(got - exact) <= tol * abs(exact), (m, got, exact)
+
+    def test_zero_exponent_emits_no_warning(self, grid):
+        # kdv-ks has z = 0 on mode 0 and t = 0 makes every w = 0, where the
+        # upward recursion divides by zero before the series overwrites it
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        assert prop.exponent[0] == 0
+        g = gaussian_field(grid, width=0.7)
+        forcing = functools.partial(apply_semigroup, prop, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = list(duhamel_sweep(prop, forcing, [0.0, 0.1, 0.4], 0.4))
+        assert all(np.all(np.isfinite(spec)) for spec in out)
+        assert np.all(out[0] == 0)
 
 
 class TestSmoothingProfile:
