@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .errors import ConfigError, GkdvError
 from .probes import gaussian_field
-from .runconfig import SUITES, RunConfig
+from .runconfig import SUITES, RunConfig, _set_keys
 from .solver import IvpProblem, solve
 from .verifier import (
     render_report_table,
@@ -77,16 +77,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _set_keys(section: dict, **casts) -> dict:
-    """Keyword arguments for the keys a config section sets, each cast as given.
-
-    A key that is absent or null is left out, so the called function's own
-    default applies.
-    """
-    return {key: cast(section[key]) for key, cast in casts.items() if section.get(key) is not None}
-
-
-def run_solve(config_path: str, out_override: str | None = None) -> int:
+def run_solve(config_path: str, out_override: str | None) -> int:
     started = time.time()
     try:
         cfg = RunConfig.from_file(config_path, "solve")
@@ -95,8 +86,7 @@ def run_solve(config_path: str, out_override: str | None = None) -> int:
         click.echo(f"config error: {exc}", err=True)
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
-    solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int,
-                            grading=float)
+    solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int)
     try:
         solution, trace = solve(prob, **solver_opts)
         output_times = cfg.raw.get("output_times") or [trace.t_final]
@@ -145,10 +135,9 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str) -> list:
             reports.append(verify_hausdorff_young(hy_fields, float(p1)))
         reports.append(verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float)))
     if suite in ("all", "nonlinear"):
-        # gkdv verify's own choices for this check, not the function's defaults
-        growth = {"t_values": [2.0 ** (-j) for j in range(10, 4, -1)], "panels": 12, "n_times": 10}
-        growth.update(_set_keys(opts, t_values=list, panels=int, n_times=int))
-        reports.append(verify_nonlinear_estimate(prob, seed=seed, **growth))
+        reports.append(verify_nonlinear_estimate(
+            prob, seed=seed, **_set_keys(opts, t_values=list, panels=int, n_times=int)
+        ))
         reports.append(verify_contraction_scaling(
             prob, seed=seed,
             **_set_keys(opts, t_values=list, n_pairs=int, panels=int, n_times=int),
@@ -160,7 +149,7 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str) -> list:
     return reports
 
 
-def run_verify(config_path: str, suite: str | None = None, out_override: str | None = None) -> int:
+def run_verify(config_path: str, suite: str | None, out_override: str | None) -> int:
     started = time.time()
     try:
         cfg = RunConfig.from_file(config_path, "verify")
@@ -198,7 +187,7 @@ def _sweep_job(cfg: RunConfig) -> list[str]:
     return rows
 
 
-def run_sweep(config_path: str, jobs: int = 1, out_override: str | None = None) -> int:
+def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
     started = time.time()
     try:
         cfg = RunConfig.from_file(config_path, "sweep")

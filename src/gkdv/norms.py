@@ -56,7 +56,7 @@ def spectral_lq_norm(f: SpectralField, q: float) -> float:
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: L^2 norm of (1+|xi|)^s-weighted coefficients."""
-    w = (1.0 + f.grid.xi) ** s
+    w = 1.0 if s == 0 else (1.0 + f.grid.xi) ** s
     return float(np.sqrt(f.grid.length * np.sum(f.grid.mode_weights * (w * np.abs(f.spec)) ** 2)))
 
 

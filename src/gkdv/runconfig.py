@@ -39,7 +39,7 @@ _SECTIONS = {
     "grid": {"length", "n_points", "dealias_fraction"},
     "symbol": {"name", "p", "q", "c_phi1", "eta", "table"},
     "initial_data": {"type", "amplitude", "width", "center", "sobolev_index", "seed"},
-    "solver": {"max_iter", "tol", "panels", "grading"},
+    "solver": {"max_iter", "tol", "panels"},
     "verify": {"theta_values", "tau_window", "n_tau", "t_values", "n_seeds", "n_pairs",
                "hy_exponents", "xi_max", "n_times", "panels", "t_horizon", "data_scale"},
     "sweep": {"k", "p", "s"},
@@ -54,6 +54,10 @@ def _list_of(test):
     return lambda v: isinstance(v, list) and all(map(_number(test), v))
 
 
+def _integer(least):
+    return _number(lambda v: v >= least and v % 1 == 0)
+
+
 def _in_unit(v) -> bool:
     return 0 < v <= 1
 
@@ -65,9 +69,9 @@ def _in_unit(v) -> bool:
 _RANGES = {
     "suite": (f"one of {SUITES}", lambda v: v in SUITES),
     "s": ("a number > -1", _number(lambda v: v > -1)),
-    "n_tau": ("a number >= 3", _number(lambda v: v >= 3)),
-    **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter", "grading"],
-                    ("a number >= 1", _number(lambda v: v >= 1))),
+    "n_tau": ("an integer >= 3", _integer(3)),
+    **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter"],
+                    ("an integer >= 1", _integer(1))),
     **dict.fromkeys(["k", "width", "tol", "xi_max", "data_scale"],
                     ("a number > 0", _number(lambda v: v > 0))),
     "theta_values": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
@@ -91,6 +95,15 @@ def _check_ranges(section: dict, context: str) -> None:
     for key, (accepted, ok) in _RANGES.items():
         if section.get(key) is not None and not ok(section[key]):
             raise ConfigError(f"{key!r} in {context} must be {accepted}, got {section[key]!r}")
+
+
+def _set_keys(section: dict, **casts) -> dict:
+    """Keyword arguments for the keys a config section sets, each cast as given.
+
+    A key that is absent or null is left out, so the called function's own
+    default applies.
+    """
+    return {key: cast(section[key]) for key, cast in casts.items() if section.get(key) is not None}
 
 
 @dataclass
@@ -155,11 +168,8 @@ class RunConfig:
     def build_grid(self) -> GridSpec:
         g = self.raw["grid"]
         try:
-            return GridSpec(
-                length=float(g["length"]),
-                n_points=int(g["n_points"]),
-                dealias_fraction=float(g.get("dealias_fraction", 2.0 / 3.0)),
-            )
+            return GridSpec(length=float(g["length"]), n_points=int(g["n_points"]),
+                            **_set_keys(g, dealias_fraction=float))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid grid section: {exc}") from exc
 
@@ -172,19 +182,11 @@ class RunConfig:
         if name is None:
             raise ConfigError("symbol section requires a name")
         try:
-            eta = float(sec.get("eta", 1.0))
-            if "table" not in sec:
-                return builtin_symbol(name, p=sec.get("p"), eta=eta)
+            if sec.get("table") is None:
+                return builtin_symbol(name, p=sec.get("p"), **_set_keys(sec, eta=float))
             rows_xi = [row[0] for row in sec["table"]]
-            sym = tabulated_symbol(
-                name=name,
-                p=float(sec["p"]),
-                q=float(sec.get("q", 0.0)),
-                c_phi1=float(sec.get("c_phi1", 0.0)),
-                eta=eta,
-                xi_table=rows_xi,
-                phi1_table=[row[1] for row in sec["table"]],
-            )
+            sym = tabulated_symbol(name, float(sec["p"]), rows_xi, [row[1] for row in sec["table"]],
+                                   **_set_keys(sec, q=float, c_phi1=float, eta=float))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid symbol section: {exc}") from exc
         nyquist = self.build_grid().nyquist
@@ -205,19 +207,12 @@ class RunConfig:
             return zero_field(grid)
         try:
             if kind == "gaussian":
-                return gaussian_field(
-                    grid,
-                    amplitude=float(sec.get("amplitude", 1.0)),
-                    width=float(sec["width"]) if "width" in sec else None,
-                    center=float(sec.get("center", 0.0)),
-                )
+                return gaussian_field(grid, **_set_keys(sec, amplitude=float, width=float,
+                                                        center=float))
             if kind == "rough":
-                return rough_field(
-                    grid,
-                    sobolev_index=float(sec.get("sobolev_index", 0.0)),
-                    seed=int(sec.get("seed", self.seed)),
-                    amplitude=float(sec.get("amplitude", 1.0)),
-                )
+                opts = _set_keys(sec, sobolev_index=float, seed=int, amplitude=float)
+                opts.setdefault("seed", self.seed)
+                return rough_field(grid, **opts)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid initial_data section: {exc}") from exc
         raise ConfigError(f"unknown initial_data type {kind!r}")

@@ -5,11 +5,11 @@ forward-only semigroup for eta > 0.  Every Duhamel integral
 int_0^t V(t - tau) F(tau) dtau in the package comes from duhamel_sweep, an
 exponential product rule (Hochbruck-Ostermann, Acta Numerica 2010): the
 forcing is sampled at 4 Gauss-Legendre nodes per panel of the graded mesh
-b_j = T*(j/m)^g, which clusters nodes near tau = 0 where rough-data forcings
-carry an integrable power-law weight, and the kernel is integrated exactly
-per mode against the cubic interpolant of those samples.  One left-to-right
-sweep over [0, T] serves every requested time, evaluating the forcing once
-per node.
+b_j = T*(j/m)^g, g = 2, which clusters nodes near tau = 0 where rough-data
+forcings carry an integrable power-law weight (g is fixed: no caller needs
+another mesh), and the kernel is integrated exactly per mode against the
+cubic interpolant of those samples.  One left-to-right sweep over [0, T]
+serves every requested time, evaluating the forcing once per node.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .symbols import DissipativeSymbol, evaluate_phi
 # of the cubic interpolant in powers of the panel coordinate.
 _UNIT_NODES = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
 _VANDERMONDE_INV = np.linalg.inv(np.vander(_UNIT_NODES, 4, increasing=True))
+
+# Exponent g of the graded mesh b_j = T*(j/m)^g of every Duhamel sweep.
+_GRADING = 2.0
 
 # Taylor coefficients 3!/(j+4)! of G_3, highest power first as np.polyval takes them.
 _G3_SERIES = [6.0 / math.factorial(j + 4) for j in reversed(range(19))]
@@ -67,28 +70,27 @@ def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralFi
     return apply_multiplier_values(w0, prop.multiplier(t))
 
 
-def _panel_bounds(t_final: float, panels: int, grading: float) -> np.ndarray:
-    if panels < 1 or grading < 1:
-        raise ValueError("panels must be >= 1 and grading >= 1")
-    return t_final * (np.arange(panels + 1) / panels) ** grading
+def _panel_bounds(t_final: float, panels: int) -> np.ndarray:
+    if panels < 1:
+        raise ValueError("panels must be >= 1")
+    return t_final * (np.arange(panels + 1) / panels) ** _GRADING
 
 
-def duhamel_nodes(t_final: float, panels: int = 16, grading: float = 2.0) -> np.ndarray:
+def duhamel_nodes(t_final: float, panels: int = 16) -> np.ndarray:
     """Forcing nodes of duhamel_sweep on [0, t_final], one row of 4 per panel.
 
-    Panel j is [b_j, b_(j+1)] with b_j = t_final*(j/panels)^grading; its
-    nodes are the 4 Gauss-Legendre points mapped into it.
+    Panel j is [b_j, b_(j+1)] with b_j = t_final*(j/panels)^2; its nodes are
+    the 4 Gauss-Legendre points mapped into it.
     """
-    bounds = _panel_bounds(t_final, panels, grading)
+    bounds = _panel_bounds(t_final, panels)
     return bounds[:-1, None] + np.diff(bounds)[:, None] * _UNIT_NODES
 
 
-def duhamel_sweep(prop: Propagator, forcing, times, t_final: float,
-                  panels: int = 16, grading: float = 2.0):
+def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int = 16):
     """Yield the spectrum of int_0^t V(t - tau) forcing(tau) dtau for each t.
 
     forcing is a callable tau -> SpectralField on the propagator grid, called
-    once per node of duhamel_nodes(t_final, panels, grading), left to right,
+    once per node of duhamel_nodes(t_final, panels), left to right,
     and only up to the panel holding the last requested time.  On each panel
     the forcing is replaced by its cubic interpolant at the 4 nodes and the
     kernel exp(z*(t - tau)) is integrated against it exactly per mode; the
@@ -104,7 +106,7 @@ def duhamel_sweep(prop: Propagator, forcing, times, t_final: float,
     if times != sorted(times) or (times and (times[0] < 0 or times[-1] > t_final * (1 + 1e-12))):
         raise ValueError(f"Duhamel times must be ascending and lie in [0, {t_final}]")
     return _sweep(prop, forcing, [min(t, t_final) for t in times],
-                  _panel_bounds(t_final, panels, grading), duhamel_nodes(t_final, panels, grading))
+                  _panel_bounds(t_final, panels), duhamel_nodes(t_final, panels))
 
 
 def _sweep(prop, forcing, times, bounds, nodes):

@@ -188,7 +188,6 @@ def calibrate_c(
     prob: IvpProblem,
     probe_set,
     panels: int = 16,
-    grading: float = 2.0,
 ) -> float:
     """Empirical constant of the fixed-point estimates, with a 2x safety factor.
 
@@ -211,8 +210,7 @@ def calibrate_c(
         denom = space((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg).total
         ratios.append(denom / hs)
         forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
-        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, 1.0,
-                              panels=panels, grading=grading)
+        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, 1.0, panels=panels)
         num = space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total
         ratios.append(num / denom ** (prob.k + 1.0))
     if not ratios:
@@ -228,19 +226,18 @@ class PicardSolution:
     of the stored iterate, which the first such call evaluates and keeps.
     """
 
-    def __init__(self, prop, prob, t_final, panels, grading, stored_fields):
+    def __init__(self, prop, prob, t_final, panels, stored_fields):
         self.prop = prop
         self.prob = prob
         self.t_final = t_final
         self.panels = panels
-        self.grading = grading
         self._v0_spec = prob.initial_data.spec.copy()
         self._stored = dict(stored_fields)
         self.times = np.array(sorted(self._stored))
 
     @cached_property
     def _nodal_forcing(self) -> dict:
-        nodes = duhamel_nodes(self.t_final, self.panels, self.grading).ravel()
+        nodes = duhamel_nodes(self.t_final, self.panels).ravel()
         return {
             float(tau): nonlinearity_eval(self._stored[float(tau)], self.prob.k, self.prob.mode)
             for tau in nodes
@@ -250,7 +247,7 @@ class PicardSolution:
         if t < 0 or t > self.t_final * (1 + 1e-12):
             raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
         sweep = duhamel_sweep(self.prop, self._nodal_forcing.__getitem__, [t], self.t_final,
-                              self.panels, self.grading)
+                              self.panels)
         return next(sweep)
 
     def __call__(self, t: float) -> SpectralField:
@@ -272,7 +269,6 @@ def picard_iterate(
     max_iter: int = 40,
     tol: float = 1e-9,
     panels: int = 16,
-    grading: float = 2.0,
     calibrated_c: float | None = None,
 ) -> tuple[PicardSolution, PicardTrace]:
     """Iterate v^(n+1) = Psi(v^n) from the free evolution until the space norm
@@ -289,7 +285,7 @@ def picard_iterate(
     prop = Propagator(prob.symbol, prob.grid)
     cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
     space = prob.space_norm
-    nodes = duhamel_nodes(t_final, panels, grading).ravel()
+    nodes = duhamel_nodes(t_final, panels).ravel()
     eval_times = sorted(
         {float(t) for t in nodes}
         | {float(t) for t in cfg.sample_times}
@@ -302,7 +298,7 @@ def picard_iterate(
     prev_increment = None
     for it in range(1, max_iter + 1):
         forcing = lambda tau, _cur=current: nonlinearity_eval(_cur[tau], prob.k, prob.mode)
-        sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels, grading=grading)
+        sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
         new = {}
         for t, integral in zip(eval_times, sweep):
             spec = free_specs[t] - integral
@@ -326,7 +322,7 @@ def picard_iterate(
         if increment <= tol:
             trace.converged = True
             break
-    solution = PicardSolution(prop, prob, t_final, panels, grading, current)
+    solution = PicardSolution(prop, prob, t_final, panels, current)
     return solution, trace
 
 
@@ -335,25 +331,19 @@ def solve(
     max_iter: int = 40,
     tol: float | None = None,
     panels: int = 16,
-    grading: float = 2.0,
 ) -> tuple[PicardSolution, PicardTrace]:
     """Calibrate c on the initial data, select (r, T), and run the Picard iteration."""
     _admissible_omega(prob)
     hs0 = sobolev_norm(prob.initial_data, prob.s)
     if hs0 == 0.0:
-        solution, trace = picard_iterate(
-            prob, 0.0, 1.0, max_iter=2, tol=max(tol or 0.0, 1e-300),
-            panels=panels, grading=grading,
-        )
-        return solution, trace
-    c = calibrate_c(prob, [prob.initial_data], panels=panels, grading=grading)
+        return picard_iterate(prob, 0.0, 1.0, max_iter=2, tol=max(tol or 0.0, 1e-300),
+                              panels=panels)
+    c = calibrate_c(prob, [prob.initial_data], panels=panels)
     r, t_final = select_radius_and_time(prob, c)
     if tol is None:
         tol = min(1e-6, max(1e-12, 1e-8 * r))
-    return picard_iterate(
-        prob, r, t_final, max_iter=max_iter, tol=tol, panels=panels,
-        grading=grading, calibrated_c=c,
-    )
+    return picard_iterate(prob, r, t_final, max_iter=max_iter, tol=tol, panels=panels,
+                          calibrated_c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +389,7 @@ class ReferenceRun:
 def reference_integrate(
     prob: IvpProblem,
     t_final: float,
-    n_steps: int = 2048,
+    n_steps: int,
     snapshot_times=(),
     include_nonlinearity: bool = True,
 ) -> ReferenceRun:

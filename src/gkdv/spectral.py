@@ -182,9 +182,7 @@ def bessel_potential(f: SpectralField, s: float) -> SpectralField:
     return apply_multiplier_values(f, (1.0 + f.grid.xi) ** s)
 
 
-def linear_combination(
-    a: SpectralField, b: SpectralField, ca: float = 1.0, cb: float = 1.0
-) -> SpectralField:
+def linear_combination(a: SpectralField, b: SpectralField, ca: float, cb: float) -> SpectralField:
     """Return ca*a + cb*b."""
     if a.grid != b.grid:
         raise StructuralError("cannot combine fields on different grids")

@@ -99,16 +99,12 @@ def builtin_symbol(name: str, p: float | None = None, eta: float = 1.0) -> Dissi
     return DissipativeSymbol(name=name, eta=eta, **params)
 
 
-def tabulated_symbol(
-    name: str,
-    p: float,
-    q: float,
-    c_phi1: float,
-    eta: float,
-    xi_table,
-    phi1_table,
-) -> DissipativeSymbol:
-    """Custom symbol with Phi1 given by linear interpolation of a (|xi|, Phi1) table."""
+def tabulated_symbol(name: str, p: float, xi_table, phi1_table, **params) -> DissipativeSymbol:
+    """Custom symbol with Phi1 given by linear interpolation of a (|xi|, Phi1) table.
+
+    params (q, c_phi1, eta) go to DissipativeSymbol, whose defaults apply to
+    any left out.
+    """
     xs = np.asarray(xi_table, dtype=float)
     ys = np.asarray(phi1_table, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
@@ -119,7 +115,7 @@ def tabulated_symbol(
     def phi1(xi, _xs=xs, _ys=ys):
         return np.interp(np.abs(xi), _xs, _ys)
 
-    return DissipativeSymbol(name=name, p=p, q=q, c_phi1=c_phi1, eta=eta, phi1=phi1)
+    return DissipativeSymbol(name=name, p=p, phi1=phi1, **params)
 
 
 def validate_decomposition(sym: DissipativeSymbol, xi_max: float) -> bool:

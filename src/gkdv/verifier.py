@@ -38,10 +38,13 @@ from .spectral import (
     linear_combination,
     spatial_derivative,
 )
-from .symbols import DissipativeSymbol, evaluate_phi, threshold_M
+from .symbols import DissipativeSymbol, _conditions_hold, evaluate_phi, threshold_M
 
 DEFAULT_LENGTH = 200.0 * np.pi
 DEFAULT_N_POINTS = 2 ** 13
+
+# The T values of verify_nonlinear_estimate, 2^-10 ... 2^-5.
+_GROWTH_T_VALUES = tuple(2.0 ** (-j) for j in range(10, 4, -1))
 
 # Fitted exponents this far above the theoretical bound indicate the probe
 # never saturates the estimate; the verdict is then "pass-weak".
@@ -285,10 +288,10 @@ def _inadmissible_report(ident: str, w: float, tolerance: float) -> EstimateRepo
 
 def verify_nonlinear_estimate(
     prob: IvpProblem,
-    t_values,
+    t_values=_GROWTH_T_VALUES,
     seed: int = 0,
-    panels: int = 16,
-    n_times: int = 12,
+    panels: int = 12,
+    n_times: int = 10,
     probe=None,
 ) -> EstimateReport:
     """Growth in T of the Duhamel nonlinear term of a free rough probe.
@@ -582,10 +585,7 @@ def verify_threshold_conditions(
     """
     m = m_override if m_override is not None else threshold_M(sym, xi_max)
     xs = np.linspace(m, xi_max, 10 ** 4)
-    phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
-    lead = xs ** sym.p
-    pert = np.zeros_like(xs) if sym.phi1 is None else np.asarray(sym.phi1(xs), dtype=float)
-    viol = ~((phi < -1.0) & (np.abs(pert) <= 0.5 * lead) & (np.abs(phi) >= 0.5 * lead))
+    viol = ~_conditions_hold(sym, xs)
     n_viol = int(np.count_nonzero(viol))
     notes = {"threshold_m": float(m), "n_samples": xs.size, "violations": n_viol}
     if n_viol:

@@ -69,6 +69,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="grid"):
             RunConfig.from_dict(bad_grid, "solve")
 
+    def test_null_means_unset_in_grid_symbol_and_initial_data(self):
+        # a null key takes the default of the function it feeds, as in solver and verify
+        unset = RunConfig.from_dict(solve_config(), "solve").build_problem()
+        nulls = solve_config(
+            symbol={"name": "kdv-ks", "eta": None, "p": None, "table": None},
+            grid={"length": 100.0, "n_points": 256, "dealias_fraction": None},
+            initial_data={"type": "gaussian", "amplitude": 0.05, "width": 4.0, "center": None},
+        )
+        prob = RunConfig.from_dict(nulls, "solve").build_problem()
+        assert prob.symbol.eta == 1.0
+        assert prob.grid == unset.grid
+        assert np.array_equal(prob.initial_data.spec, unset.initial_data.spec)
+
     def test_seed_required(self):
         cfg = solve_config()
         del cfg["seed"]
@@ -134,12 +147,14 @@ OUT_OF_RANGE = [
     ("verify", "verify", "theta_values", [-1.0]),
     ("verify", "verify", "n_tau", 2),
     ("verify", "verify", "n_seeds", 0),
+    ("verify", "verify", "n_seeds", 2.5),
     ("verify", "verify", "panels", 0),
     ("verify", "verify", "t_horizon", 5.0),
     ("verify", "verify", "t_values", [0.5, 2.0, 4.0]),
     ("solve", None, "output_times", [-0.1]),
     ("solve", "solver", "panels", 0),
     ("solve", "solver", "max_iter", 0),
+    ("solve", "solver", "max_iter", 3.7),
     ("solve", None, "k", "x"),
     ("solve", None, "k", 0),
     ("solve", None, "s", "x"),
@@ -270,6 +285,14 @@ class TestSolveCommand:
         }
         assert listed == on_disk
         assert "reports/picard_trace.json" in listed
+
+    def test_solver_grading_key_unknown_exit_2(self, tmp_path):
+        # the Duhamel mesh grading is fixed in the engine, not a setting
+        path = write_config(tmp_path, "grading.json", solve_config(solver={"grading": 2.0}))
+        res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "unknown key(s) ['grading']" in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_2(self, tmp_path):
         path = write_config(tmp_path, "bad.json", solve_config(bogus=1))

@@ -131,6 +131,15 @@ class TestNonlinearEstimate:
         assert rep.fitted_exponent is None
         assert rep.passed
 
+    def test_default_t_values(self):
+        g = GridSpec(100.0, 256)
+        prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
+                          mode="conservative", s=0.0, initial_data=zero_field(g))
+        rep = verify_nonlinear_estimate(prob)
+        assert rep.fit_window == (2.0 ** -10, 2.0 ** -5)
+        assert len(rep.notes["lhs"]) == 6
+        assert rep.fitted_exponent is not None
+
     def test_growth_bound(self):
         g = GridSpec(100 * np.pi, 2 ** 11)
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
