@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .spectral import (
     GridSpec,
     SpectralField,
-    apply_multiplier,
-    bessel_potential,
     coherent_field,
     fractional_derivative_shifted,
 )

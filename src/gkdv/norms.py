@@ -116,23 +116,6 @@ class NormReport:
     components: list = field(default_factory=list)  # (time, name, value) rows
     total: float = 0.0
 
-    def to_csv_rows(self) -> list[str]:
-        rows = ["time,component,value"]
-        for t, name, value in self.components:
-            rows.append(f"{t:.17g},{name},{value:.17g}")
-        return rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "h_s": self.h_s,
-            "total": self.total,
-            "components": [
-                {"time": t, "component": name, "value": value}
-                for t, name, value in self.components
-            ],
-        }
-
 
 def _weighted_report(fields, cfg: WeightedNormConfig, weighted_parts, space: str,
                      wexp: float | None = None) -> NormReport:

@@ -62,18 +62,21 @@ def _in_unit(v) -> bool:
     return 0 < v <= 1
 
 
-# Accepted values of the top-level k, s, suite and output_times and of the
-# numeric initial_data, solver and verify keys, as (description, test); a null
-# value means unset and is not checked.  s > -1 is where every space norm's
-# shifted fractional derivative is defined.
+# Accepted values of the top-level k, s, seed, suite and output_times and of
+# the numeric grid, initial_data, solver and verify keys, as (description,
+# test); a null value means unset and is not checked.  s > -1 is where every
+# space norm's shifted fractional derivative is defined.
 _RANGES = {
     "suite": (f"one of {SUITES}", lambda v: v in SUITES),
     "s": ("a number > -1", _number(lambda v: v > -1)),
+    "seed": ("an integer >= 0", _integer(0)),
+    "n_points": ("an integer >= 2", _integer(2)),
     "n_tau": ("an integer >= 3", _integer(3)),
     **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter"],
                     ("an integer >= 1", _integer(1))),
-    **dict.fromkeys(["k", "width", "tol", "xi_max", "data_scale"],
+    **dict.fromkeys(["k", "length", "width", "tol", "xi_max", "data_scale"],
                     ("a number > 0", _number(lambda v: v > 0))),
+    "dealias_fraction": ("a number in (0, 1]", _number(_in_unit)),
     "theta_values": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
     "hy_exponents": ("a list of numbers >= 2", _list_of(lambda v: v >= 2)),
     "output_times": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
@@ -89,6 +92,18 @@ def _check_keys(section: dict, allowed: set, context: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
+
+
+def _check_finite(value, key: str) -> None:
+    """Reject NaN and +-Infinity, which Python's json accepts, anywhere under key."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _check_finite(item, f"{key}.{name}")
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(item, key)
 
 
 def _check_ranges(section: dict, context: str) -> None:
@@ -119,6 +134,8 @@ class RunConfig:
             raise ConfigError(f"unknown command {command!r}")
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be a JSON object")
+        for key, value in data.items():
+            _check_finite(value, key)
         _check_keys(data, _ALLOWED[command], f"{command} config")
         for key in ("symbol", "grid", "seed"):
             if key not in data:
@@ -139,7 +156,7 @@ class RunConfig:
         if command == "solve" and "initial_data" not in data:
             raise ConfigError("solve config requires an initial_data section")
         _check_ranges(data, f"{command} config")
-        for name in ("initial_data", "solver", "verify"):
+        for name in ("grid", "initial_data", "solver", "verify"):
             _check_ranges(data.get(name, {}), f"{name} section")
         return cls(command=command, raw=data)
 

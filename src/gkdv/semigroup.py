@@ -138,12 +138,13 @@ def _panel_step(z, acc, coeffs, width, h):
     G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu.  One exp gives the carry and G_0 =
     (exp(w) - 1)/w; G_m = (m*G_(m-1) - 1)/w cancels for small |w| (nan at w = 0),
     so where |w| <= 0.5 the series of G_3 and the stable downward recursion
-    G_(m-1) = (1 + w*G_m)/m overwrite it.  Re(w) <= eta*C_M*width: no overflow.
+    G_(m-1) = (1 + w*G_m)/m overwrite it, also where a tiny |w| overflows 1/w.
+    Re(w) <= eta*C_M*width: exp(w) does not overflow.
     """
     w = z * h
     e = np.exp(w)
     g = np.empty((4,) + w.shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / w
         g[0] = (e - 1.0) * inv
         for m in range(1, 4):

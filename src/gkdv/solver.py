@@ -371,46 +371,31 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float):
 
 @dataclass
 class ReferenceRun:
-    """Step times, L^2 history and requested snapshots of a reference solve."""
+    """Step times, L^2 history and final state of a reference solve."""
 
     grid: GridSpec
     times: np.ndarray
     l2_norms: np.ndarray
-    snapshots: dict
     final: SpectralField
-
-    def at(self, t: float) -> SpectralField:
-        for key, fieldval in self.snapshots.items():
-            if abs(key - t) <= 1e-9 * max(1.0, abs(t)):
-                return fieldval
-        raise KeyError(f"no snapshot stored at t={t}")
 
 
 def reference_integrate(
     prob: IvpProblem,
     t_final: float,
     n_steps: int,
-    snapshot_times=(),
     include_nonlinearity: bool = True,
 ) -> ReferenceRun:
     """Integrate the problem with ETDRK4 over [0, t_final].
 
     The linear multiplier i*xi^3 + eta*Phi is treated exactly per step, the
     (dealiased) nonlinearity explicitly; the scheme is therefore exact on
-    purely linear problems.  Snapshot times must align with the step grid.
+    purely linear problems.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     prop = Propagator(prob.symbol, prob.grid)
     dt = t_final / n_steps
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coefficients(prop.exponent, dt)
-
-    want = {}
-    for t in snapshot_times:
-        j = int(round(t / dt))
-        if not 0 <= j <= n_steps or abs(j * dt - t) > 1e-9 * max(1.0, t_final):
-            raise ValueError(f"snapshot time {t} does not align with the step grid")
-        want[j] = float(t)
 
     def nl(vhat: np.ndarray) -> np.ndarray:
         if not include_nonlinearity:
@@ -423,9 +408,6 @@ def reference_integrate(
     vhat = prob.initial_data.spec.copy()
     times = [0.0]
     l2 = [l2_norm(vhat)]
-    snapshots = {}
-    if 0 in want:
-        snapshots[want[0]] = SpectralField(prob.grid, vhat.copy())
     for step in range(1, n_steps + 1):
         n0 = nl(vhat)
         a = e_half * vhat + q * n0
@@ -442,14 +424,11 @@ def reference_integrate(
             )
         times.append(step * dt)
         l2.append(norm)
-        if step in want:
-            snapshots[want[step]] = SpectralField(prob.grid, vhat.copy())
     final = SpectralField(prob.grid, vhat)
     final.phys  # the run hands back the final state with its samples
     return ReferenceRun(
         grid=prob.grid,
         times=np.array(times),
         l2_norms=np.array(l2),
-        snapshots=snapshots,
         final=final,
     )

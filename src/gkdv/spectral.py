@@ -140,18 +140,6 @@ def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralFie
     return SpectralField(f.grid, f.spec * values)
 
 
-def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Apply the Fourier multiplier m(xi) (a callable on frequency arrays).
-
-    m is evaluated at the stored frequencies xi >= 0 only.  Modes 0 and n/2
-    of a real field are real, so they take the real part of m; an odd
-    multiplier such as i*xi acts as zero on the Nyquist mode.
-    """
-    out = apply_multiplier_values(f, np.asarray(m(f.grid.xi), dtype=complex))
-    out.spec[[0, -1]] = out.spec[[0, -1]].real
-    return out
-
-
 def _odd_multiplier_frequencies(grid: GridSpec) -> np.ndarray:
     # The unpaired Nyquist mode of a real field must not acquire an imaginary
     # coefficient; odd multipliers act as zero there (the sampled derivative
@@ -175,11 +163,6 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
     if s <= -1:
         raise ValueError(f"shifted fractional derivative needs s > -1, got {s}")
     return apply_multiplier_values(f, 1j * _odd_multiplier_frequencies(f.grid) ** (s + 1.0))
-
-
-def bessel_potential(f: SpectralField, s: float) -> SpectralField:
-    """Apply (1 + |xi|)^s; the bracket is 1 + |xi|, not (1 + xi^2)^(1/2)."""
-    return apply_multiplier_values(f, (1.0 + f.grid.xi) ** s)
 
 
 def linear_combination(a: SpectralField, b: SpectralField, ca: float, cb: float) -> SpectralField:

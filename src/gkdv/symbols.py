@@ -112,8 +112,8 @@ def tabulated_symbol(name: str, p: float, xi_table, phi1_table, **params) -> Dis
     if np.any(np.diff(xs) <= 0):
         raise ValueError("tabulated frequencies must be strictly increasing")
 
-    def phi1(xi, _xs=xs, _ys=ys):
-        return np.interp(np.abs(xi), _xs, _ys)
+    def phi1(xi):
+        return np.interp(np.abs(xi), xs, ys)
 
     return DissipativeSymbol(name=name, p=p, phi1=phi1, **params)
 

@@ -51,6 +51,13 @@ _GROWTH_T_VALUES = tuple(2.0 ** (-j) for j in range(10, 4, -1))
 _WEAK_MARGIN = 0.3
 
 
+def _one_sided_verdict(fitted: float, theo: float, margin: float) -> str:
+    """Verdict of a lower bound on a fitted exponent; a NaN fit fails."""
+    if not fitted >= theo - margin:
+        return "fail"
+    return "pass-weak" if fitted > theo + _WEAK_MARGIN else "pass"
+
+
 @dataclass
 class EstimateReport:
     """Outcome of one estimate check."""
@@ -247,11 +254,7 @@ def verify_weighted_linear(
     mean_c = float(np.mean(constants))
     spread = float(np.max(np.abs(constants - mean_c)) / mean_c)
 
-    decay_ok = fitted >= theo - margin
-    spread_ok = spread <= spread_tol
-    verdict = "fail"
-    if decay_ok and spread_ok:
-        verdict = "pass-weak" if fitted > theo + _WEAK_MARGIN else "pass"
+    verdict = _one_sided_verdict(fitted, theo, margin) if spread <= spread_tol else "fail"
     return EstimateReport(
         estimate_id=f"weighted-linear-{sym.name}-k{k:g}",
         theoretical_exponent=theo,
@@ -292,14 +295,12 @@ def verify_nonlinear_estimate(
     seed: int = 0,
     panels: int = 12,
     n_times: int = 10,
-    probe=None,
 ) -> EstimateReport:
     """Growth in T of the Duhamel nonlinear term of a free rough probe.
 
     The space norm of int_0^t V(t-tau) N(V(.)g)(tau) dtau over (0, T] must
     grow no slower than T^omega_k allows: fitted exponent >= omega_k - 0.1.
-    An explicit probe field overrides the seeded rough data.  Inadmissible
-    (k, p) pairs produce a skipped report before any Duhamel work.
+    Inadmissible (k, p) pairs produce a skipped report before any Duhamel work.
     """
     margin = 0.1
     w = omega_k(prob.k, prob.symbol.p)
@@ -308,7 +309,7 @@ def verify_nonlinear_estimate(
         return _inadmissible_report(ident, w, margin)
     t_values = np.asarray(sorted(t_values), dtype=float)
     prop = Propagator(prob.symbol, prob.grid)
-    g = probe if probe is not None else rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
+    g = rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
     forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
     space = prob.space_norm
     lhs = []
@@ -316,17 +317,7 @@ def verify_nonlinear_estimate(
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
         sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=panels)
         lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total)
-    lhs = np.array(lhs)
-    if np.all(lhs < 1e-300):
-        fitted, constant, residual = None, 0.0, 0.0
-        verdict, notes = "pass", {"degenerate": "zero probe"}
-    else:
-        fitted, constant, residual = fit_power_law(t_values, lhs)
-        ok = fitted >= w - margin
-        verdict = "pass" if ok else "fail"
-        if ok and fitted > w + _WEAK_MARGIN:
-            verdict = "pass-weak"
-        notes = {"lhs": [float(v) for v in lhs]}
+    fitted, constant, residual = fit_power_law(t_values, lhs)
     return EstimateReport(
         estimate_id=ident,
         theoretical_exponent=w,
@@ -335,8 +326,8 @@ def verify_nonlinear_estimate(
         residual=residual,
         empirical_constant=constant,
         tolerance=margin,
-        verdict=verdict,
-        notes=notes,
+        verdict=_one_sided_verdict(fitted, w, margin),
+        notes={"lhs": [float(v) for v in lhs]},
     )
 
 
@@ -536,30 +527,17 @@ def verify_smoothing(
     )
 
 
-def verify_hausdorff_young(
-    field_set,
-    p1: float,
-    refined_set=None,
-) -> EstimateReport:
+def verify_hausdorff_young(field_set, p1: float) -> EstimateReport:
     """Empirical constant of ||f||_{L^p1} <= C ||f^||_{L^q1}, 1/p1 + 1/q1 = 1.
 
-    At p1 = 2 the ratio is exactly 1 (Parseval).  When a refined field set is
-    supplied, the constant must be stable under refinement within 10%.
+    At p1 = 2 the ratio is exactly 1 (Parseval).  The check passes when the
+    constant is finite.
     """
-    stab_tol = 0.10
     if p1 < 2:
         raise ValueError(f"Hausdorff-Young needs p1 >= 2, got {p1}")
     q1 = p1 / (p1 - 1.0) if np.isfinite(p1) else 1.0
     ratios = [lebesgue_norm(f, p1) / spectral_lq_norm(f, q1) for f in field_set]
     constant = float(np.max(ratios))
-    notes = {"ratios": [float(v) for v in ratios], "q1": q1}
-    ok = np.isfinite(constant)
-    if refined_set is not None:
-        refined = float(np.max([lebesgue_norm(f, p1) / spectral_lq_norm(f, q1) for f in refined_set]))
-        drift = abs(refined - constant) / constant
-        notes["refined_constant"] = refined
-        notes["refinement_drift"] = drift
-        ok = ok and drift <= stab_tol
     return EstimateReport(
         estimate_id=f"hausdorff-young-p{p1:g}",
         theoretical_exponent=None,
@@ -567,23 +545,15 @@ def verify_hausdorff_young(
         fit_window=(p1, q1),
         residual=0.0,
         empirical_constant=constant,
-        tolerance=stab_tol,
-        verdict="pass" if ok else "fail",
-        notes=notes,
+        tolerance=0.10,
+        verdict="pass" if np.isfinite(constant) else "fail",
+        notes={"ratios": [float(v) for v in ratios], "q1": q1},
     )
 
 
-def verify_threshold_conditions(
-    sym: DissipativeSymbol,
-    xi_max: float = 64.0,
-    m_override: float | None = None,
-) -> EstimateReport:
-    """Re-validate the three high-frequency conditions on 10^4 points above M.
-
-    With m_override the scan starts at the given (possibly wrong) threshold
-    instead, exposing violations below the true M.
-    """
-    m = m_override if m_override is not None else threshold_M(sym, xi_max)
+def verify_threshold_conditions(sym: DissipativeSymbol, xi_max: float = 64.0) -> EstimateReport:
+    """Re-validate the three high-frequency conditions on 10^4 points above M."""
+    m = threshold_M(sym, xi_max)
     xs = np.linspace(m, xi_max, 10 ** 4)
     viol = ~_conditions_hold(sym, xs)
     n_viol = int(np.count_nonzero(viol))

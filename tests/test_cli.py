@@ -160,6 +160,13 @@ OUT_OF_RANGE = [
     ("solve", None, "s", "x"),
     ("solve", None, "s", -5.0),
     ("solve", "initial_data", "width", 0.0),
+    ("solve", "grid", "n_points", 256.5),
+    ("solve", "initial_data", "seed", 2.5),
+    ("solve", None, "seed", True),
+    ("verify", None, "seed", -1),
+    ("solve", "solver", "tol", float("inf")),
+    ("solve", "grid", "length", float("inf")),
+    ("solve", "initial_data", "amplitude", float("nan")),
 ]
 
 

@@ -291,18 +291,6 @@ class TestTrajectoryNorms:
             with pytest.raises(ValueError):
                 z_norm([bump] * count, cfg)
 
-    def test_report_serialization(self):
-        g = GridSpec(40.0, 256)
-        bump = gaussian_field(g, width=2.0)
-        cfg = cfg_for(n_times=4)
-        rep = x_norm([bump] * len(cfg.sample_times), cfg)
-        rows = rep.to_csv_rows()
-        assert rows[0] == "time,component,value"
-        assert len(rows) == 1 + 4 * 4  # hs + three weighted parts per time
-        payload = rep.to_json_dict()
-        assert payload["space"] == "x"
-        assert payload["total"] == rep.total
-
 
 class TestConfig:
     def test_validation(self):
