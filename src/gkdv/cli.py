@@ -120,7 +120,7 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str) -> list:
     seed = cfg.seed
     reports = []
     if suite in ("all", "linear"):
-        for theta in opts.get("theta_values", [1.0]):
+        for theta in _set_keys(opts, theta_values=list).get("theta_values", [1.0]):
             reports.append(verify_multiplier_decay(
                 symbol, float(theta), **_set_keys(opts, tau_window=tuple, n_tau=int)
             ))
@@ -131,7 +131,7 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str) -> list:
             gaussian_field(grid, amplitude=1.0 + 0.1 * i, width=grid.length / (20.0 + i))
             for i in range(4)
         ]
-        for p1 in opts.get("hy_exponents", [2.0, 4.0]):
+        for p1 in _set_keys(opts, hy_exponents=list).get("hy_exponents", [2.0, 4.0]):
             reports.append(verify_hausdorff_young(hy_fields, float(p1)))
         reports.append(verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float)))
     if suite in ("all", "nonlinear"):

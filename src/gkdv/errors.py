@@ -37,5 +37,9 @@ class StabilityError(GkdvError):
     """The reference integrator detected a step-size instability."""
 
 
+class DoubleRangeError(GkdvError):
+    """A quantity computed from a valid configuration left the double range."""
+
+
 class ConfigError(GkdvError):
     """A run configuration failed strict validation."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,8 +55,8 @@ def _list_of(test):
     return lambda v: isinstance(v, list) and all(map(_number(test), v))
 
 
-def _integer(least):
-    return _number(lambda v: v >= least and v % 1 == 0)
+def _integer(least, most):
+    return _number(lambda v: least <= v <= most and v % 1 == 0)
 
 
 def _in_unit(v) -> bool:
@@ -63,19 +64,22 @@ def _in_unit(v) -> bool:
 
 
 # Accepted values of the top-level k, s, seed, suite and output_times and of
-# the numeric grid, initial_data, solver and verify keys, as (description,
+# the numeric grid, symbol, initial_data, solver and verify keys, as (description,
 # test); a null value means unset and is not checked.  s > -1 is where every
-# space norm's shifted fractional derivative is defined.
+# space norm's shifted fractional derivative is defined.  A count above
+# _MAX_COUNT is refused: its loops or arrays would not end or fit.
+_MAX_COUNT = 10_000
 _RANGES = {
     "suite": (f"one of {SUITES}", lambda v: v in SUITES),
     "s": ("a number > -1", _number(lambda v: v > -1)),
-    "seed": ("an integer >= 0", _integer(0)),
-    "n_points": ("an integer >= 2", _integer(2)),
-    "n_tau": ("an integer >= 3", _integer(3)),
+    "seed": ("an integer >= 0", _integer(0, math.inf)),
+    "n_points": ("an integer >= 2", _integer(2, math.inf)),
+    "n_tau": (f"an integer in [3, {_MAX_COUNT}]", _integer(3, _MAX_COUNT)),
     **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter"],
-                    ("an integer >= 1", _integer(1))),
-    **dict.fromkeys(["k", "length", "width", "tol", "xi_max", "data_scale"],
+                    (f"an integer in [1, {_MAX_COUNT}]", _integer(1, _MAX_COUNT))),
+    **dict.fromkeys(["k", "length", "width", "tol", "xi_max", "data_scale", "p", "eta"],
                     ("a number > 0", _number(lambda v: v > 0))),
+    **dict.fromkeys(["q", "c_phi1"], ("a number >= 0", _number(lambda v: v >= 0))),
     "dealias_fraction": ("a number in (0, 1]", _number(_in_unit)),
     "theta_values": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
     "hy_exponents": ("a list of numbers >= 2", _list_of(lambda v: v >= 2)),
@@ -156,7 +160,7 @@ class RunConfig:
         if command == "solve" and "initial_data" not in data:
             raise ConfigError("solve config requires an initial_data section")
         _check_ranges(data, f"{command} config")
-        for name in ("grid", "initial_data", "solver", "verify"):
+        for name in ("grid", "symbol", "initial_data", "solver", "verify"):
             _check_ranges(data.get(name, {}), f"{name} section")
         return cls(command=command, raw=data)
 

@@ -10,6 +10,17 @@ forcings carry an integrable power-law weight (g is fixed: no caller needs
 another mesh), and the kernel is integrated exactly per mode against the
 cubic interpolant of those samples.  One left-to-right sweep over [0, T]
 serves every requested time, evaluating the forcing once per node.
+
+Neither exp(t*z) nor a sweep step spends work on a mode whose result is
+exactly 0 in double precision.  exp(x) underflows to 0 below x = -745.13,
+and the propagator caches -max(Re z[k:]) per mode k, which is non-decreasing
+in k, so one searchsorted gives for any t > 0 the live prefix past which
+every mode has Re(t*z) <= -746; exp runs on that prefix and the rest is 0.
+The rule holds for any symbol: Re z need not be monotone in xi nor negative.
+A sweep also runs its steps on the modes below grid.dealias_cutoff only,
+where every forcing that nonlinearity_eval builds lives, and widens to the
+whole spectrum for the rest of the sweep once a forcing has content at or
+above the cutoff; above the band each step is exp(z*h)*0 + 0 = 0.
 """
 
 from __future__ import annotations
@@ -33,6 +44,10 @@ _VANDERMONDE_INV = np.linalg.inv(np.vander(_UNIT_NODES, 4, increasing=True))
 # Exponent g of the graded mesh b_j = T*(j/m)^g of every Duhamel sweep.
 _GRADING = 2.0
 
+# exp(x) is exactly 0 for x < -745.14; cutting at Re(t*z) <= -746 leaves
+# room for the rounding of t*z and of 746/t.
+_EXP_UNDERFLOW = 746.0
+
 # Taylor coefficients 3!/(j+4)! of G_3, highest power first as np.polyval takes them.
 _G3_SERIES = [6.0 / math.factorial(j + 4) for j in reversed(range(19))]
 
@@ -55,8 +70,33 @@ class Propagator:
         xi_disp = _odd_multiplier_frequencies(self.grid)
         return 1j * xi_disp ** 3 + self.symbol.eta * evaluate_phi(self.symbol, self.grid.xi)
 
+    @cached_property
+    def _suffix_decay(self) -> np.ndarray:
+        """-max(Re z[k:]) for each mode k; non-decreasing in k."""
+        return -np.maximum.accumulate(self.exponent.real[::-1])[::-1]
+
+    def live_modes(self, t: float) -> int:
+        """Length of the prefix of modes outside which Re(t*z) <= -746 for t > 0.
+
+        exp(t*z) is exactly 0 on every mode past it; every mode is live for
+        t <= 0 and for a t that is not finite.
+        """
+        if not 0 < t < math.inf:
+            return self.exponent.size
+        return int(np.searchsorted(self._suffix_decay, _EXP_UNDERFLOW / t))
+
     def multiplier(self, t: float) -> np.ndarray:
-        return np.exp(t * self.exponent)
+        """exp(t*z) per mode, for any real t.
+
+        exp runs on the live prefix of live_modes(t) only and every later
+        mode is set to +0, where exp gives +-0: the values equal
+        np.exp(t * exponent) up to the sign of zero.
+        """
+        z = self.exponent
+        live = self.live_modes(t)
+        out = np.zeros_like(z)
+        np.exp(t * z[:live], out=out[:live])
+        return out
 
 
 def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralField:
@@ -111,9 +151,21 @@ def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int 
 
 def _sweep(prop, forcing, times, bounds, nodes):
     grid = prop.grid
-    values = np.empty((4,) + grid.xi.shape, dtype=complex)
+    z = prop.exponent
+    cut = grid.dealias_cutoff
+    band = cut
+    # values above the band stay 0 until the band widens, so a node that
+    # precedes the widening within its panel still reads 0 there
+    values = np.zeros((4,) + z.shape, dtype=complex)
     coeffs = np.empty_like(values)
-    acc = np.zeros_like(grid.xi, dtype=complex)
+    acc = np.zeros_like(z)
+
+    def step(width, h):
+        out = np.zeros_like(z)
+        out[:band] = _panel_step(z[:band], prop.live_modes(h), acc[:band],
+                                 coeffs[:, :band], width, h)
+        return out
+
     k = 0
     for a, b, panel_nodes in zip(bounds[:-1], bounds[1:], nodes):
         if k == len(times):
@@ -122,27 +174,32 @@ def _sweep(prop, forcing, times, bounds, nodes):
             field = forcing(float(tau))
             if not isinstance(field, SpectralField) or field.grid != grid:
                 raise StructuralError("forcing returned a field on an incompatible grid")
-            values[i] = field.spec
-        np.matmul(_VANDERMONDE_INV, values, out=coeffs)
+            if band == cut and field.spec[cut:].any():
+                band = z.size
+            values[i, :band] = field.spec[:band]
+        np.matmul(_VANDERMONDE_INV, values[:, :band], out=coeffs[:, :band])
         while k < len(times) and times[k] <= b:
-            yield _panel_step(prop.exponent, acc, coeffs, b - a, times[k] - a)
+            yield step(b - a, times[k] - a)
             k += 1
-        acc = _panel_step(prop.exponent, acc, coeffs, b - a, b - a)
+        acc = step(b - a, b - a)
 
 
-def _panel_step(z, acc, coeffs, width, h):
+def _panel_step(z, live, acc, coeffs, width, h):
     """exp(z*h) I(a) + int_a^(a+h) exp(z*(a+h-tau)) F(tau) dtau on a panel [a, a+width].
 
     F is the cubic sum_m coeffs[m] ((tau-a)/width)^m; tau = a + h*(1-nu) turns the
     integral into width * sum_m coeffs[m] (h/width)^(m+1) G_m(w), w = z*h, with
     G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu.  One exp gives the carry and G_0 =
-    (exp(w) - 1)/w; G_m = (m*G_(m-1) - 1)/w cancels for small |w| (nan at w = 0),
+    (exp(w) - 1)/w; it runs on the modes [:live] only, past which the caller
+    knows exp(w) to be exactly 0, while G_0 = -1/w there is not 0.
+    G_m = (m*G_(m-1) - 1)/w cancels for small |w| (nan at w = 0),
     so where |w| <= 0.5 the series of G_3 and the stable downward recursion
     G_(m-1) = (1 + w*G_m)/m overwrite it, also where a tiny |w| overflows 1/w.
     Re(w) <= eta*C_M*width: exp(w) does not overflow.
     """
     w = z * h
-    e = np.exp(w)
+    e = np.zeros_like(w)
+    np.exp(w[:live], out=e[:live])
     g = np.empty((4,) + w.shape, dtype=complex)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / w

@@ -33,6 +33,7 @@ from .errors import (
     AdmissibilityError,
     BlowUpError,
     DivergenceError,
+    DoubleRangeError,
     StabilityError,
     StructuralError,
 )
@@ -171,7 +172,9 @@ def _admissible_omega(prob: IvpProblem) -> float:
 def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
     """Ball radius and existence time: r = 4c*||v0||_{H^s}, c*T^omega*r^k = 1/4.
 
-    T is capped at 1, the standing assumption of the weighted spaces.
+    T is capped at 1, the standing assumption of the weighted spaces.  A T
+    that is not a positive double (c*r^k beyond the double range) is a
+    DoubleRangeError.
     """
     if c <= 0:
         raise ValueError(f"constant c must be positive, got {c}")
@@ -181,6 +184,11 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
     if r == 0.0:
         return 0.0, 1.0
     t_final = min(1.0, (1.0 / (4.0 * c * r ** prob.k)) ** (1.0 / w))
+    if not t_final > 0:
+        raise DoubleRangeError(
+            f"existence time T={t_final:g} leaves the double range for c={c:.6g}, "
+            f"r={r:.6g}, k={prob.k:g}"
+        )
     return r, t_final
 
 

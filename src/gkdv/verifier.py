@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import DoubleRangeError
 from .norms import (
     WeightedNormConfig,
     gamma_k,
@@ -145,11 +146,21 @@ def _auto_tau_window(sym: DissipativeSymbol, theta: float) -> tuple:
 
     The bracket weight follows its -theta/p law only once the maximizer
     frequency (theta/(p*eta*tau))^(1/p) dwarfs the +1 in the bracket; the
-    returned window places it in [40, 40*100^(1/p)].
+    returned window places it in [40, 40*100^(1/p)].  Where p*eta*40^p
+    leaves the double range, so that the window's lower end is not a
+    positive double, no window exists and DoubleRangeError says so.
     """
     if theta == 0:
         return (1e-4, 1e-2)
-    tau_hi = min(1e-2, theta / (sym.p * sym.eta * 40.0 ** sym.p))
+    try:
+        tau_hi = min(1e-2, theta / (sym.p * sym.eta * 40.0 ** sym.p))
+    except OverflowError:
+        tau_hi = 0.0
+    if not tau_hi / 100.0 > 0:
+        raise DoubleRangeError(
+            f"no tau window for {sym.name}: the symbol scale p*eta*40^p with "
+            f"p={sym.p:g}, eta={sym.eta:g} leaves the double range; set verify.tau_window"
+        )
     return (tau_hi / 100.0, tau_hi)
 
 
@@ -238,6 +249,11 @@ def verify_weighted_linear(
     ys = np.array(
         [lebesgue_norm(spatial_derivative(apply_semigroup(prop, w0, t)), q) for t in ts]
     )
+    if np.any(ys == 0):
+        raise DoubleRangeError(
+            f"||d_x V(t) w0||_L^{q:g} underflows to 0 on the grid (length {grid.length:g}, "
+            f"{grid.n_points} points)"
+        )
     mask = ts <= 1e-1
     fitted, _, residual = fit_power_law(ts[mask], ys[mask])
 

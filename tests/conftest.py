@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gkdv import semigroup
 from gkdv.spectral import GridSpec, SpectralField
 
 
@@ -90,16 +91,35 @@ def poly_exp_moments(omega):
     return out
 
 
-def panel_step(z, acc, coeffs, width, h):
+def panel_step(z, live, acc, coeffs, width, h):
     """Reference product-rule step with the signature of semigroup._panel_step.
 
     exp(z*h) acc + width * sum_m coeffs[m] (h/width)^(m+1) G_m(z*h), with the
-    moments from poly_exp_moments and exp(z*h) evaluated a second time.
+    moments from poly_exp_moments and exp(z*h) evaluated a second time, on
+    every mode: live is ignored.
     """
     g = poly_exp_moments(z * h)
     return np.exp(z * h) * acc + width * sum(
         coeffs[m] * ((h / width) ** (m + 1) * g[m]) for m in range(4)
     )
+
+
+def full_band_sweep(prop, forcing, t_final, panels=16):
+    """Reference duhamel_sweep at the panel ends b_1..b_panels.
+
+    The same graded mesh, nodes and cubic interpolant, stepped with panel_step
+    on every mode of every panel, whatever band the forcing occupies.
+    """
+    bounds = semigroup._panel_bounds(t_final, panels)
+    nodes = semigroup.duhamel_nodes(t_final, panels)
+    acc = np.zeros_like(prop.exponent)
+    out = []
+    for a, b, panel_nodes in zip(bounds[:-1], bounds[1:], nodes):
+        values = np.array([forcing(float(tau)).spec for tau in panel_nodes])
+        coeffs = semigroup._VANDERMONDE_INV @ values
+        acc = panel_step(prop.exponent, None, acc, coeffs, b - a, b - a)
+        out.append(acc)
+    return out
 
 
 def full_spectrum_nonlinearity(grid, values, k, mode):

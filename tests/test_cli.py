@@ -1,9 +1,13 @@
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkdv.cli import main
 from gkdv.errors import ConfigError
@@ -167,6 +171,9 @@ OUT_OF_RANGE = [
     ("solve", "solver", "tol", float("inf")),
     ("solve", "grid", "length", float("inf")),
     ("solve", "initial_data", "amplitude", float("nan")),
+    ("solve", "solver", "max_iter", 1e300),
+    ("verify", "symbol", "p", True),
+    ("solve", "symbol", "eta", True),
 ]
 
 
@@ -181,6 +188,30 @@ def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, k
     assert res.exit_code == 2
     assert "config error" in res.output and key in res.output
     assert not (tmp_path / "out").exists()
+
+
+# Valid configs on which a computed quantity leaves the double range; each
+# used to escape as an uncaught OverflowError or ValueError.
+RANGE_FAILURES = {
+    # the automatic tau window needs 40^p
+    "tau-window": ("verify", {"symbol": {"name": "pure-power", "p": 1e6}},
+                   "verification failure: no tau window"),
+    "existence-time": ("solve", {"grid": {"length": 1e300, "n_points": 256}},
+                       "solver failure: existence time T=0 leaves the double range"),
+    "weighted-linear-norm": ("verify", {"grid": {"length": 1e300, "n_points": 256}},
+                             "verification failure: ||d_x V(t) w0||_L^4 underflows to 0"),
+}
+
+
+@pytest.mark.parametrize("command,changes,message", RANGE_FAILURES.values(),
+                         ids=RANGE_FAILURES.keys())
+def test_double_range_is_a_named_failure(tmp_path, command, changes, message):
+    cfg = verify_config(suite="linear", **changes) if command == "verify" else solve_config(**changes)
+    path = write_config(tmp_path, "range.json", cfg)
+    with np.errstate(over="ignore"):  # the 1e300 torus overflows its Gaussian's exponent
+        res = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+    assert isinstance(res.exception, SystemExit) and res.exit_code == 1
+    assert message in res.output
 
 
 INITIAL_DATA = {
@@ -358,6 +389,20 @@ class TestVerifyCommand:
         assert len(reports) >= 3
         assert (run_dir / "reports" / "summary.txt").exists()
 
+    def test_null_list_keys_take_their_defaults(self, tmp_path):
+        # a null theta_values or hy_exponents used to raise an uncaught TypeError
+        cfg = verify_config()
+        cfg["verify"].update(theta_values=None, hy_exponents=None)
+        path = write_config(tmp_path, "v.json", cfg)
+        res = CliRunner().invoke(
+            main, ["verify", "--config", path, "--suite", "linear", "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 0
+        run_dir = next((tmp_path / "out").iterdir())
+        names = {p.name for p in (run_dir / "reports").glob("*.json")}
+        assert {"multiplier-decay-bracket-pure-power-4-theta1.json",
+                "hausdorff-young-p2.json", "hausdorff-young-p4.json"} <= names
+
     def test_bad_grid_exit_2_without_run_dir(self, tmp_path):
         path = write_config(tmp_path, "grid.json",
                             verify_config(grid={"length": 100.0, "n_points": 100}))
@@ -522,3 +567,78 @@ class TestSweepCommand:
             run_dir = next((tmp_path / label).iterdir())
             outputs[label] = (run_dir / "data" / "sweep.csv").read_text()
         assert outputs["serial"] == outputs["parallel"]
+
+
+# One key of a valid config set to a value from this list at a time.
+BOUNDARY_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 2.5, 1e300, "x", True,
+                   None, [], {}]
+INTEGER_KEYS = {"seed", "n_points", "n_tau", "n_seeds", "n_pairs", "n_times", "panels",
+                "max_iter"}
+
+
+def boundary_bases():
+    """A valid solve and a valid verify config that set most keys of their command."""
+    solve = solve_config(solver={"max_iter": 20, "tol": 1e-10, "panels": 16})
+    solve["grid"]["dealias_fraction"] = 0.5
+    solve["symbol"]["eta"] = 1.0
+    solve["initial_data"]["center"] = 1.0
+    return {"solve": solve, "verify": verify_config(suite="linear")}
+
+
+BOUNDARY_BASES = boundary_bases()
+BOUNDARY_KEYS = [
+    (command, section, key)
+    for command, base in BOUNDARY_BASES.items()
+    for section, keys in [(None, list(base))] + [
+        (name, list(sec)) for name, sec in base.items() if isinstance(sec, dict)]
+    for key in keys
+]
+boundary_cases = st.tuples(st.sampled_from(BOUNDARY_KEYS), st.sampled_from(BOUNDARY_VALUES))
+
+
+def with_boundary_value(case):
+    (command, section, key), value = case
+    raw = copy.deepcopy(BOUNDARY_BASES[command])
+    (raw if section is None else raw[section])[key] = value
+    return command, raw
+
+
+def integer_values(raw):
+    """(key, value) of every integer key the config sets, in any section."""
+    for name, value in raw.items():
+        if isinstance(value, dict):
+            yield from integer_values(value)
+        elif name in INTEGER_KEYS and value is not None:
+            yield name, value
+
+
+class TestConfigBoundary:
+    """Extreme values overflow numpy arithmetic on purpose; only the outcome is checked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=boundary_cases)
+    def test_config_error_or_exact_integers(self, case):
+        command, raw = with_boundary_value(case)
+        try:
+            cfg = RunConfig.from_dict(raw, command)
+            with np.errstate(all="ignore"):
+                prob = cfg.build_problem()
+        except ConfigError:
+            return
+        for name, value in integer_values(raw):
+            assert type(value) in (int, float) and value == int(value), (name, value)
+        assert prob.grid.n_points == raw["grid"]["n_points"]
+        assert type(cfg.seed) is int and cfg.seed == raw["seed"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=boundary_cases)
+    def test_cli_exits_0_1_or_2(self, case):
+        command, raw = with_boundary_value(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), "boundary.json", raw)
+            out = Path(tmp) / "out"
+            with np.errstate(all="ignore"):
+                res = CliRunner().invoke(main, [command, "--config", path, "--out", str(out)])
+            assert isinstance(res.exception, (SystemExit, type(None))), res.exception
+            assert res.exit_code in (0, 1, 2)
+            assert res.exit_code != 2 or not out.exists()

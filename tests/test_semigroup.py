@@ -23,10 +23,10 @@ from gkdv.spectral import (
     coherent_field,
     linear_combination,
 )
-from gkdv.symbols import builtin_symbol, symbol_constants
+from gkdv.symbols import builtin_symbol, symbol_constants, tabulated_symbol
 from gkdv.probes import gaussian_field
 
-from conftest import gl_duhamel, panel_step
+from conftest import full_band_sweep, gl_duhamel, panel_step
 
 
 def single_mode(grid, k, amp=0.5):
@@ -88,6 +88,69 @@ class TestApplySemigroup:
             norms = [lebesgue_norm(apply_semigroup(prop, w, t), 2)
                      for t in np.linspace(0.0, 1.0, 9)]
             assert np.all(np.diff(norms) <= 1e-12)
+
+
+# Symbols for the live-prefix rule: kdv-ks has Re z > 0 at low xi, and the
+# table's bumps make Re z rise and fall again along xi.
+LIVE_PREFIX_SYMBOLS = {
+    "kdv-ks": builtin_symbol("kdv-ks"),
+    "ostrovsky": builtin_symbol("ostrovsky"),
+    "pure-power": builtin_symbol("pure-power", p=2),
+    "tabulated-bumps": tabulated_symbol(
+        "bumps", 2.0, [0.0, 20.0, 21.0, 22.0, 40.0, 41.0, 42.0, 100.0],
+        [0.0, 0.0, 400.0, 0.0, 0.0, 1600.0, 0.0, 0.0], q=1.9, c_phi1=1600.0,
+    ),
+}
+
+
+class TestLivePrefix:
+    """multiplier and the sweep skip modes known to be 0 and still give the full-band values."""
+
+    @pytest.fixture(params=sorted(LIVE_PREFIX_SYMBOLS))
+    def prop(self, request):
+        return Propagator(LIVE_PREFIX_SYMBOLS[request.param], GridSpec(100.0, 2048))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-4, 1.0])
+    def test_multiplier_matches_full_exp(self, prop, t):
+        # == counts -0.0 equal to +0.0: the values agree up to the sign of zero
+        assert np.array_equal(prop.multiplier(t), np.exp(t * prop.exponent))
+
+    def test_multiplier_with_cut_between_two_modes(self, prop):
+        # a t whose bound 746/t falls halfway between two consecutive distinct
+        # values of -max(Re z[k:]), half way along the spectrum
+        decay = prop._suffix_decay
+        k = int(np.searchsorted(decay, decay[decay.size // 2], side="right"))
+        t = 2.0 * semigroup._EXP_UNDERFLOW / (decay[k - 1] + decay[k])
+        assert prop.live_modes(t) == k
+        full = np.exp(t * prop.exponent)
+        assert np.any(full[k - 8:k] != 0) and np.all(full[k:] == 0)
+        assert np.array_equal(prop.multiplier(t), full)
+
+    def test_every_mode_live_for_nonpositive_time(self, prop):
+        assert prop.live_modes(0.0) == prop.live_modes(-0.5) == prop.exponent.size
+
+    def test_sweep_widens_when_forcing_leaves_the_band(self, grid):
+        # the forcing gains content above the dealias cutoff from the third
+        # node of the sixth panel on, so the sweep widens its band mid-panel
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        cut = grid.dealias_cutoff
+        g = gaussian_field(grid, amplitude=1.0, width=0.7)
+        free = functools.partial(apply_semigroup, prop, g)
+        t_final = 0.4
+        nodes = semigroup.duhamel_nodes(t_final, 16)
+        onset = 0.5 * (nodes[5, 1] + nodes[5, 2])
+        high = single_mode(grid, cut + 3, amp=1.0e3)
+
+        def forcing(tau):
+            inner = nonlinearity_eval(free(tau), 1.0, "conservative")
+            assert not inner.spec[cut:].any()
+            return inner if tau < onset else linear_combination(inner, high, 1.0, tau)
+
+        new = list(duhamel_sweep(prop, forcing, _panel_bounds(t_final, 16)[1:], t_final))
+        ref = full_band_sweep(prop, forcing, t_final)
+        assert np.any(ref[-1][cut:] != 0)
+        for a, b in zip(new, ref):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
 def sweep_at(prop, forcing, t, **kwargs):
@@ -262,8 +325,9 @@ class TestPanelStep:
     @pytest.mark.parametrize("h", [0.0, 5e-6, 1e-4, 1e-3, WIDTH])
     def test_matches_oracle_step(self, kdvks_8192, h):
         prop, acc, coeffs = kdvks_8192
-        new = _panel_step(prop.exponent, acc, coeffs, self.WIDTH, h)
-        ref = panel_step(prop.exponent, acc, coeffs, self.WIDTH, h)
+        live = prop.live_modes(h)
+        new = _panel_step(prop.exponent, live, acc, coeffs, self.WIDTH, h)
+        ref = panel_step(prop.exponent, live, acc, coeffs, self.WIDTH, h)
         assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_sweep_at_panel_bounds_matches_oracle(self, monkeypatch):
@@ -292,7 +356,7 @@ class TestPanelStep:
         for m, exact in enumerate(moments):
             coeffs = np.zeros((4, 1), dtype=complex)
             coeffs[m] = 1.0
-            got = _panel_step(z, np.zeros(1, dtype=complex), coeffs, 1.0, 1.0)[0]
+            got = _panel_step(z, 1, np.zeros(1, dtype=complex), coeffs, 1.0, 1.0)[0]
             assert abs(got - exact) <= tol * abs(exact), (m, got, exact)
 
     def test_zero_exponent_emits_no_warning(self, grid):
