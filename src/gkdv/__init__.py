@@ -21,7 +21,6 @@ from .symbols import (
 )
 from .semigroup import Propagator, apply_semigroup, duhamel_sweep, smoothing_norm_profile
 from .norms import (
-    NormReport,
     WeightedNormConfig,
     gamma_k,
     lebesgue_norm,

@@ -113,40 +113,39 @@ def run_solve(config_path: str, out_override: str | None) -> int:
     return 0
 
 
-def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str) -> list:
-    """The reports of one suite on prob, the problem cfg builds."""
+def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
+    """Yield the reports of one suite on prob, the problem cfg builds, each as
+    soon as its check has finished."""
     opts = cfg.raw.get("verify", {})
     grid, symbol, k, s = prob.grid, prob.symbol, prob.k, prob.s
     seed = cfg.seed
-    reports = []
     if suite in ("all", "linear"):
         for theta in _set_keys(opts, theta_values=list).get("theta_values", [1.0]):
-            reports.append(verify_multiplier_decay(
+            yield verify_multiplier_decay(
                 symbol, float(theta), **_set_keys(opts, tau_window=tuple, n_tau=int)
-            ))
-        reports.append(verify_weighted_linear(
+            )
+        yield verify_weighted_linear(
             symbol, k, s=s, grid=grid, base_seed=seed, **_set_keys(opts, n_seeds=int)
-        ))
+        )
         hy_fields = [
             gaussian_field(grid, amplitude=1.0 + 0.1 * i, width=grid.length / (20.0 + i))
             for i in range(4)
         ]
         for p1 in _set_keys(opts, hy_exponents=list).get("hy_exponents", [2.0, 4.0]):
-            reports.append(verify_hausdorff_young(hy_fields, float(p1)))
-        reports.append(verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float)))
+            yield verify_hausdorff_young(hy_fields, float(p1))
+        yield verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float))
     if suite in ("all", "nonlinear"):
-        reports.append(verify_nonlinear_estimate(
+        yield verify_nonlinear_estimate(
             prob, seed=seed, **_set_keys(opts, t_values=list, panels=int, n_times=int)
-        ))
-        reports.append(verify_contraction_scaling(
+        )
+        yield verify_contraction_scaling(
             prob, seed=seed,
             **_set_keys(opts, t_values=list, n_pairs=int, panels=int, n_times=int),
-        ))
+        )
     if suite in ("all", "smoothing"):
-        reports.append(verify_smoothing(
+        yield verify_smoothing(
             prob, seed=seed, **_set_keys(opts, panels=int, t_horizon=float, data_scale=float)
-        ))
-    return reports
+        )
 
 
 def run_verify(config_path: str, suite: str | None, out_override: str | None) -> int:
@@ -158,14 +157,17 @@ def run_verify(config_path: str, suite: str | None, out_override: str | None) ->
         click.echo(f"config error: {exc}", err=True)
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
+    reports = []
     try:
-        reports = _verify_reports(cfg, prob, suite or cfg.suite)
+        # each report is written as it arrives, so a later check that raises
+        # keeps the reports of the checks before it
+        for rep in _verify_reports(cfg, prob, suite or cfg.suite):
+            _write_json(run_dir / "reports" / f"{rep.estimate_id}.json", rep.to_json_dict())
+            reports.append(rep)
     except GkdvError as exc:
         click.echo(f"verification failure: {exc}", err=True)
         _write_manifest(cfg, run_dir, started)
         return 1
-    for rep in reports:
-        _write_json(run_dir / "reports" / f"{rep.estimate_id}.json", rep.to_json_dict())
     table = render_report_table(reports)
     (run_dir / "reports" / "summary.txt").write_text(table + "\n")
     _write_manifest(cfg, run_dir, started)

@@ -4,12 +4,14 @@ The Sobolev bracket is 1 + |xi| throughout.  Trajectory norms replace the
 continuum sup over (0, T] by a max over a finite sample-time grid (a lower
 bound of the true norm); sample grids should include geometrically spaced
 small times, which WeightedNormConfig.default provides.  A trajectory is
-passed as its fields at those sample times, in order.
+passed as its fields at those sample times, in order, and each trajectory
+norm returns that max as one float: sup_t ||f(t)||_{H^s} + t^w * (sum of
+its weighted components).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,77 +109,58 @@ class WeightedNormConfig:
         return cls(s=s, k=k, p=p, t_final=t_final, sample_times=times)
 
 
-@dataclass
-class NormReport:
-    """Per-time norm components and their discrete sup."""
-
-    space: str
-    h_s: float
-    components: list = field(default_factory=list)  # (time, name, value) rows
-    total: float = 0.0
-
-
-def _weighted_report(fields, cfg: WeightedNormConfig, weighted_parts, space: str,
-                     wexp: float | None = None) -> NormReport:
+def _weighted_sup(fields, cfg: WeightedNormConfig, weighted_parts, wexp: float) -> float:
     """Shared driver: sup over sample times of H^s plus weighted component sum.
 
     fields holds the trajectory at cfg.sample_times, one field per time in
-    order; a count that differs raises ValueError.  Each weighted part at
-    time t carries the factor t^wexp, by default cfg.weight_exponent; a norm
-    function listed under two names is evaluated once per time.
+    order; a count that differs raises ValueError.  weighted_parts lists the
+    norm functions of the weighted components, each of which carries the
+    factor t^wexp at time t; a function listed twice is evaluated once per
+    time and added twice.
     """
-    if wexp is None:
-        wexp = cfg.weight_exponent
-    rows = []
     sup_total = 0.0
-    sup_hs = 0.0
     for t, f in zip(cfg.sample_times, fields, strict=True):
         hs = sobolev_norm(f, cfg.s)
+        norms = {fn: fn(f) for fn in dict.fromkeys(weighted_parts)}
         weighted = 0.0
-        part_rows = []
-        norms = {fn: fn(f) for fn in dict.fromkeys(fn for _, fn in weighted_parts)}
-        for name, norm_fn in weighted_parts:
-            value = t ** wexp * norms[norm_fn]
-            part_rows.append((t, name, value))
-            weighted += value
+        for norm_fn in weighted_parts:
+            weighted += t ** wexp * norms[norm_fn]
         if not np.isfinite(hs) or not np.isfinite(weighted):
             raise BlowUpError(f"non-finite norm at sample time t={t:g}")
-        rows.append((t, "hs", hs))
-        rows.extend(part_rows)
-        sup_hs = max(sup_hs, hs)
         sup_total = max(sup_total, hs + weighted)
-    return NormReport(space=space, h_s=sup_hs, components=rows, total=sup_total)
+    return float(sup_total)
 
 
 def _derivative_parts(cfg: WeightedNormConfig, q: float) -> list:
-    """w_dx_lq and w_dxs_lq; at s = 0 they agree bit for bit and share one function."""
+    """||d_x f||_{L^q} and ||D^s d_x f||_{L^q}; at s = 0 they agree bit for bit
+    and are one function."""
     dx = lambda f: lebesgue_norm(spatial_derivative(f), q)
     dxs = dx if cfg.s == 0 else lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)
-    return [("w_dx_lq", dx), ("w_dxs_lq", dxs)]
+    return [dx, dxs]
 
 
-def x_norm(fields, cfg: WeightedNormConfig) -> NormReport:
-    """Space norm for the conservative-form problem.
+def x_norm(fields, cfg: WeightedNormConfig) -> float:
+    """Space norm for the conservative-form problem, as one number.
 
     fields is an iterable of SpectralField, the trajectory at
     cfg.sample_times in order; it is read once, and a count other than
-    len(cfg.sample_times) raises ValueError.  Per sample t:
-    ||f(t)||_{H^s} + t^(gamma_k/p) * ( ||f||_{L^q} + ||d_x f||_{L^q}
-    + ||D^s d_x f||_{L^q} ),  q = 2(k+1); the report's total is the max of
-    the sum over sample times.
+    len(cfg.sample_times) raises ValueError.  Returns the max over sample
+    times t of ||f(t)||_{H^s} + t^(gamma_k/p) * ( ||f||_{L^q} + ||d_x f||_{L^q}
+    + ||D^s d_x f||_{L^q} ),  q = 2(k+1).
     """
     q = 2.0 * (cfg.k + 1.0)
-    parts = [("w_lq", lambda f: lebesgue_norm(f, q))] + _derivative_parts(cfg, q)
-    return _weighted_report(fields, cfg, parts, space="x")
+    parts = [lambda f: lebesgue_norm(f, q)] + _derivative_parts(cfg, q)
+    return _weighted_sup(fields, cfg, parts, cfg.weight_exponent)
 
 
-def y_norm(fields, cfg: WeightedNormConfig) -> NormReport:
-    """Space norm for the gradient-form problem (two weighted components).
+def y_norm(fields, cfg: WeightedNormConfig) -> float:
+    """Space norm for the gradient-form problem: sup of H^s plus
+    t^(gamma_k/p) * ( ||d_x f||_{L^q} + ||D^s d_x f||_{L^q} ),  q = 2(k+1).
 
     fields is read as in x_norm.
     """
     q = 2.0 * (cfg.k + 1.0)
-    return _weighted_report(fields, cfg, _derivative_parts(cfg, q), space="y")
+    return _weighted_sup(fields, cfg, _derivative_parts(cfg, q), cfg.weight_exponent)
 
 
 def z_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -187,8 +170,7 @@ def z_norm(fields, cfg: WeightedNormConfig) -> float:
     differs from the 2(k+1) used by x_norm/y_norm.
     """
     q = 2.0 * cfg.k + 1.0
-    parts = [("w_lq", lambda f: lebesgue_norm(f, q))]
-    return _weighted_report(fields, cfg, parts, space="z").total
+    return _weighted_sup(fields, cfg, [lambda f: lebesgue_norm(f, q)], cfg.weight_exponent)
 
 
 def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -196,6 +178,5 @@ def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
 
     fields is read as in x_norm.
     """
-    parts = [("w_dx_l2", lambda f: lebesgue_norm(spatial_derivative(f), 2))]
-    return _weighted_report(fields, cfg, parts, space="z_tilde",
-                            wexp=(1.0 + abs(cfg.s)) / cfg.p).total
+    parts = [lambda f: lebesgue_norm(spatial_derivative(f), 2)]
+    return _weighted_sup(fields, cfg, parts, (1.0 + abs(cfg.s)) / cfg.p)

@@ -116,7 +116,7 @@ def _panel_bounds(t_final: float, panels: int) -> np.ndarray:
     return t_final * (np.arange(panels + 1) / panels) ** _GRADING
 
 
-def duhamel_nodes(t_final: float, panels: int = 16) -> np.ndarray:
+def duhamel_nodes(t_final: float, panels: int) -> np.ndarray:
     """Forcing nodes of duhamel_sweep on [0, t_final], one row of 4 per panel.
 
     Panel j is [b_j, b_(j+1)] with b_j = t_final*(j/panels)^2; its nodes are
@@ -126,7 +126,7 @@ def duhamel_nodes(t_final: float, panels: int = 16) -> np.ndarray:
     return bounds[:-1, None] + np.diff(bounds)[:, None] * _UNIT_NODES
 
 
-def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int = 16):
+def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int):
     """Yield the spectrum of int_0^t V(t - tau) forcing(tau) dtau for each t.
 
     forcing is a callable tau -> SpectralField on the propagator grid, called

@@ -192,38 +192,30 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
     return r, t_final
 
 
-def calibrate_c(
-    prob: IvpProblem,
-    probe_set,
-    panels: int = 16,
-) -> float:
-    """Empirical constant of the fixed-point estimates, with a 2x safety factor.
+def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
+    """Empirical constant of the fixed-point estimates on the probe g, with a
+    2x safety factor.
 
     The radius rule uses one constant for both sides of the argument: the
     free iterate must fit in the ball (c at least the linear-estimate ratio
     ||V(.)g||_space / ||g||_{H^s}) and the Duhamel term must contract (c at
     least ||int V(t-tau) N(Vg)(tau) dtau||_space / (T^omega *
     ||Vg||_space^(k+1)) at T = 1, where T^omega = 1; both norms sample 12
-    times).  The maximum of both ratios over the probes is returned, doubled.
-    Zero probes are skipped; an all-zero set is an error.
+    times, and the Duhamel sweep runs on the given number of panels).  The
+    larger ratio is returned, doubled.  A probe with ||g||_{H^s} = 0 raises
+    ValueError.
     """
+    hs = sobolev_norm(g, prob.s)
+    if hs == 0.0:
+        raise ValueError("calibration needs a nonzero probe")
     prop = Propagator(prob.symbol, prob.grid)
     cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, 1.0, n_times=12)
     space = prob.space_norm
-    ratios = []
-    for g in probe_set:
-        hs = sobolev_norm(g, prob.s)
-        if hs == 0.0:
-            continue
-        denom = space((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg).total
-        ratios.append(denom / hs)
-        forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
-        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, 1.0, panels=panels)
-        num = space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total
-        ratios.append(num / denom ** (prob.k + 1.0))
-    if not ratios:
-        raise ValueError("calibration needs at least one nonzero probe")
-    return 2.0 * max(ratios)
+    denom = space((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg)
+    forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
+    sweep = duhamel_sweep(prop, forcing, cfg.sample_times, 1.0, panels)
+    num = space((SpectralField(prob.grid, spec) for spec in sweep), cfg)
+    return 2.0 * max(denom / hs, num / denom ** (prob.k + 1.0))
 
 
 class PicardSolution:
@@ -315,8 +307,8 @@ def picard_iterate(
             new[t] = SpectralField(prob.grid, spec)
         increment = space(
             (linear_combination(new[t], current[t], 1.0, -1.0) for t in cfg.sample_times), cfg
-        ).total
-        size = space((new[t] for t in cfg.sample_times), cfg).total
+        )
+        size = space((new[t] for t in cfg.sample_times), cfg)
         ratio = None
         if prev_increment is not None and prev_increment > 0:
             ratio = increment / prev_increment
@@ -346,7 +338,7 @@ def solve(
     if hs0 == 0.0:
         return picard_iterate(prob, 0.0, 1.0, max_iter=2, tol=max(tol or 0.0, 1e-300),
                               panels=panels)
-    c = calibrate_c(prob, [prob.initial_data], panels=panels)
+    c = calibrate_c(prob, prob.initial_data, panels)
     r, t_final = select_radius_and_time(prob, c)
     if tol is None:
         tol = min(1e-6, max(1e-12, 1e-8 * r))
@@ -387,12 +379,7 @@ class ReferenceRun:
     final: SpectralField
 
 
-def reference_integrate(
-    prob: IvpProblem,
-    t_final: float,
-    n_steps: int,
-    include_nonlinearity: bool = True,
-) -> ReferenceRun:
+def reference_integrate(prob: IvpProblem, t_final: float, n_steps: int) -> ReferenceRun:
     """Integrate the problem with ETDRK4 over [0, t_final].
 
     The linear multiplier i*xi^3 + eta*Phi is treated exactly per step, the
@@ -406,8 +393,6 @@ def reference_integrate(
     e_full, e_half, q, f1, f2, f3 = _etdrk4_coefficients(prop.exponent, dt)
 
     def nl(vhat: np.ndarray) -> np.ndarray:
-        if not include_nonlinearity:
-            return np.zeros_like(vhat)
         return -nonlinearity_eval(SpectralField(prob.grid, vhat), prob.k, prob.mode).spec
 
     def l2_norm(vhat: np.ndarray) -> float:

@@ -19,6 +19,9 @@ from .errors import HypothesisViolationError, MultiplierEvaluationError
 
 log = logging.getLogger(__name__)
 
+# Width at which threshold_M stops bisecting the last violation boundary.
+_THRESHOLD_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DissipativeSymbol:
@@ -59,7 +62,8 @@ class SymbolConstants:
 def evaluate_phi(sym: DissipativeSymbol, xi):
     """Evaluate Phi(xi) = -|xi|^p + Phi1(xi); accepts scalars or arrays."""
     arr = np.asarray(xi, dtype=float)
-    out = -np.abs(arr) ** sym.p
+    with np.errstate(over="ignore"):  # -inf is the limit for a large p
+        out = -np.abs(arr) ** sym.p
     if sym.phi1 is not None:
         pert = np.asarray(sym.phi1(arr), dtype=float)
         if not np.all(np.isfinite(pert)):
@@ -146,17 +150,18 @@ def _conditions_hold(sym: DissipativeSymbol, xi) -> np.ndarray:
     xs = np.asarray(xi, dtype=float)
     phi = np.atleast_1d(np.asarray(evaluate_phi(sym, xs), dtype=float))
     xs = np.atleast_1d(xs)
-    lead = xs ** sym.p
+    with np.errstate(over="ignore"):
+        lead = xs ** sym.p
     pert = np.zeros_like(xs) if sym.phi1 is None else np.asarray(sym.phi1(xs), dtype=float)
     ok = (phi < -1.0) & (np.abs(pert) <= 0.5 * lead) & (np.abs(phi) >= 0.5 * lead)
     return ok
 
 
-def threshold_M(sym: DissipativeSymbol, xi_max: float, tol: float = 1e-9) -> float:
+def threshold_M(sym: DissipativeSymbol, xi_max: float) -> float:
     """Smallest sampled M with all three conditions holding on [M, xi_max].
 
     Scans a dense lattice, then bisects the last violation boundary down to
-    tol.  Raises when the conditions fail even near xi_max.
+    a width of 1e-9.  Raises when the conditions fail even near xi_max.
     """
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
@@ -174,7 +179,7 @@ def threshold_M(sym: DissipativeSymbol, xi_max: float, tol: float = 1e-9) -> flo
     if last_bad == n_scan - 1:  # unreachable given the xi_max pre-check
         raise HypothesisViolationError(f"symbol {sym.name} inadmissible up to xi_max")
     lo, hi = xs[last_bad], xs[last_bad + 1]
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if _conditions_hold(sym, np.asarray([mid]))[0]:
             hi = mid

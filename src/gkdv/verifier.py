@@ -224,11 +224,10 @@ def verify_weighted_linear(
     grid: GridSpec | None = None,
     n_seeds: int = 10,
     base_seed: int = 0,
-    n_t: int = 20,
 ) -> EstimateReport:
     """Check the weighted decay of the free evolution of barely-L^2 data.
 
-    On n_t times geometrically spaced over [1e-4, 1]: (a) the decay exponent
+    On 20 times geometrically spaced over [1e-4, 1]: (a) the decay exponent
     of ||d_x V(t) w0||_{L^{2(k+1)}}, fitted on t <= 0.1, must not fall below
     -gamma_k/p - 0.05; (b) the sup and across-decades ratio of the weighted
     quantity are reported; (c) the ratio x_norm(V(.)w0)/||w0||_{H^s} over
@@ -243,7 +242,7 @@ def verify_weighted_linear(
     theo = -wexp
     margin, spread_tol = 0.05, 0.2
 
-    cfg = WeightedNormConfig.default(s, k, sym.p, 1.0, n_times=n_t)
+    cfg = WeightedNormConfig.default(s, k, sym.p, 1.0)
     ts = np.array(cfg.sample_times)
     w0 = rough_field(grid, sobolev_index=0.0, seed=base_seed)
     ys = np.array(
@@ -265,7 +264,7 @@ def verify_weighted_linear(
     for i in range(n_seeds):
         wi = w0 if i == 0 else rough_field(grid, sobolev_index=0.0, seed=base_seed + i)
         free = (apply_semigroup(prop, wi, t) for t in cfg.sample_times)
-        constants.append(x_norm(free, cfg).total / sobolev_norm(wi, s))
+        constants.append(x_norm(free, cfg) / sobolev_norm(wi, s))
     constants = np.array(constants)
     mean_c = float(np.mean(constants))
     spread = float(np.max(np.abs(constants - mean_c)) / mean_c)
@@ -332,7 +331,7 @@ def verify_nonlinear_estimate(
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
         sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=panels)
-        lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg).total)
+        lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg))
     fitted, constant, residual = fit_power_law(t_values, lhs)
     return EstimateReport(
         estimate_id=ident,
@@ -421,7 +420,7 @@ def verify_contraction_scaling(
         best = 0.0
         for pair in pairs:
             diffs = (linear_combination(*free_pair(pair, t), 1.0, -1.0) for t in times)
-            denom = space(diffs, cfg).total
+            denom = space(diffs, cfg)
             if denom < 1e-12:
                 continue
             forcing = lambda tau: linear_combination(
@@ -431,7 +430,7 @@ def verify_contraction_scaling(
             )
             sweep = duhamel_sweep(prop, forcing, times, t_final, panels=panels)
             dfields = (SpectralField(prob.grid, spec) for spec in sweep)
-            best = max(best, space(dfields, cfg).total / denom)
+            best = max(best, space(dfields, cfg) / denom)
         rhos.append(best)
     rhos = np.array(rhos)
     fitted, constant, residual = fit_power_law(t_values, rhos)
@@ -492,7 +491,7 @@ def verify_smoothing(
     prob_c = replace(prob, grid=coarse, initial_data=data_c, s=s)
     prob_f = replace(prob, grid=fine, initial_data=data_f, s=s)
 
-    c = calibrate_c(prob_c, [data_c], panels=panels)
+    c = calibrate_c(prob_c, data_c, panels)
     r, t_final = select_radius_and_time(prob_c, c)
     if t_horizon is not None:
         t_final = t_horizon

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from gkdv import semigroup
-from gkdv.spectral import GridSpec, SpectralField
+from gkdv.norms import lebesgue_norm, sobolev_norm
+from gkdv.spectral import (
+    GridSpec,
+    SpectralField,
+    fractional_derivative_shifted,
+    spatial_derivative,
+)
 
 
 def rel_l2(a, b):
@@ -31,6 +37,27 @@ def bracket_sup(p, theta, taus):
         hi = np.where(rising, hi, mid)
     xi = 0.5 * (lo + hi)
     return (1.0 + xi) ** theta * np.exp(-taus * xi ** p)
+
+
+def trajectory_norm(space, fields, cfg):
+    """sup over sample times of ||f(t)||_{H^s} + t^w * (sum of the weighted
+    parts) of the space "x", "y", "z" or "z_tilde", straight from
+    sobolev_norm and lebesgue_norm, with the parts added left to right."""
+    q = 2.0 * (cfg.k + 1.0)
+
+    def derivatives(f):
+        return [lebesgue_norm(spatial_derivative(f), q),
+                lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)]
+
+    parts = {
+        "x": lambda f: [lebesgue_norm(f, q)] + derivatives(f),
+        "y": derivatives,
+        "z": lambda f: [lebesgue_norm(f, 2.0 * cfg.k + 1.0)],
+        "z_tilde": lambda f: [lebesgue_norm(spatial_derivative(f), 2)],
+    }[space]
+    w = (1.0 + abs(cfg.s)) / cfg.p if space == "z_tilde" else cfg.weight_exponent
+    return max(sobolev_norm(f, cfg.s) + sum(t ** w * v for v in parts(f))
+               for t, f in zip(cfg.sample_times, fields, strict=True))
 
 
 def band_limit(f):

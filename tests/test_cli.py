@@ -403,6 +403,33 @@ class TestVerifyCommand:
         assert {"multiplier-decay-bracket-pure-power-4-theta1.json",
                 "hausdorff-young-p2.json", "hausdorff-young-p4.json"} <= names
 
+    def test_failed_check_keeps_finished_reports(self, tmp_path):
+        # the weighted-linear check raises on a 1e300 torus; the
+        # multiplier-decay report before it used to be discarded
+        cfg = verify_config(grid={"length": 1e300, "n_points": 256})
+        path = write_config(tmp_path, "v.json", cfg)
+        res = CliRunner().invoke(
+            main, ["verify", "--config", path, "--suite", "linear", "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 1
+        assert "verification failure: " in res.output
+        run_dir = next((tmp_path / "out").iterdir())
+        name = "reports/multiplier-decay-bracket-pure-power-4-theta1.json"
+        assert json.loads((run_dir / name).read_text())["verdict"] == "pass"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert name in {entry["path"] for entry in manifest["files"]}
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_pure_power_runs_without_overflow_warning(self, tmp_path):
+        # |xi|^190 overflows to inf, so Phi = -inf; numpy used to warn about it
+        path = write_config(tmp_path, "v.json",
+                            verify_config(symbol={"name": "pure-power", "p": 190.0}))
+        res = CliRunner().invoke(
+            main, ["verify", "--config", path, "--suite", "linear", "--out", str(tmp_path / "out")]
+        )
+        assert res.exception is None
+        assert res.exit_code == 0
+
     def test_bad_grid_exit_2_without_run_dir(self, tmp_path):
         path = write_config(tmp_path, "grid.json",
                             verify_config(grid={"length": 100.0, "n_points": 100}))

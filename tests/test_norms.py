@@ -29,9 +29,17 @@ from gkdv.spectral import (
 )
 from gkdv.symbols import builtin_symbol
 
+from conftest import trajectory_norm
+
 
 def cfg_for(s=0.0, k=1.0, p=4.0, t_final=1.0, n_times=8):
     return WeightedNormConfig.default(s, k, p, t_final, n_times=n_times)
+
+
+def one_time_cfg(t, s=0.0, k=1.0, p=4.0):
+    """A config whose only sample time is t: a norm is then ||f||_{H^s} plus
+    the weighted part at t."""
+    return WeightedNormConfig(s, k, p, 1.0, (t,))
 
 
 class TestLebesgue:
@@ -171,75 +179,98 @@ class TestSpectralLq:
 
 
 class TestTrajectoryNorms:
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_equals_direct_sup(self, s):
+        # each trajectory norm is the sup of ||f||_{H^s} + t^w * (sum of its
+        # weighted parts), to the last bit, on a free rough trajectory
+        g = GridSpec(200 * np.pi, 2 ** 10)
+        w0 = rough_field(g, sobolev_index=s, seed=3)
+        prop = Propagator(builtin_symbol("kdv-ks"), g)
+        cfg = WeightedNormConfig(s, 1.0, 4.0, 0.5, tuple(np.geomspace(1e-4, 0.5, 9)))
+        fields = [apply_semigroup(prop, w0, t) for t in cfg.sample_times]
+        norms_by_space = {"x": x_norm, "y": y_norm, "z": z_norm, "z_tilde": z_tilde_norm}
+        for space, norm in norms_by_space.items():
+            value = norm(iter(fields), cfg)
+            assert type(value) is float
+            assert value == trajectory_norm(space, fields, cfg)
+
     def test_zero_trajectory(self):
         g = GridSpec(10.0, 64)
         zero = coherent_field(g, np.zeros(64))
         cfg = cfg_for()
         fields = [zero] * len(cfg.sample_times)
-        assert x_norm(fields, cfg).total == 0.0
-        assert y_norm(fields, cfg).total == 0.0
+        assert x_norm(fields, cfg) == 0.0
+        assert y_norm(fields, cfg) == 0.0
         assert z_norm(fields, cfg) == 0.0
         assert z_tilde_norm(fields, cfg) == 0.0
 
     def test_stationary_smooth_weight_vanishes(self):
         # for a time-independent field the weighted part scales exactly like
-        # t^(gamma_k/p), so it vanishes as t -> 0
+        # t^(gamma_k/p), so it vanishes as t -> 0; on one sample time the
+        # norm minus ||f||_{H^s} is that weighted part
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
-        cfg = cfg_for(t_final=1.0, n_times=12)
-        rep = x_norm([bump] * len(cfg.sample_times), cfg)
-        weighted = {}
-        for t, name, value in rep.components:
-            if name != "hs":
-                weighted[t] = weighted.get(t, 0.0) + value
-        times = sorted(weighted)
-        expected_ratio = (times[0] / times[-1]) ** cfg.weight_exponent
+        times = cfg_for(t_final=1.0, n_times=12).sample_times
+        hs = sobolev_norm(bump, 0.0)
+        weighted = {t: x_norm([bump], one_time_cfg(t)) - hs for t in (times[0], times[-1])}
+        expected_ratio = (times[0] / times[-1]) ** one_time_cfg(1.0).weight_exponent
         assert weighted[times[0]] == pytest.approx(
             weighted[times[-1]] * expected_ratio, rel=1e-10
         )
-        assert rep.h_s == pytest.approx(sobolev_norm(bump, 0.0), rel=1e-12)
+        # the H^s part is ||f||_{H^s} itself
+        q = 4.0
+        parts = [lebesgue_norm(bump, q), lebesgue_norm(spatial_derivative(bump), q),
+                 lebesgue_norm(fractional_derivative_shifted(bump, 0.0), q)]
+        for t in (times[0], times[-1]):
+            cfg = one_time_cfg(t)
+            assert x_norm([bump], cfg) == pytest.approx(
+                hs + t ** cfg.weight_exponent * sum(parts), rel=1e-12
+            )
 
     def test_free_rough_trajectory_weighted_bounded(self):
         g = GridSpec(200 * np.pi, 2 ** 12)
         w0 = rough_field(g, sobolev_index=0.0, seed=4)
         prop = Propagator(builtin_symbol("kdv-ks"), g)
-        cfg = WeightedNormConfig(0.0, 1.0, 4.0, 1.0, tuple(np.geomspace(1e-4, 1.0, 12)))
-        rep = x_norm([apply_semigroup(prop, w0, t) for t in cfg.sample_times], cfg)
         l2 = lebesgue_norm(w0, 2)
-        for t, name, value in rep.components:
-            if name != "hs":
-                assert value <= 10.0 * l2
+        for t in np.geomspace(1e-4, 1.0, 12):
+            f = apply_semigroup(prop, w0, t)
+            # the weighted part at t, the sum of the three components
+            assert x_norm([f], one_time_cfg(t)) - sobolev_norm(f, 0.0) <= 10.0 * l2
 
     def test_y_norm_components_coincide_at_s0(self):
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
-        cfg = cfg_for(s=0.0)
-        rep = y_norm([bump] * len(cfg.sample_times), cfg)
-        by_time = {}
-        for t, name, value in rep.components:
-            by_time.setdefault(t, {})[name] = value
-        for entries in by_time.values():
-            assert entries["w_dx_lq"] == pytest.approx(entries["w_dxs_lq"], rel=1e-12)
+        hs = sobolev_norm(bump, 0.0)
+        dx = lebesgue_norm(spatial_derivative(bump), 4.0)
+        assert lebesgue_norm(fractional_derivative_shifted(bump, 0.0), 4.0) == dx
+        for t in cfg_for(s=0.0).sample_times:
+            cfg = one_time_cfg(t)
+            # w_dx_lq + w_dxs_lq with both equal to t^w * ||d_x f||_{L^q}
+            assert y_norm([bump], cfg) - hs == pytest.approx(
+                2.0 * t ** cfg.weight_exponent * dx, rel=1e-12
+            )
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_derivative_component_transformed_once_at_s0(self, fft_calls, s):
         # the samples of f are cached; d_x f and D^s d_x f each take one
         # inverse transform, but at s = 0 D^s d_x f is d_x f bit for bit, so
-        # both rows carry one value and the second transform is not made
+        # one value serves both components and the second transform is not made
         g = GridSpec(40.0, 256)
         cfg = cfg_for(s=s)
         fields = [gaussian_field(g, width=2.0 + 0.1 * i) for i in range(len(cfg.sample_times))]
         q = 2.0 * (cfg.k + 1.0)
         fft_calls.clear()
-        rep = x_norm(fields, cfg)
+        x_norm(fields, cfg)
         per_time = 1 if s == 0 else 2
         assert fft_calls["irfft"] == per_time * len(fields)
-        rows = {(t, name): value for t, name, value in rep.components}
         for t, f in zip(cfg.sample_times, fields):
+            w = t ** cfg.weight_exponent
+            dx = lebesgue_norm(spatial_derivative(f), q)
             dxs = lebesgue_norm(fractional_derivative_shifted(f, s), q)
-            assert rows[(t, "w_dxs_lq")] == t ** cfg.weight_exponent * dxs
             if s == 0:
-                assert rows[(t, "w_dx_lq")] == rows[(t, "w_dxs_lq")]
+                assert dxs == dx
+            expected = sobolev_norm(f, s) + (w * lebesgue_norm(f, q) + w * dx + w * dxs)
+            assert x_norm([f], one_time_cfg(t, s=s)) == expected
         fft_calls.clear()
         y_norm([gaussian_field(g, width=2.0)] * len(cfg.sample_times), cfg)
         assert fft_calls["irfft"] == per_time * len(cfg.sample_times)
@@ -249,7 +280,7 @@ class TestTrajectoryNorms:
         bump = gaussian_field(g, width=2.0)
         cfg = cfg_for(s=0.0)
         fields = [bump] * len(cfg.sample_times)
-        assert y_norm(fields, cfg).total <= x_norm(fields, cfg).total + 1e-14
+        assert y_norm(fields, cfg) <= x_norm(fields, cfg) + 1e-14
 
     def test_z_tilde_stationary_oracle(self):
         g = GridSpec(40.0, 256)
@@ -270,7 +301,7 @@ class TestTrajectoryNorms:
         f = coherent_field(g, rng.standard_normal(256))
         cfg = cfg_for()
         fields = [f] * len(cfg.sample_times)
-        assert np.isfinite(x_norm(fields, cfg).total)
+        assert np.isfinite(x_norm(fields, cfg))
         assert np.isfinite(z_norm(fields, cfg))
 
     def test_blow_up_named_time(self):

@@ -146,16 +146,17 @@ class TestLivePrefix:
             assert not inner.spec[cut:].any()
             return inner if tau < onset else linear_combination(inner, high, 1.0, tau)
 
-        new = list(duhamel_sweep(prop, forcing, _panel_bounds(t_final, 16)[1:], t_final))
+        new = list(duhamel_sweep(prop, forcing, _panel_bounds(t_final, 16)[1:], t_final,
+                                 panels=16))
         ref = full_band_sweep(prop, forcing, t_final)
         assert np.any(ref[-1][cut:] != 0)
         for a, b in zip(new, ref):
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
-def sweep_at(prop, forcing, t, **kwargs):
-    """The Duhamel integral at the single time t, with t as the horizon."""
-    return SpectralField(prop.grid, next(duhamel_sweep(prop, forcing, [t], t, **kwargs)))
+def sweep_at(prop, forcing, t):
+    """The Duhamel integral at the single time t, with t as the horizon, on 16 panels."""
+    return SpectralField(prop.grid, next(duhamel_sweep(prop, forcing, [t], t, panels=16)))
 
 
 def scaled(field, c):
@@ -266,13 +267,13 @@ class TestDuhamelIntegral:
     def test_time_domain(self, grid):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
         zero = coherent_field(grid, np.zeros(grid.n_points))
-        assert np.all(next(duhamel_sweep(prop, lambda tau: zero, [0.0], 0.4)) == 0)
+        assert np.all(next(duhamel_sweep(prop, lambda tau: zero, [0.0], 0.4, panels=16)) == 0)
         with pytest.raises(ValueError):
             sweep_at(prop, lambda tau: zero, 1.5)
         with pytest.raises(ValueError):
-            duhamel_sweep(prop, lambda tau: zero, [0.5], 0.4)
+            duhamel_sweep(prop, lambda tau: zero, [0.5], 0.4, panels=16)
         with pytest.raises(ValueError):
-            duhamel_sweep(prop, lambda tau: zero, [0.3, 0.1], 0.4)
+            duhamel_sweep(prop, lambda tau: zero, [0.3, 0.1], 0.4, panels=16)
 
 
 # G_0..G_3 of w, G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu, at |w| = 0.49, 0.5,
@@ -338,9 +339,9 @@ class TestPanelStep:
         forcing = lambda tau: nonlinearity_eval(free(tau), 1.0, "conservative")
         t_final = 1e-3
         times = list(_panel_bounds(t_final, 16))
-        new = list(duhamel_sweep(prop, forcing, times, t_final))
+        new = list(duhamel_sweep(prop, forcing, times, t_final, panels=16))
         monkeypatch.setattr(semigroup, "_panel_step", panel_step)
-        ref = list(duhamel_sweep(prop, forcing, times, t_final))
+        ref = list(duhamel_sweep(prop, forcing, times, t_final, panels=16))
         assert len(new) == len(ref) == 17
         for a, b in zip(new[1:], ref[1:]):
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
@@ -369,7 +370,8 @@ class TestPanelStep:
         forcing = functools.partial(apply_semigroup, prop, g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = list(duhamel_sweep(prop, forcing, [0.0, 1e-300, 0.1, 0.4], 0.4))
+            out = list(duhamel_sweep(prop, forcing, [0.0, 1e-300, 0.1, 0.4], 0.4,
+                                     panels=16))
         assert all(np.all(np.isfinite(spec)) for spec in out)
         assert np.all(out[0] == 0)
 

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gkdv"
 
 # The defaulted parameters of src/gkdv once each setting has one owner.
-MAX_DEFAULTED = 47
+MAX_DEFAULTED = 40
 
 # Exported because they encode the paper's spaces and constants, not because
 # the program calls them.

@@ -150,26 +150,16 @@ class TestSelection:
 
 
 class TestCalibration:
-    def test_zero_probes_skipped_all_zero_error(self):
+    def test_zero_probe_is_an_error(self):
         prob = make_problem()
-        zero = zero_field(prob.grid)
         with pytest.raises(ValueError):
-            calibrate_c(prob, [zero])
-        c = calibrate_c(prob, [zero, prob.initial_data])
-        assert c > 0
+            calibrate_c(prob, zero_field(prob.grid), 16)
 
     def test_deterministic(self):
         prob = make_problem()
-        c1 = calibrate_c(prob, [prob.initial_data])
-        c2 = calibrate_c(prob, [prob.initial_data])
+        c1 = calibrate_c(prob, prob.initial_data, 16)
+        c2 = calibrate_c(prob, prob.initial_data, 16)
         assert c1 == c2
-
-    def test_monotone_under_probes(self):
-        prob = make_problem()
-        g2 = gaussian_field(prob.grid, amplitude=0.3, width=2.0)
-        c1 = calibrate_c(prob, [prob.initial_data])
-        c2 = calibrate_c(prob, [prob.initial_data, g2])
-        assert c2 >= c1
 
 
 class TestPicard:
@@ -218,7 +208,7 @@ class TestPicard:
             mapped = linear_combination(free, sol.duhamel_part(t), 1.0, 1.0)
             return linear_combination(mapped, sol(t), 1.0, -1.0)
 
-        residual = x_norm((residual_at(t) for t in cfg.sample_times), cfg).total
+        residual = x_norm((residual_at(t) for t in cfg.sample_times), cfg)
         assert residual <= 2 * tol
 
     def test_off_grid_call_matches_batch_sweep(self):
@@ -233,7 +223,7 @@ class TestPicard:
         # the stored iterate at the sweep nodes gives the nodal forcing
         forcing = lambda tau: nonlinearity_eval(sol(tau), prob.k, prob.mode)
         times = [0.1 * t_final, t_off, t_final]
-        batch = dict(zip(times, duhamel_sweep(prop, forcing, times, t_final)))
+        batch = dict(zip(times, duhamel_sweep(prop, forcing, times, t_final, panels=16)))
         expected = prop.multiplier(t_off) * prob.initial_data.spec - batch[t_off]
         assert np.array_equal(sol(t_off).spec, expected)
         assert np.array_equal(sol.duhamel_part(t_off).spec, -batch[t_off])
@@ -241,12 +231,12 @@ class TestPicard:
     def test_first_iterate_obeys_linear_bound(self):
         g = GridSpec(200 * np.pi, 2 ** 11)
         sym = builtin("kdv-ks")
-        rep = verify_weighted_linear(sym, 1.0, grid=g, n_seeds=4, base_seed=0, n_t=10)
+        rep = verify_weighted_linear(sym, 1.0, grid=g, n_seeds=4, base_seed=0)
         w0 = rough_field(g, sobolev_index=0.0, seed=99)
         prop = Propagator(sym, g)
         cfg = WeightedNormConfig.default(0.0, 1.0, 4.0, 1.0, n_times=10)
         free = [apply_semigroup(prop, w0, t) for t in cfg.sample_times]
-        ratio = x_norm(free, cfg).total / sobolev_norm(w0, 0.0)
+        ratio = x_norm(free, cfg) / sobolev_norm(w0, 0.0)
         assert ratio <= 1.25 * rep.empirical_constant
 
 
@@ -257,14 +247,17 @@ class TestReferenceIntegrator:
         assert np.all(run.final.phys == 0)
         assert np.all(run.l2_norms == 0)
 
-    def test_exact_on_linear_part(self):
-        # j steps of the same dt to j*dt, so every run shares the ETDRK4 coefficients
+    def test_exact_on_linear_part(self, monkeypatch):
+        # j steps of the same dt to j*dt, so every run shares the ETDRK4
+        # coefficients; a zero nonlinearity leaves the linear part alone
         prob = make_problem(name="kdv-ks", amplitude=0.4)
+        monkeypatch.setattr("gkdv.solver.nonlinearity_eval",
+                            lambda f, k, mode: zero_field(f.grid))
         dt = 0.08 / 16
         prop = Propagator(prob.symbol, prob.grid)
         for j in range(1, 17):
             t = j * dt
-            run = reference_integrate(prob, t, n_steps=j, include_nonlinearity=False)
+            run = reference_integrate(prob, t, n_steps=j)
             exact = apply_semigroup(prop, prob.initial_data, t)
             assert rel_l2(run.final.phys, exact.phys) <= 1e-12
 

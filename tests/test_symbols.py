@@ -100,18 +100,18 @@ class TestValidation:
 
 class TestThreshold:
     def test_pure_power_threshold_is_one(self):
-        m = threshold_M(builtin_symbol("pure-power", p=2), 64.0, tol=1e-10)
+        m = threshold_M(builtin_symbol("pure-power", p=2), 64.0)
         assert m == pytest.approx(1.0, abs=1e-8)
 
     def test_kdv_ks_threshold(self):
         # |Phi1|/|xi|^4 <= 1/2 needs xi^2 >= 2, the binding condition
-        m = threshold_M(builtin_symbol("kdv-ks"), 64.0, tol=1e-10)
+        m = threshold_M(builtin_symbol("kdv-ks"), 64.0)
         assert m >= np.sqrt(2) - 1e-8
         assert m == pytest.approx(np.sqrt(2), abs=1e-6)
 
     def test_ostrovsky_threshold_reevaluates(self):
         sym = builtin_symbol("ostrovsky")
-        m = threshold_M(sym, 64.0, tol=1e-10)
+        m = threshold_M(sym, 64.0)
         assert m ** 3 - m > 1.0 - 1e-9  # Phi < -1 holds at the threshold
 
     def test_inadmissible_range_raises(self):

@@ -80,7 +80,7 @@ class TestWeightedLinear:
     def test_pure_power_passes(self):
         g = GridSpec(200 * np.pi, 2 ** 11)
         rep = verify_weighted_linear(builtin_symbol("pure-power", p=4), 1.0, grid=g,
-                                     n_seeds=4, n_t=12)
+                                     n_seeds=4)
         assert rep.verdict in ("pass", "pass-weak")
         assert rep.fitted_exponent >= rep.theoretical_exponent - 0.05
         assert rep.notes["constant_spread"] <= 0.2
