@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -97,7 +98,7 @@ def run_solve(config_path: str, out_override: str | None) -> int:
             lines = ["x,value"]
             lines += [f"{x},{v!r}" for x, v in zip(x_column, fld.phys.tolist())]
             (run_dir / "data" / f"trajectory_{idx:03d}.csv").write_text("\n".join(lines) + "\n")
-        _write_json(run_dir / "reports" / "picard_trace.json", trace.to_json_dict())
+        _write_json(run_dir / "reports" / "picard_trace.json", asdict(trace))
     except GkdvError as exc:
         click.echo(f"solver failure: {exc}", err=True)
         _write_manifest(cfg, run_dir, started)
@@ -121,9 +122,7 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
     seed = cfg.seed
     if suite in ("all", "linear"):
         for theta in _set_keys(opts, theta_values=list).get("theta_values", [1.0]):
-            yield verify_multiplier_decay(
-                symbol, float(theta), **_set_keys(opts, tau_window=tuple, n_tau=int)
-            )
+            yield verify_multiplier_decay(symbol, float(theta), **_set_keys(opts, tau_window=tuple))
         yield verify_weighted_linear(
             symbol, k, s=s, grid=grid, base_seed=seed, **_set_keys(opts, n_seeds=int)
         )
@@ -135,17 +134,10 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
             yield verify_hausdorff_young(hy_fields, float(p1))
         yield verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float))
     if suite in ("all", "nonlinear"):
-        yield verify_nonlinear_estimate(
-            prob, seed=seed, **_set_keys(opts, t_values=list, panels=int, n_times=int)
-        )
-        yield verify_contraction_scaling(
-            prob, seed=seed,
-            **_set_keys(opts, t_values=list, n_pairs=int, panels=int, n_times=int),
-        )
+        yield verify_nonlinear_estimate(prob, seed=seed)
+        yield verify_contraction_scaling(prob, seed=seed, **_set_keys(opts, n_pairs=int))
     if suite in ("all", "smoothing"):
-        yield verify_smoothing(
-            prob, seed=seed, **_set_keys(opts, panels=int, t_horizon=float, data_scale=float)
-        )
+        yield verify_smoothing(prob, seed=seed, **_set_keys(opts, t_horizon=float))
 
 
 def run_verify(config_path: str, suite: str | None, out_override: str | None) -> int:
@@ -162,7 +154,7 @@ def run_verify(config_path: str, suite: str | None, out_override: str | None) ->
         # each report is written as it arrives, so a later check that raises
         # keeps the reports of the checks before it
         for rep in _verify_reports(cfg, prob, suite or cfg.suite):
-            _write_json(run_dir / "reports" / f"{rep.estimate_id}.json", rep.to_json_dict())
+            _write_json(run_dir / "reports" / f"{rep.estimate_id}.json", asdict(rep))
             reports.append(rep)
     except GkdvError as exc:
         click.echo(f"verification failure: {exc}", err=True)

@@ -41,8 +41,8 @@ _SECTIONS = {
     "symbol": {"name", "p", "q", "c_phi1", "eta", "table"},
     "initial_data": {"type", "amplitude", "width", "center", "sobolev_index", "seed"},
     "solver": {"max_iter", "tol", "panels"},
-    "verify": {"theta_values", "tau_window", "n_tau", "t_values", "n_seeds", "n_pairs",
-               "hy_exponents", "xi_max", "n_times", "panels", "t_horizon", "data_scale"},
+    "verify": {"theta_values", "tau_window", "n_seeds", "n_pairs", "hy_exponents", "xi_max",
+               "t_horizon"},
     "sweep": {"k", "p", "s"},
 }
 
@@ -74,10 +74,9 @@ _RANGES = {
     "s": ("a number > -1", _number(lambda v: v > -1)),
     "seed": ("an integer >= 0", _integer(0, math.inf)),
     "n_points": ("an integer >= 2", _integer(2, math.inf)),
-    "n_tau": (f"an integer in [3, {_MAX_COUNT}]", _integer(3, _MAX_COUNT)),
-    **dict.fromkeys(["n_seeds", "n_pairs", "n_times", "panels", "max_iter"],
+    **dict.fromkeys(["n_seeds", "n_pairs", "panels", "max_iter"],
                     (f"an integer in [1, {_MAX_COUNT}]", _integer(1, _MAX_COUNT))),
-    **dict.fromkeys(["k", "length", "width", "tol", "xi_max", "data_scale", "p", "eta"],
+    **dict.fromkeys(["k", "length", "width", "tol", "xi_max", "p", "eta"],
                     ("a number > 0", _number(lambda v: v > 0))),
     **dict.fromkeys(["q", "c_phi1"], ("a number >= 0", _number(lambda v: v >= 0))),
     "dealias_fraction": ("a number in (0, 1]", _number(_in_unit)),
@@ -85,8 +84,6 @@ _RANGES = {
     "hy_exponents": ("a list of numbers >= 2", _list_of(lambda v: v >= 2)),
     "output_times": ("a list of numbers >= 0", _list_of(lambda v: v >= 0)),
     "t_horizon": ("a number in (0, 1]", _number(_in_unit)),
-    "t_values": ("a list of at least 3 numbers in (0, 1]",
-                 lambda v: _list_of(_in_unit)(v) and len(v) >= 3),
     "tau_window": ("two numbers lo, hi with 0 < lo < hi <= 1",
                    lambda v: _list_of(_in_unit)(v) and len(v) == 2 and v[0] < v[1]),
 }

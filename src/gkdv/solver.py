@@ -98,23 +98,6 @@ class PicardTrace:
     iterates: list = field(default_factory=list)
     converged: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "t_final": self.t_final,
-            "c_calibrated": self.c_calibrated,
-            "converged": self.converged,
-            "iterates": [
-                {
-                    "index": rec.index,
-                    "space_norm": rec.space_norm,
-                    "increment_norm": rec.increment_norm,
-                    "contraction_ratio": rec.contraction_ratio,
-                }
-                for rec in self.iterates
-            ],
-        }
-
 
 def signed_power(values: np.ndarray, k: float) -> np.ndarray:
     """v^(k+1) for integer k+1, else the sign-preserving power |v|^k * v.
@@ -233,7 +216,6 @@ class PicardSolution:
         self.panels = panels
         self._v0_spec = prob.initial_data.spec.copy()
         self._stored = dict(stored_fields)
-        self.times = np.array(sorted(self._stored))
 
     @cached_property
     def _nodal_forcing(self) -> dict:

@@ -77,19 +77,6 @@ class EstimateReport:
     def passed(self) -> bool:
         return self.verdict in ("pass", "pass-weak", "skipped")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate_id": self.estimate_id,
-            "theoretical_exponent": self.theoretical_exponent,
-            "fitted_exponent": self.fitted_exponent,
-            "fit_window": list(self.fit_window),
-            "residual": self.residual,
-            "empirical_constant": self.empirical_constant,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
 
 def render_report_table(reports) -> str:
     """Aligned text table of reports for human consumption."""
@@ -127,6 +114,19 @@ def fit_power_law(xs, ys) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
     return float(slope), float(np.exp(intercept)), residual
+
+
+def _nonzero(values, what: str, grid: GridSpec) -> np.ndarray:
+    """values as a float array; DoubleRangeError naming what and the grid when
+    one of them is 0, as on a torus so long or so short that a probe's norms
+    underflow.  No power law fits a 0."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values == 0):
+        raise DoubleRangeError(
+            f"{what} underflows to 0 on the grid (length {grid.length:g}, "
+            f"{grid.n_points} points)"
+        )
+    return values
 
 
 def _lattice_for_profile(sym: DissipativeSymbol, theta: float, tau_min: float) -> GridSpec:
@@ -168,7 +168,6 @@ def verify_multiplier_decay(
     sym: DissipativeSymbol,
     theta: float,
     tau_window: tuple | None = None,
-    n_tau: int = 24,
     rel_tol: float = 0.05,
     weight: str = "bracket",
 ) -> EstimateReport:
@@ -188,7 +187,7 @@ def verify_multiplier_decay(
         raise ValueError("weight must be 'bracket' or 'homogeneous'")
     if tau_window is None:
         tau_window = _auto_tau_window(sym, theta)
-    taus = np.geomspace(tau_window[0], tau_window[1], n_tau)
+    taus = np.geomspace(tau_window[0], tau_window[1], 24)
     grid = _lattice_for_profile(sym, theta, taus[0])
     if weight == "bracket":
         profile = smoothing_norm_profile(sym, theta, taus, grid)
@@ -245,14 +244,10 @@ def verify_weighted_linear(
     cfg = WeightedNormConfig.default(s, k, sym.p, 1.0)
     ts = np.array(cfg.sample_times)
     w0 = rough_field(grid, sobolev_index=0.0, seed=base_seed)
-    ys = np.array(
-        [lebesgue_norm(spatial_derivative(apply_semigroup(prop, w0, t)), q) for t in ts]
+    ys = _nonzero(
+        [lebesgue_norm(spatial_derivative(apply_semigroup(prop, w0, t)), q) for t in ts],
+        f"||d_x V(t) w0||_L^{q:g}", grid,
     )
-    if np.any(ys == 0):
-        raise DoubleRangeError(
-            f"||d_x V(t) w0||_L^{q:g} underflows to 0 on the grid (length {grid.length:g}, "
-            f"{grid.n_points} points)"
-        )
     mask = ts <= 1e-1
     fitted, _, residual = fit_power_law(ts[mask], ys[mask])
 
@@ -308,7 +303,6 @@ def verify_nonlinear_estimate(
     prob: IvpProblem,
     t_values=_GROWTH_T_VALUES,
     seed: int = 0,
-    panels: int = 12,
     n_times: int = 10,
 ) -> EstimateReport:
     """Growth in T of the Duhamel nonlinear term of a free rough probe.
@@ -330,8 +324,9 @@ def verify_nonlinear_estimate(
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
-        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=panels)
+        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=12)
         lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg))
+    lhs = _nonzero(lhs, "the Duhamel term's space norm", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, lhs)
     return EstimateReport(
         estimate_id=ident,
@@ -362,20 +357,28 @@ def default_contraction_window(prob: IvpProblem) -> list[float]:
 
     The effective bandwidth (eta*T)^(-1/p) must stay well below the dealias
     cutoff across the whole window, so T_lo pins it at cutoff/3.2 and the
-    window spans a factor 64 upward.
+    window spans a factor 64 upward.  Where T_lo leaves the double range,
+    as on a torus near 1e100 long, no window exists and DoubleRangeError
+    says so.
     """
     cutoff_xi = prob.grid.dealias_cutoff * 2.0 * np.pi / prob.grid.length
-    t_lo = (cutoff_xi / 3.2) ** (-prob.symbol.p) / prob.symbol.eta
+    try:
+        t_lo = (cutoff_xi / 3.2) ** (-prob.symbol.p) / prob.symbol.eta
+    except OverflowError:
+        t_lo = np.inf
+    if not 0 < t_lo < np.inf:
+        raise DoubleRangeError(
+            f"no contraction window on the grid (length {prob.grid.length:g}, "
+            f"{prob.grid.n_points} points): T_lo = (cutoff/3.2)^-p/eta leaves the double range"
+        )
     t_hi = min(64.0 * t_lo, 1.0)
     return list(np.geomspace(t_hi / 64.0, t_hi, 6))
 
 
 def verify_contraction_scaling(
     prob: IvpProblem,
-    t_values=None,
     n_pairs: int = 2,
     seed: int = 0,
-    panels: int = 10,
     n_times: int = 8,
 ) -> EstimateReport:
     """Fit the T-scaling of the Duhamel map's Lipschitz ratio on ball pairs.
@@ -394,9 +397,7 @@ def verify_contraction_scaling(
     ident = f"contraction-scaling-{prob.symbol.name}-k{prob.k:g}"
     if w <= 0:
         return _inadmissible_report(ident, w, rel_tol)
-    if t_values is None:
-        t_values = default_contraction_window(prob)
-    t_values = np.asarray(sorted(t_values), dtype=float)
+    t_values = np.asarray(default_contraction_window(prob), dtype=float)
     t_floor = 1e-4 * t_values[0]
     prop = Propagator(prob.symbol, prob.grid)
     space = prob.space_norm
@@ -428,11 +429,11 @@ def verify_contraction_scaling(
                 1.0,
                 -1.0,
             )
-            sweep = duhamel_sweep(prop, forcing, times, t_final, panels=panels)
+            sweep = duhamel_sweep(prop, forcing, times, t_final, panels=10)
             dfields = (SpectralField(prob.grid, spec) for spec in sweep)
             best = max(best, space(dfields, cfg) / denom)
         rhos.append(best)
-    rhos = np.array(rhos)
+    rhos = _nonzero(rhos, "rho(T)", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, rhos)
     tol = rel_tol * abs(w)
     ok = abs(fitted - w) <= tol
@@ -459,8 +460,6 @@ def verify_smoothing(
     s: float | None = None,
     t_horizon: float | None = None,
     seed: int = 7,
-    data_scale: float = 0.15,
-    panels: int = 16,
 ) -> EstimateReport:
     """Regularity gain of the free flow and of the Duhamel term of the fixed point.
 
@@ -486,17 +485,17 @@ def verify_smoothing(
     coarse = prob.grid
     fine = GridSpec(coarse.length, 2 * coarse.n_points, coarse.dealias_fraction)
 
-    data_c = rough_field(coarse, sobolev_index=s, seed=seed, amplitude=data_scale)
-    data_f = rough_field(fine, sobolev_index=s, seed=seed, amplitude=data_scale)
+    data_c = rough_field(coarse, sobolev_index=s, seed=seed, amplitude=0.15)
+    data_f = rough_field(fine, sobolev_index=s, seed=seed, amplitude=0.15)
     prob_c = replace(prob, grid=coarse, initial_data=data_c, s=s)
     prob_f = replace(prob, grid=fine, initial_data=data_f, s=s)
 
-    c = calibrate_c(prob_c, data_c, panels)
+    c = calibrate_c(prob_c, data_c, 16)
     r, t_final = select_radius_and_time(prob_c, c)
     if t_horizon is not None:
         t_final = t_horizon
-    sol_c, trace_c = picard_iterate(prob_c, r, t_final, panels=panels, calibrated_c=c)
-    sol_f, trace_f = picard_iterate(prob_f, r, t_final, panels=panels, calibrated_c=c)
+    sol_c, trace_c = picard_iterate(prob_c, r, t_final, panels=16, calibrated_c=c)
+    sol_f, trace_f = picard_iterate(prob_f, r, t_final, panels=16, calibrated_c=c)
     t_probe = 0.5 * t_final
 
     prop_c = Propagator(prob.symbol, coarse)

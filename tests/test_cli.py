@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkdv import cli, runconfig
 from gkdv.cli import main
 from gkdv.errors import ConfigError
 from gkdv.runconfig import RunConfig
@@ -50,8 +51,6 @@ def verify_config(**overrides):
             "n_pairs": 1,
             "hy_exponents": [2.0],
             "xi_max": 8.0,
-            "t_values": [0.001, 0.002, 0.004, 0.008],
-            "n_times": 6,
         },
     }
     cfg.update(overrides)
@@ -191,7 +190,8 @@ def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, k
 
 
 # Valid configs on which a computed quantity leaves the double range; each
-# used to escape as an uncaught OverflowError or ValueError.
+# used to escape as an uncaught OverflowError or ValueError.  A verify config
+# runs the linear suite unless it sets its own.
 RANGE_FAILURES = {
     # the automatic tau window needs 40^p
     "tau-window": ("verify", {"symbol": {"name": "pure-power", "p": 1e6}},
@@ -200,22 +200,84 @@ RANGE_FAILURES = {
                        "solver failure: existence time T=0 leaves the double range"),
     "weighted-linear-norm": ("verify", {"grid": {"length": 1e300, "n_points": 256}},
                              "verification failure: ||d_x V(t) w0||_L^4 underflows to 0"),
+    # the free rough probe vanishes on both tori, and so does its Duhamel term
+    "duhamel-norm-long-torus": ("verify", {"grid": {"length": 1e300, "n_points": 256},
+                                           "suite": "nonlinear"},
+                                "verification failure: the Duhamel term's space norm "
+                                "underflows to 0"),
+    "duhamel-norm-short-torus": ("verify", {"grid": {"length": 1e-3, "n_points": 256},
+                                            "suite": "nonlinear"},
+                                 "verification failure: the Duhamel term's space norm "
+                                 "underflows to 0"),
+    # the contraction window needs (cutoff/3.2)^-p
+    "contraction-window": ("verify", {"grid": {"length": 1e100, "n_points": 256},
+                                      "suite": "nonlinear"},
+                           "verification failure: no contraction window"),
 }
 
 
 @pytest.mark.parametrize("command,changes,message", RANGE_FAILURES.values(),
                          ids=RANGE_FAILURES.keys())
 def test_double_range_is_a_named_failure(tmp_path, command, changes, message):
-    cfg = verify_config(suite="linear", **changes) if command == "verify" else solve_config(**changes)
+    if command == "verify":
+        cfg = verify_config(**{"suite": "linear", **changes})
+    else:
+        cfg = solve_config(**changes)
     path = write_config(tmp_path, "range.json", cfg)
     with np.errstate(over="ignore"):  # the 1e300 torus overflows its Gaussian's exponent
         res = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
     assert isinstance(res.exception, SystemExit) and res.exit_code == 1
     assert message in res.output
+    assert (next((tmp_path / "out").iterdir()) / "manifest.json").exists()
+
+
+VERIFY_CHECKS = ("verify_multiplier_decay", "verify_weighted_linear", "verify_hausdorff_young",
+                 "verify_threshold_conditions", "verify_nonlinear_estimate",
+                 "verify_contraction_scaling", "verify_smoothing")
+# Two valid values of each verify key.
+VERIFY_KEY_VALUES = {
+    "theta_values": ([1.0], [2.0]),
+    "tau_window": ([1e-4, 1e-2], [1e-3, 1e-1]),
+    "n_seeds": (2, 3),
+    "n_pairs": (1, 2),
+    "hy_exponents": ([2.0], [4.0]),
+    "xi_max": (8.0, 16.0),
+    "t_horizon": (0.5, 0.25),
+}
+
+
+def _numeric(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float))
+
+
+def check_arguments(monkeypatch, verify: dict) -> dict:
+    """The numeric arguments of every call _verify_reports makes to each check
+    on the suite 'all', with the checks replaced by recorders."""
+    calls = {name: [] for name in VERIFY_CHECKS}
+    for name in VERIFY_CHECKS:
+        def record(*args, _calls=calls[name], **kwargs):
+            _calls.append(([a for a in args if _numeric(a)],
+                           {key: v for key, v in kwargs.items() if _numeric(v)}))
+        monkeypatch.setattr(cli, name, record)
+    cfg = RunConfig.from_dict(verify_config(verify=verify), "verify")
+    list(cli._verify_reports(cfg, cfg.build_problem(), "all"))
+    return calls
+
+
+def test_each_verify_key_reaches_one_check(monkeypatch):
+    assert set(VERIFY_KEY_VALUES) == runconfig._SECTIONS["verify"]
+    first = {key: values[0] for key, values in VERIFY_KEY_VALUES.items()}
+    base = check_arguments(monkeypatch, first)
+    for key, (_, other) in VERIFY_KEY_VALUES.items():
+        changed = check_arguments(monkeypatch, {**first, key: other})
+        reached = [name for name in VERIFY_CHECKS if changed[name] != base[name]]
+        assert len(reached) == 1, (key, reached)
 
 
 INITIAL_DATA = {
-    "gaussian": {"type": "gaussian", "amplitude": 0.05, "width": 4.0, "center": 0.0},
+    "gaussian":{"type": "gaussian", "amplitude": 0.05, "width": 4.0, "center": 0.0},
     "rough": {"type": "rough", "amplitude": 0.05, "sobolev_index": 0.5, "seed": 4},
 }
 UNCASTABLE_INITIAL_DATA = [(kind, key) for kind, section in INITIAL_DATA.items()
@@ -599,8 +661,7 @@ class TestSweepCommand:
 # One key of a valid config set to a value from this list at a time.
 BOUNDARY_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 2.5, 1e300, "x", True,
                    None, [], {}]
-INTEGER_KEYS = {"seed", "n_points", "n_tau", "n_seeds", "n_pairs", "n_times", "panels",
-                "max_iter"}
+INTEGER_KEYS = {"seed", "n_points", "n_seeds", "n_pairs", "panels", "max_iter"}
 
 
 def boundary_bases():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -218,7 +220,7 @@ class TestPicard:
         sol, trace = picard_iterate(prob, r, t_final, tol=1e-10)
         assert trace.converged
         t_off = 0.37 * t_final
-        assert t_off not in sol.times
+        assert t_off not in sol._stored
         prop = Propagator(prob.symbol, prob.grid)
         # the stored iterate at the sweep nodes gives the nodal forcing
         forcing = lambda tau: nonlinearity_eval(sol(tau), prob.k, prob.mode)
@@ -353,7 +355,7 @@ class TestSolve:
     def test_trace_serialization(self):
         prob = make_problem(name="kdv-ks", amplitude=0.02)
         _, trace = solve(prob, tol=1e-12)
-        payload = trace.to_json_dict()
+        payload = asdict(trace)
         assert payload["converged"] is True
         assert payload["r"] == trace.r
         assert len(payload["iterates"]) == len(trace.iterates)

@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from gkdv.errors import DoubleRangeError
 from gkdv.probes import gaussian_field
 from gkdv.spectral import GridSpec, zero_field
 from gkdv.solver import IvpProblem
@@ -73,7 +77,7 @@ class TestMultiplierDecay:
     def test_report_is_reproducible(self):
         a = verify_multiplier_decay(builtin_symbol("kdv-ks"), 1.0)
         b = verify_multiplier_decay(builtin_symbol("kdv-ks"), 1.0)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert asdict(a) == asdict(b)
 
 
 class TestWeightedLinear:
@@ -159,6 +163,16 @@ class TestContractionScaling:
         assert rep.verdict == "skipped"
         assert rep.notes["status"] == "inadmissible"
 
+    def test_every_pair_skipped_is_a_named_failure(self, monkeypatch):
+        # zero probes make every pair difference vanish, so rho(T) = 0 at each T;
+        # the power-law fit used to raise a bare ValueError on it
+        monkeypatch.setattr("gkdv.verifier.rough_field", lambda grid, **kwargs: zero_field(grid))
+        g = GridSpec(100.0, 256)
+        prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
+                          mode="conservative", s=0.0, initial_data=zero_field(g))
+        with pytest.raises(DoubleRangeError, match=r"rho\(T\) underflows to 0"):
+            verify_contraction_scaling(prob)
+
     def test_probe_exponent_values(self):
         assert contraction_probe_exponent(1.0) == pytest.approx(-0.25)
         assert contraction_probe_exponent(0.5) == pytest.approx(0.0)
@@ -237,7 +251,7 @@ class TestReporting:
             verdict="pass",
             notes={"x": 1},
         )
-        payload = rep.to_json_dict()
+        payload = json.loads(json.dumps(asdict(rep)))
         assert payload["estimate_id"] == "demo"
         assert payload["fit_window"] == [1e-4, 1e-2]
         assert rep.passed
