@@ -193,8 +193,10 @@ def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers up front, so it never outnumbers the combinations
+        workers = min(jobs, len(combos))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_job, combos))
         else:
             results = [_sweep_job(combo) for combo in combos]
@@ -236,7 +238,8 @@ def verify_cmd(config_path, suite, out_override):
 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes, at most one per combination")
 @click.option("--out", "out_override", default=None)
 def sweep_cmd(config_path, jobs, out_override):
     """Cartesian sweep over configured (k, p, s) values."""

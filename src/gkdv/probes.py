@@ -19,8 +19,9 @@ def gaussian_field(
 
 def rough_field(
     grid: GridSpec,
+    *,
+    seed: int,
     sobolev_index: float = 0.0,
-    seed: int = 0,
     amplitude: float = 1.0,
     spectral_exponent: float | None = None,
 ) -> SpectralField:

@@ -202,11 +202,12 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
 
 
 class PicardSolution:
-    """Converged iterate: stored fields plus single-sweep access anywhere.
+    """Last iterate v^n: stored fields plus single-sweep access anywhere.
 
-    Calling the solution at a stored time returns the stored field; any other
-    time in [0, T] is produced by one duhamel_sweep against the nodal forcing
-    of the stored iterate, which the first such call evaluates and keeps.
+    Calling the solution at a stored time returns the iterate v^n there; any
+    other time in [0, T] returns one more Picard application Psi(v^n), by one
+    duhamel_sweep against the nodal forcing of v^n, which the first such call
+    evaluates and keeps.  The two differ by at most the last increment.
     """
 
     def __init__(self, prop, prob, t_final, panels, stored_fields):
@@ -318,8 +319,7 @@ def solve(
     _admissible_omega(prob)
     hs0 = sobolev_norm(prob.initial_data, prob.s)
     if hs0 == 0.0:
-        return picard_iterate(prob, 0.0, 1.0, max_iter=2, tol=max(tol or 0.0, 1e-300),
-                              panels=panels)
+        return picard_iterate(prob, 0.0, 1.0, panels=panels)
     c = calibrate_c(prob, prob.initial_data, panels)
     r, t_final = select_radius_and_time(prob, c)
     if tol is None:

@@ -299,16 +299,12 @@ def _inadmissible_report(ident: str, w: float, tolerance: float) -> EstimateRepo
     )
 
 
-def verify_nonlinear_estimate(
-    prob: IvpProblem,
-    t_values=_GROWTH_T_VALUES,
-    seed: int = 0,
-    n_times: int = 10,
-) -> EstimateReport:
+def verify_nonlinear_estimate(prob: IvpProblem, *, seed: int) -> EstimateReport:
     """Growth in T of the Duhamel nonlinear term of a free rough probe.
 
-    The space norm of int_0^t V(t-tau) N(V(.)g)(tau) dtau over (0, T] must
-    grow no slower than T^omega_k allows: fitted exponent >= omega_k - 0.1.
+    The space norm of int_0^t V(t-tau) N(V(.)g)(tau) dtau over (0, T], sampled
+    at 10 times, must grow no slower than T^omega_k allows on T = 2^-10 ...
+    2^-5: fitted exponent >= omega_k - 0.1.
     Inadmissible (k, p) pairs produce a skipped report before any Duhamel work.
     """
     margin = 0.1
@@ -316,14 +312,14 @@ def verify_nonlinear_estimate(
     ident = f"nonlinear-growth-{prob.symbol.name}-k{prob.k:g}"
     if w <= 0:
         return _inadmissible_report(ident, w, margin)
-    t_values = np.asarray(sorted(t_values), dtype=float)
+    t_values = np.asarray(_GROWTH_T_VALUES)
     prop = Propagator(prob.symbol, prob.grid)
     g = rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
     forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
     space = prob.space_norm
     lhs = []
     for t_final in t_values:
-        cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=n_times)
+        cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=10)
         sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=12)
         lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg))
     lhs = _nonzero(lhs, "the Duhamel term's space norm", prob.grid)
@@ -375,12 +371,7 @@ def default_contraction_window(prob: IvpProblem) -> list[float]:
     return list(np.geomspace(t_hi / 64.0, t_hi, 6))
 
 
-def verify_contraction_scaling(
-    prob: IvpProblem,
-    n_pairs: int = 2,
-    seed: int = 0,
-    n_times: int = 8,
-) -> EstimateReport:
+def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2) -> EstimateReport:
     """Fit the T-scaling of the Duhamel map's Lipschitz ratio on ball pairs.
 
     For pairs (v, w) of free evolutions of scaling-critical random data the
@@ -388,7 +379,7 @@ def verify_contraction_scaling(
     T^omega_k; pass when the fitted exponent is within 15% of omega_k.
     Inadmissible (k, p) pairs produce a skipped report.
 
-    The discrete sup over (0, T] samples down to an absolute time floor
+    The discrete sup over (0, T] takes 8 samples down to an absolute time floor
     shared by every T in the sweep; a floor relative to T would drag a
     spurious T-dependence into the denominator.
     """
@@ -416,7 +407,7 @@ def verify_contraction_scaling(
 
     rhos = []
     for t_final in t_values:
-        times = tuple(np.geomspace(t_floor, t_final, n_times))
+        times = tuple(np.geomspace(t_floor, t_final, 8))
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
         best = 0.0
         for pair in pairs:
@@ -456,10 +447,7 @@ def verify_contraction_scaling(
 
 
 def verify_smoothing(
-    prob: IvpProblem,
-    s: float | None = None,
-    t_horizon: float | None = None,
-    seed: int = 7,
+    prob: IvpProblem, *, seed: int, s: float | None = None, t_horizon: float | None = None
 ) -> EstimateReport:
     """Regularity gain of the free flow and of the Duhamel term of the fixed point.
 

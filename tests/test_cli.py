@@ -252,16 +252,17 @@ def _numeric(value) -> bool:
     return isinstance(value, (int, float))
 
 
-def check_arguments(monkeypatch, verify: dict) -> dict:
+def check_arguments(monkeypatch, verify: dict, **overrides) -> dict:
     """The numeric arguments of every call _verify_reports makes to each check
-    on the suite 'all', with the checks replaced by recorders."""
+    on the suite 'all', with the checks replaced by recorders; overrides
+    replace top-level keys of the config."""
     calls = {name: [] for name in VERIFY_CHECKS}
     for name in VERIFY_CHECKS:
         def record(*args, _calls=calls[name], **kwargs):
             _calls.append(([a for a in args if _numeric(a)],
                            {key: v for key, v in kwargs.items() if _numeric(v)}))
         monkeypatch.setattr(cli, name, record)
-    cfg = RunConfig.from_dict(verify_config(verify=verify), "verify")
+    cfg = RunConfig.from_dict(verify_config(verify=verify, **overrides), "verify")
     list(cli._verify_reports(cfg, cfg.build_problem(), "all"))
     return calls
 
@@ -274,6 +275,15 @@ def test_each_verify_key_reaches_one_check(monkeypatch):
         changed = check_arguments(monkeypatch, {**first, key: other})
         reached = [name for name in VERIFY_CHECKS if changed[name] != base[name]]
         assert len(reached) == 1, (key, reached)
+
+
+def test_config_seed_reaches_every_seeded_check(monkeypatch):
+    verify = {key: values[0] for key, values in VERIFY_KEY_VALUES.items()}
+    base = check_arguments(monkeypatch, verify)
+    reseeded = check_arguments(monkeypatch, verify, seed=4)
+    moved = {name for name in VERIFY_CHECKS if reseeded[name] != base[name]}
+    assert moved == {"verify_weighted_linear", "verify_nonlinear_estimate",
+                     "verify_contraction_scaling", "verify_smoothing"}
 
 
 INITIAL_DATA = {
@@ -341,6 +351,10 @@ class TestSolveCommand:
         assert traj[0] == "x,value"
         values = np.array([float(line.split(",")[1]) for line in traj[1:]])
         assert np.all(values == 0)
+        trace = json.loads((run_dirs[0] / "reports" / "picard_trace.json").read_text())
+        assert trace["converged"]
+        assert len(trace["iterates"]) == 1
+        assert (trace["r"], trace["t_final"], trace["c_calibrated"]) == (0.0, 1.0, None)
 
     def test_deterministic_outputs(self, tmp_path):
         path = write_config(tmp_path, "s.json", solve_config())
@@ -656,6 +670,48 @@ class TestSweepCommand:
             run_dir = next((tmp_path / label).iterdir())
             outputs[label] = (run_dir / "data" / "sweep.csv").read_text()
         assert outputs["serial"] == outputs["parallel"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2_without_run_dir(self, tmp_path, jobs):
+        # --jobs 0 and below used to run serially without a word
+        path = write_config(tmp_path, "s.json", self.sweep_cfg())
+        res = CliRunner().invoke(
+            main, ["sweep", "--config", path, "--jobs", jobs, "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 2
+        assert "--jobs" in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_never_outnumbers_the_combinations(self, tmp_path, monkeypatch):
+        # the pool forks every worker it is asked for, so --jobs 64 used to fork 64
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = self.sweep_cfg()
+        cfg["sweep"] = {"k": [1.0, 2.0]}
+        path = write_config(tmp_path, "s2.json", cfg)
+        outputs = {}
+        for jobs in ("1", "64"):
+            res = CliRunner().invoke(
+                main, ["sweep", "--config", path, "--jobs", jobs, "--out", str(tmp_path / jobs)]
+            )
+            assert res.exit_code == 0
+            outputs[jobs] = (next((tmp_path / jobs).iterdir()) / "data" / "sweep.csv").read_text()
+        assert pools == [2]
+        assert outputs["64"] == outputs["1"]
 
 
 # One key of a valid config set to a value from this list at a time.

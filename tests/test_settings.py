@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gkdv"
 
 # The defaulted parameters of src/gkdv once each setting has one owner.
-MAX_DEFAULTED = 34
+MAX_DEFAULTED = 27
 
 # The leaf keys a config accepts once each verify key feeds one check.
 MAX_CONFIG_KEYS = 35

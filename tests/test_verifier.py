@@ -120,7 +120,7 @@ class TestNonlinearEstimate:
         g = GridSpec(100.0, 256)
         prob = IvpProblem(symbol=builtin_symbol("kdv-burgers"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
-        rep = verify_nonlinear_estimate(prob, [0.01, 0.02, 0.04])
+        rep = verify_nonlinear_estimate(prob, seed=0)
         assert rep.verdict == "skipped"
         assert rep.notes["status"] == "inadmissible"
         assert rep.fitted_exponent is None
@@ -130,7 +130,7 @@ class TestNonlinearEstimate:
         g = GridSpec(100.0, 256)
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
-        rep = verify_nonlinear_estimate(prob)
+        rep = verify_nonlinear_estimate(prob, seed=0)
         assert rep.fit_window == (2.0 ** -10, 2.0 ** -5)
         assert len(rep.notes["lhs"]) == 6
         assert rep.fitted_exponent is not None
@@ -139,8 +139,7 @@ class TestNonlinearEstimate:
         g = GridSpec(100 * np.pi, 2 ** 11)
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
-        rep = verify_nonlinear_estimate(prob, [2.0 ** (-j) for j in range(9, 4, -1)],
-                                        seed=0, n_times=8)
+        rep = verify_nonlinear_estimate(prob, seed=0)
         assert rep.passed
         assert rep.fitted_exponent >= rep.theoretical_exponent - 0.1
 
@@ -148,8 +147,7 @@ class TestNonlinearEstimate:
         g = GridSpec(100 * np.pi, 2 ** 11)
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
                           mode="gradient", s=0.5, initial_data=zero_field(g))
-        rep = verify_nonlinear_estimate(prob, [2.0 ** (-j) for j in range(9, 4, -1)],
-                                        seed=1, n_times=8)
+        rep = verify_nonlinear_estimate(prob, seed=1)
         assert rep.passed
         assert rep.fitted_exponent >= rep.theoretical_exponent - 0.1
 
@@ -159,7 +157,7 @@ class TestContractionScaling:
         g = GridSpec(100.0, 256)
         prob = IvpProblem(symbol=builtin_symbol("kdv-burgers"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
-        rep = verify_contraction_scaling(prob)
+        rep = verify_contraction_scaling(prob, seed=0)
         assert rep.verdict == "skipped"
         assert rep.notes["status"] == "inadmissible"
 
@@ -171,7 +169,7 @@ class TestContractionScaling:
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
         with pytest.raises(DoubleRangeError, match=r"rho\(T\) underflows to 0"):
-            verify_contraction_scaling(prob)
+            verify_contraction_scaling(prob, seed=0)
 
     def test_probe_exponent_values(self):
         assert contraction_probe_exponent(1.0) == pytest.approx(-0.25)
@@ -183,7 +181,7 @@ class TestContractionScaling:
         g = GridSpec(50 * np.pi, 2 ** 12)
         prob = IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
                           mode="conservative", s=0.0, initial_data=zero_field(g))
-        rep = verify_contraction_scaling(prob, n_pairs=1, n_times=6)
+        rep = verify_contraction_scaling(prob, seed=0, n_pairs=1)
         assert rep.fitted_exponent is not None
         assert len(rep.notes["rhos"]) == 6
         assert all(r > 0 for r in rep.notes["rhos"])
