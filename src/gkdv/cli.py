@@ -193,8 +193,13 @@ def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
         return 2
     run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
     try:
-        # the pool forks all its workers up front, so it never outnumbers the combinations
-        workers = min(jobs, len(combos))
+        # the pool forks all its workers up front, so it never outnumbers the
+        # combinations or the CPUs this process may run on
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = min(jobs, len(combos), cpus)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_job, combos))
@@ -239,7 +244,7 @@ def verify_cmd(config_path, suite, out_override):
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes, at most one per combination")
+              help="Worker processes, at most one per combination and usable CPU")
 @click.option("--out", "out_override", default=None)
 def sweep_cmd(config_path, jobs, out_override):
     """Cartesian sweep over configured (k, p, s) values."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import SpectralField, fractional_derivative_shifted, spatial_derivative
+from .spectral import SpectralField, fractional_derivative_shifted
 
 
 def integer_power(values: np.ndarray, n: int) -> np.ndarray:
@@ -109,34 +109,30 @@ class WeightedNormConfig:
         return cls(s=s, k=k, p=p, t_final=t_final, sample_times=times)
 
 
-def _weighted_sup(fields, cfg: WeightedNormConfig, weighted_parts, wexp: float) -> float:
+def _weighted_sup(fields, cfg: WeightedNormConfig, q: float, orders: tuple, wexp: float) -> float:
     """Shared driver: sup over sample times of H^s plus weighted component sum.
 
     fields holds the trajectory at cfg.sample_times, one field per time in
-    order; a count that differs raises ValueError.  weighted_parts lists the
-    norm functions of the weighted components, each of which carries the
-    factor t^wexp at time t; a function listed twice is evaluated once per
-    time and added twice.
+    order; a count that differs raises ValueError.  Each weighted component is
+    the L^q norm of f itself (order None) or of D^o d_x f (order o, with
+    o = 0.0 the plain derivative) and carries the factor t^wexp at time t;
+    each distinct order is evaluated once per time, so an order listed twice
+    is transformed once and added twice.
     """
     sup_total = 0.0
     for t, f in zip(cfg.sample_times, fields, strict=True):
         hs = sobolev_norm(f, cfg.s)
-        norms = {fn: fn(f) for fn in dict.fromkeys(weighted_parts)}
+        norms = {
+            o: lebesgue_norm(f if o is None else fractional_derivative_shifted(f, o), q)
+            for o in dict.fromkeys(orders)
+        }
         weighted = 0.0
-        for norm_fn in weighted_parts:
-            weighted += t ** wexp * norms[norm_fn]
+        for o in orders:
+            weighted += t ** wexp * norms[o]
         if not np.isfinite(hs) or not np.isfinite(weighted):
             raise BlowUpError(f"non-finite norm at sample time t={t:g}")
         sup_total = max(sup_total, hs + weighted)
     return float(sup_total)
-
-
-def _derivative_parts(cfg: WeightedNormConfig, q: float) -> list:
-    """||d_x f||_{L^q} and ||D^s d_x f||_{L^q}; at s = 0 they agree bit for bit
-    and are one function."""
-    dx = lambda f: lebesgue_norm(spatial_derivative(f), q)
-    dxs = dx if cfg.s == 0 else lambda f: lebesgue_norm(fractional_derivative_shifted(f, cfg.s), q)
-    return [dx, dxs]
 
 
 def x_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -149,8 +145,7 @@ def x_norm(fields, cfg: WeightedNormConfig) -> float:
     + ||D^s d_x f||_{L^q} ),  q = 2(k+1).
     """
     q = 2.0 * (cfg.k + 1.0)
-    parts = [lambda f: lebesgue_norm(f, q)] + _derivative_parts(cfg, q)
-    return _weighted_sup(fields, cfg, parts, cfg.weight_exponent)
+    return _weighted_sup(fields, cfg, q, (None, 0.0, cfg.s), cfg.weight_exponent)
 
 
 def y_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -160,7 +155,7 @@ def y_norm(fields, cfg: WeightedNormConfig) -> float:
     fields is read as in x_norm.
     """
     q = 2.0 * (cfg.k + 1.0)
-    return _weighted_sup(fields, cfg, _derivative_parts(cfg, q), cfg.weight_exponent)
+    return _weighted_sup(fields, cfg, q, (0.0, cfg.s), cfg.weight_exponent)
 
 
 def z_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -169,8 +164,7 @@ def z_norm(fields, cfg: WeightedNormConfig) -> float:
     fields is read as in x_norm.  The odd exponent 2k+1 is intentional and
     differs from the 2(k+1) used by x_norm/y_norm.
     """
-    q = 2.0 * cfg.k + 1.0
-    return _weighted_sup(fields, cfg, [lambda f: lebesgue_norm(f, q)], cfg.weight_exponent)
+    return _weighted_sup(fields, cfg, 2.0 * cfg.k + 1.0, (None,), cfg.weight_exponent)
 
 
 def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -178,5 +172,4 @@ def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
 
     fields is read as in x_norm.
     """
-    parts = [lambda f: lebesgue_norm(spatial_derivative(f), 2)]
-    return _weighted_sup(fields, cfg, parts, (1.0 + abs(cfg.s)) / cfg.p)
+    return _weighted_sup(fields, cfg, 2, (0.0,), (1.0 + abs(cfg.s)) / cfg.p)

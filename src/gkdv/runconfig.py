@@ -67,7 +67,8 @@ def _in_unit(v) -> bool:
 # the numeric grid, symbol, initial_data, solver and verify keys, as (description,
 # test); a null value means unset and is not checked.  s > -1 is where every
 # space norm's shifted fractional derivative is defined.  A count above
-# _MAX_COUNT is refused: its loops or arrays would not end or fit.
+# _MAX_COUNT is refused: its loops or arrays would not end or fit.  So is a
+# sweep with more than _MAX_COUNT combinations, before any is built.
 _MAX_COUNT = 10_000
 _RANGES = {
     "suite": (f"one of {SUITES}", lambda v: v in SUITES),
@@ -154,6 +155,9 @@ class RunConfig:
             if not (_list_of(lambda v: True)(values) and values):
                 raise ConfigError(f"sweep {key!r} must be a non-empty list of numbers, "
                                   f"got {values!r}")
+        n_combos = math.prod(len(values) for values in data.get("sweep", {}).values())
+        if n_combos > _MAX_COUNT:
+            raise ConfigError(f"sweep has {n_combos} combinations, more than {_MAX_COUNT}")
         if command == "solve" and "initial_data" not in data:
             raise ConfigError("solve config requires an initial_data section")
         _check_ranges(data, f"{command} config")

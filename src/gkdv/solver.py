@@ -39,7 +39,7 @@ from .errors import (
 )
 from .norms import WeightedNormConfig, integer_power, omega_k, sobolev_norm, x_norm, y_norm
 from .semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
-from .spectral import GridSpec, SpectralField, linear_combination
+from .spectral import GridSpec, SpectralField
 from .symbols import DissipativeSymbol
 
 MODES = ("conservative", "gradient")
@@ -175,6 +175,14 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
     return r, t_final
 
 
+def duhamel_norm(prob: IvpProblem, prop: Propagator, forcing, cfg: WeightedNormConfig,
+                 panels: int) -> float:
+    """Space norm of int_0^t V(t - tau) forcing(tau) dtau over cfg.sample_times,
+    by one duhamel_sweep on [0, cfg.t_final] with the given number of panels."""
+    sweep = duhamel_sweep(prop, forcing, cfg.sample_times, cfg.t_final, panels)
+    return prob.space_norm((SpectralField(prob.grid, spec) for spec in sweep), cfg)
+
+
 def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
     """Empirical constant of the fixed-point estimates on the probe g, with a
     2x safety factor.
@@ -193,11 +201,9 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
         raise ValueError("calibration needs a nonzero probe")
     prop = Propagator(prob.symbol, prob.grid)
     cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, 1.0, n_times=12)
-    space = prob.space_norm
-    denom = space((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg)
+    denom = prob.space_norm((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg)
     forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
-    sweep = duhamel_sweep(prop, forcing, cfg.sample_times, 1.0, panels)
-    num = space((SpectralField(prob.grid, spec) for spec in sweep), cfg)
+    num = duhamel_norm(prob, prop, forcing, cfg, panels)
     return 2.0 * max(denom / hs, num / denom ** (prob.k + 1.0))
 
 
@@ -288,9 +294,7 @@ def picard_iterate(
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
             new[t] = SpectralField(prob.grid, spec)
-        increment = space(
-            (linear_combination(new[t], current[t], 1.0, -1.0) for t in cfg.sample_times), cfg
-        )
+        increment = space((new[t] - current[t] for t in cfg.sample_times), cfg)
         size = space((new[t] for t in cfg.sample_times), cfg)
         ratio = None
         if prev_increment is not None and prev_increment > 0:

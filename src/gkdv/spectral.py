@@ -14,8 +14,8 @@ A sum over the full spectrum weights stored mode k by GridSpec.mode_weights
 
 Mode k carries the frequency xi_k = 2*pi*k/length >= 0; the spectral phase
 is referenced to the left endpoint of the domain, which is invisible to every
-diagonal (multiplier) operation and to every norm.  Multipliers and linear
-combinations act on spectra only; samples are formed by one inverse
+diagonal (multiplier) operation and to every norm.  Multipliers and
+differences act on spectra only; samples are formed by one inverse
 transform the first time a field's phys is read.
 """
 
@@ -111,6 +111,11 @@ class SpectralField:
     def phys(self) -> np.ndarray:
         return np.fft.irfft(self.spec, self.grid.n_points, norm="forward")
 
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        if self.grid != other.grid:
+            raise StructuralError("cannot subtract fields on different grids")
+        return SpectralField(self.grid, self.spec - other.spec)
+
 
 def coherent_field(grid: GridSpec, values) -> SpectralField:
     """Build a field from physical samples, which it keeps."""
@@ -149,10 +154,6 @@ def _odd_multiplier_frequencies(grid: GridSpec) -> np.ndarray:
     return xi
 
 
-def spatial_derivative(f: SpectralField) -> SpectralField:
-    return apply_multiplier_values(f, 1j * _odd_multiplier_frequencies(f.grid))
-
-
 def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
     """Apply the fused multiplier i*sgn(xi)*|xi|^(s+1), zero at xi = 0.
 
@@ -164,9 +165,3 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
         raise ValueError(f"shifted fractional derivative needs s > -1, got {s}")
     return apply_multiplier_values(f, 1j * _odd_multiplier_frequencies(f.grid) ** (s + 1.0))
 
-
-def linear_combination(a: SpectralField, b: SpectralField, ca: float, cb: float) -> SpectralField:
-    """Return ca*a + cb*b."""
-    if a.grid != b.grid:
-        raise StructuralError("cannot combine fields on different grids")
-    return SpectralField(a.grid, ca * a.spec + cb * b.spec)

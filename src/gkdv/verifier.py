@@ -9,6 +9,7 @@ when the probe is clearly not extremal).  All randomness is seeded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,21 +25,16 @@ from .norms import (
     x_norm,
 )
 from .probes import rough_field
-from .semigroup import Propagator, apply_semigroup, duhamel_sweep, smoothing_norm_profile
+from .semigroup import Propagator, apply_semigroup, smoothing_norm_profile
 from .solver import (
     IvpProblem,
     calibrate_c,
+    duhamel_norm,
     nonlinearity_eval,
     picard_iterate,
     select_radius_and_time,
 )
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    apply_multiplier_values,
-    linear_combination,
-    spatial_derivative,
-)
+from .spectral import GridSpec, apply_multiplier_values, fractional_derivative_shifted
 from .symbols import DissipativeSymbol, _conditions_hold, evaluate_phi, threshold_M
 
 DEFAULT_LENGTH = 200.0 * np.pi
@@ -245,7 +241,8 @@ def verify_weighted_linear(
     ts = np.array(cfg.sample_times)
     w0 = rough_field(grid, sobolev_index=0.0, seed=base_seed)
     ys = _nonzero(
-        [lebesgue_norm(spatial_derivative(apply_semigroup(prop, w0, t)), q) for t in ts],
+        [lebesgue_norm(fractional_derivative_shifted(apply_semigroup(prop, w0, t), 0.0), q)
+         for t in ts],
         f"||d_x V(t) w0||_L^{q:g}", grid,
     )
     mask = ts <= 1e-1
@@ -316,12 +313,10 @@ def verify_nonlinear_estimate(prob: IvpProblem, *, seed: int) -> EstimateReport:
     prop = Propagator(prob.symbol, prob.grid)
     g = rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
     forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
-    space = prob.space_norm
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=10)
-        sweep = duhamel_sweep(prop, forcing, cfg.sample_times, t_final, panels=12)
-        lhs.append(space((SpectralField(prob.grid, spec) for spec in sweep), cfg))
+        lhs.append(duhamel_norm(prob, prop, forcing, cfg, 12))
     lhs = _nonzero(lhs, "the Duhamel term's space norm", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, lhs)
     return EstimateReport(
@@ -411,18 +406,13 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
         best = 0.0
         for pair in pairs:
-            diffs = (linear_combination(*free_pair(pair, t), 1.0, -1.0) for t in times)
-            denom = space(diffs, cfg)
+            denom = space((operator.sub(*free_pair(pair, t)) for t in times), cfg)
             if denom < 1e-12:
                 continue
-            forcing = lambda tau: linear_combination(
-                *[nonlinearity_eval(f, prob.k, prob.mode) for f in free_pair(pair, tau)],
-                1.0,
-                -1.0,
+            forcing = lambda tau: operator.sub(
+                *[nonlinearity_eval(f, prob.k, prob.mode) for f in free_pair(pair, tau)]
             )
-            sweep = duhamel_sweep(prop, forcing, times, t_final, panels=10)
-            dfields = (SpectralField(prob.grid, spec) for spec in sweep)
-            best = max(best, space(dfields, cfg) / denom)
+            best = max(best, duhamel_norm(prob, prop, forcing, cfg, 10) / denom)
         rhos.append(best)
     rhos = _nonzero(rhos, "rho(T)", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, rhos)
@@ -500,9 +490,7 @@ def verify_smoothing(
     deltas = []
     for j in range(1, 6):
         tj = t_probe + (t_final - t_probe) * 2.0 ** (-j)
-        deltas.append(
-            sobolev_norm(linear_combination(sol_c.duhamel_part(tj), base, 1.0, -1.0), s + mu)
-        )
+        deltas.append(sobolev_norm(sol_c.duhamel_part(tj) - base, s + mu))
     decreasing = all(b < a for a, b in zip(deltas[:-1], deltas[1:]))
 
     converged = trace_c.converged and trace_f.converged

@@ -713,6 +713,49 @@ class TestSweepCommand:
         assert pools == [2]
         assert outputs["64"] == outputs["1"]
 
+    @pytest.mark.parametrize("one_cpu", ["affinity", "cpu_count"])
+    def test_pool_never_outnumbers_the_usable_cpus(self, tmp_path, monkeypatch, one_cpu):
+        # --jobs 4 on a process pinned to one CPU used to fork 2 workers for 2 combinations
+        pools = []
+
+        def no_pool(max_workers):
+            pools.append(max_workers)
+            raise AssertionError("one usable CPU needs no pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        if one_cpu == "affinity":
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        cfg = self.sweep_cfg()
+        cfg["sweep"] = {"k": [1.0, 2.0]}
+        path = write_config(tmp_path, "s2.json", cfg)
+        outputs = {}
+        for jobs in ("1", "4"):
+            res = CliRunner().invoke(
+                main, ["sweep", "--config", path, "--jobs", jobs, "--out", str(tmp_path / jobs)]
+            )
+            assert res.exit_code == 0
+            outputs[jobs] = (next((tmp_path / jobs).iterdir()) / "data" / "sweep.csv").read_text()
+        assert pools == []
+        assert outputs["4"] == outputs["1"]
+
+    def test_oversized_sweep_exit_2_before_any_combination_is_built(self, tmp_path, monkeypatch):
+        # a 101 x 100 sweep used to build and check all 10,100 combinations, then run them
+        def not_built(self):
+            raise AssertionError("no combination may be built")
+
+        monkeypatch.setattr(RunConfig, "sweep_configs", not_built)
+        cfg = self.sweep_cfg()
+        cfg["sweep"] = {"k": [1.0 + 0.01 * i for i in range(101)],
+                        "s": [0.01 * i for i in range(100)]}
+        path = write_config(tmp_path, "big.json", cfg)
+        res = CliRunner().invoke(main, ["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "10100 combinations" in res.output
+        assert not (tmp_path / "out").exists()
+
 
 # One key of a valid config set to a value from this list at a time.
 BOUNDARY_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 2.5, 1e300, "x", True,

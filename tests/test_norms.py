@@ -20,16 +20,10 @@ from gkdv.norms import (
 )
 from gkdv.probes import gaussian_field, rough_field
 from gkdv.semigroup import Propagator, apply_semigroup
-from gkdv.spectral import (
-    GridSpec,
-    SpectralField,
-    coherent_field,
-    fractional_derivative_shifted,
-    spatial_derivative,
-)
+from gkdv.spectral import GridSpec, SpectralField, coherent_field, fractional_derivative_shifted
 from gkdv.symbols import builtin_symbol
 
-from conftest import trajectory_norm
+from conftest import spatial_derivative, trajectory_norm
 
 
 def cfg_for(s=0.0, k=1.0, p=4.0, t_final=1.0, n_times=8):
@@ -219,8 +213,8 @@ class TestTrajectoryNorms:
         )
         # the H^s part is ||f||_{H^s} itself
         q = 4.0
-        parts = [lebesgue_norm(bump, q), lebesgue_norm(spatial_derivative(bump), q),
-                 lebesgue_norm(fractional_derivative_shifted(bump, 0.0), q)]
+        dx = lebesgue_norm(fractional_derivative_shifted(bump, 0.0), q)
+        parts = [lebesgue_norm(bump, q), dx, dx]
         for t in (times[0], times[-1]):
             cfg = one_time_cfg(t)
             assert x_norm([bump], cfg) == pytest.approx(
@@ -241,8 +235,8 @@ class TestTrajectoryNorms:
         g = GridSpec(40.0, 256)
         bump = gaussian_field(g, width=2.0)
         hs = sobolev_norm(bump, 0.0)
-        dx = lebesgue_norm(spatial_derivative(bump), 4.0)
-        assert lebesgue_norm(fractional_derivative_shifted(bump, 0.0), 4.0) == dx
+        dx = lebesgue_norm(fractional_derivative_shifted(bump, 0.0), 4.0)
+        assert dx == lebesgue_norm(spatial_derivative(bump), 4.0)
         for t in cfg_for(s=0.0).sample_times:
             cfg = one_time_cfg(t)
             # w_dx_lq + w_dxs_lq with both equal to t^w * ||d_x f||_{L^q}
@@ -287,10 +281,8 @@ class TestTrajectoryNorms:
         bump = gaussian_field(g, width=2.0)
         s, p, t_final = 0.5, 4.0, 0.8
         cfg = WeightedNormConfig(s, 1.0, p, t_final, tuple(np.geomspace(1e-3, t_final, 10)))
-        from gkdv.spectral import spatial_derivative
-
         expected = sobolev_norm(bump, s) + t_final ** ((1 + abs(s)) / p) * lebesgue_norm(
-            spatial_derivative(bump), 2
+            fractional_derivative_shifted(bump, 0.0), 2
         )
         fields = [bump] * len(cfg.sample_times)
         assert z_tilde_norm(fields, cfg) == pytest.approx(expected, rel=1e-12)

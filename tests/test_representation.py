@@ -12,10 +12,10 @@ import pytest
 
 from gkdv.semigroup import Propagator, apply_semigroup
 from gkdv.solver import nonlinearity_eval
-from gkdv.spectral import GridSpec, coherent_field, spatial_derivative
+from gkdv.spectral import GridSpec, coherent_field, fractional_derivative_shifted
 from gkdv.symbols import builtin_symbol, evaluate_phi
 
-from conftest import full_spectrum_nonlinearity
+from conftest import full_spectrum_nonlinearity, spatial_derivative
 
 SIZES = [64, 128, 256, 512, 1024]
 
@@ -80,7 +80,9 @@ def test_spatial_derivative_matches_full_fft(n):
     xi = full_xi(grid)
     xi[n // 2] = 0.0
     direct = 1j * xi * np.fft.fft(values) / n
-    out = spatial_derivative(coherent_field(grid, values))
+    f = coherent_field(grid, values)
+    out = fractional_derivative_shifted(f, 0.0)
+    assert np.array_equal(out.spec, spatial_derivative(f).spec)
     assert rel_max(out.spec, direct[: n // 2 + 1]) <= 1e-12
     assert rel_max(out.phys, np.fft.ifft(direct).real * n) <= 1e-12
 
@@ -115,7 +117,7 @@ def test_spectral_operations_transform_only_when_samples_are_read(fft_calls, op)
     grid, values = real_field(512, seed=2)
     f = coherent_field(grid, values)
     apply = {
-        "spatial_derivative": spatial_derivative,
+        "spatial_derivative": lambda g: fractional_derivative_shifted(g, 0.0),
         "apply_semigroup": lambda g: apply_semigroup(
             Propagator(builtin_symbol("kdv-ks"), grid), g, 0.1
         ),

@@ -17,12 +17,7 @@ from gkdv.semigroup import (
     smoothing_norm_profile,
 )
 from gkdv.solver import nonlinearity_eval
-from gkdv.spectral import (
-    GridSpec,
-    SpectralField,
-    coherent_field,
-    linear_combination,
-)
+from gkdv.spectral import GridSpec, SpectralField, coherent_field
 from gkdv.symbols import builtin_symbol, symbol_constants, tabulated_symbol
 from gkdv.probes import gaussian_field
 
@@ -144,7 +139,7 @@ class TestLivePrefix:
         def forcing(tau):
             inner = nonlinearity_eval(free(tau), 1.0, "conservative")
             assert not inner.spec[cut:].any()
-            return inner if tau < onset else linear_combination(inner, high, 1.0, tau)
+            return inner if tau < onset else SpectralField(grid, inner.spec + tau * high.spec)
 
         new = list(duhamel_sweep(prop, forcing, _panel_bounds(t_final, 16)[1:], t_final,
                                  panels=16))
@@ -160,7 +155,7 @@ def sweep_at(prop, forcing, t):
 
 
 def scaled(field, c):
-    return linear_combination(field, field, c, 0.0)
+    return SpectralField(field.grid, c * field.spec)
 
 
 def poly_kernel_integral(z, t, k):

@@ -10,11 +10,9 @@ from gkdv.spectral import (
     apply_multiplier_values,
     coherent_field,
     fractional_derivative_shifted,
-    linear_combination,
-    spatial_derivative,
 )
 
-from conftest import band_limit
+from conftest import band_limit, spatial_derivative
 
 
 def random_field(grid, seed=0, band_limited=True):
@@ -102,7 +100,7 @@ class TestMultipliers:
     def test_derivative_of_sine(self):
         g = GridSpec(2 * np.pi * 3, 128)
         f = coherent_field(g, np.sin(g.x))
-        df = spatial_derivative(f)
+        df = fractional_derivative_shifted(f, 0.0)
         assert np.max(np.abs(df.phys - np.cos(g.x))) <= 1e-10
 
     def test_composition(self, small_grid):
@@ -116,7 +114,7 @@ class TestMultipliers:
 
     def test_odd_callable_acts_as_zero_on_nyquist(self, small_grid):
         f = random_field(small_grid, band_limited=False)
-        out = spatial_derivative(f)
+        out = fractional_derivative_shifted(f, 0.0)
         assert out.spec[-1] == 0
         assert np.array_equal(out.spec[:-1], 1j * small_grid.xi[:-1] * f.spec[:-1])
 
@@ -133,11 +131,23 @@ class TestMultipliers:
         f = random_field(g, seed=seed)
         h = random_field(g, seed=seed + 1)
         m = np.exp(-np.abs(g.xi)) + 0.3
-        combo = apply_multiplier_values(linear_combination(f, h, alpha, beta), m)
-        parts = linear_combination(apply_multiplier_values(f, m), apply_multiplier_values(h, m),
-                                   alpha, beta)
+        combo = apply_multiplier_values(SpectralField(g, alpha * f.spec + beta * h.spec), m)
+        parts = SpectralField(
+            g, alpha * apply_multiplier_values(f, m).spec + beta * apply_multiplier_values(h, m).spec
+        )
         scale = np.max(np.abs(parts.spec)) + 1e-12
         assert np.max(np.abs(combo.spec - parts.spec)) <= 1e-12 * scale
+
+
+class TestDifference:
+    def test_matches_spectra(self, small_grid):
+        f, h = random_field(small_grid, seed=1), random_field(small_grid, seed=2)
+        assert np.array_equal((f - h).spec, f.spec - h.spec)
+
+    def test_different_grids_raise(self, small_grid):
+        other = GridSpec(small_grid.length, 2 * small_grid.n_points)
+        with pytest.raises(StructuralError, match="different grids"):
+            random_field(small_grid) - random_field(other)
 
 
 class TestFractionalDerivative:
