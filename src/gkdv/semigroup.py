@@ -9,7 +9,10 @@ b_j = T*(j/m)^g, g = 2, which clusters nodes near tau = 0 where rough-data
 forcings carry an integrable power-law weight (g is fixed: no caller needs
 another mesh), and the kernel is integrated exactly per mode against the
 cubic interpolant of those samples.  One left-to-right sweep over [0, T]
-serves every requested time, evaluating the forcing once per node.
+serves every requested time, evaluating the forcing once per node.  A
+forcing may also be a stack of P fields per node, as the P ball pairs of the
+contraction check give; the sweep then carries a leading stack axis and
+forms exp(z*h) and the moments G_m once per step for the whole stack.
 
 Neither exp(t*z) nor a sweep step spends work on a mode whose result is
 exactly 0 in double precision.  exp(x) underflows to 0 below x = -745.13,
@@ -18,9 +21,10 @@ in k, so one searchsorted gives for any t > 0 the live prefix past which
 every mode has Re(t*z) <= -746; exp runs on that prefix and the rest is 0.
 The rule holds for any symbol: Re z need not be monotone in xi nor negative.
 A sweep also runs its steps on the modes below grid.dealias_cutoff only,
-where every forcing that nonlinearity_eval builds lives, and widens to the
-whole spectrum for the rest of the sweep once a forcing has content at or
-above the cutoff; above the band each step is exp(z*h)*0 + 0 = 0.
+where every forcing that nonlinearity_eval or nonlinearity_difference builds
+lives, and widens to the whole spectrum for the rest of the sweep once a
+forcing, or any member of a stack, has content at or above the cutoff; above
+the band each step is exp(z*h)*0 + 0 = 0.
 """
 
 from __future__ import annotations
@@ -131,10 +135,13 @@ def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int)
 
     forcing is a callable tau -> SpectralField on the propagator grid, called
     once per node of duhamel_nodes(t_final, panels), left to right,
-    and only up to the panel holding the last requested time.  On each panel
-    the forcing is replaced by its cubic interpolant at the 4 nodes and the
-    kernel exp(z*(t - tau)) is integrated against it exactly per mode; the
-    integral is carried across panel ends as
+    and only up to the panel holding the last requested time.  It may instead
+    return a list of P fields, the same P at every node: each yielded
+    spectrum then has shape (P, n/2 + 1), row p the integral of member p,
+    with the bits that member would get from a sweep of its own.
+    On each panel the forcing is replaced by its cubic interpolant at the 4
+    nodes and the kernel exp(z*(t - tau)) is integrated against it exactly
+    per mode; the integral is carried across panel ends as
     I(b_(j+1)) = exp(z*w_j) I(b_j) + w_j * sum_m c_m G_m(z*w_j).
 
     times must be ascending and lie in [0, t_final]; t_final lies in (0, 1].
@@ -154,16 +161,12 @@ def _sweep(prop, forcing, times, bounds, nodes):
     z = prop.exponent
     cut = grid.dealias_cutoff
     band = cut
-    # values above the band stay 0 until the band widens, so a node that
-    # precedes the widening within its panel still reads 0 there
-    values = np.zeros((4,) + z.shape, dtype=complex)
-    coeffs = np.empty_like(values)
-    acc = np.zeros_like(z)
+    values = coeffs = acc = None
 
     def step(width, h):
-        out = np.zeros_like(z)
-        out[:band] = _panel_step(z[:band], prop.live_modes(h), acc[:band],
-                                 coeffs[:, :band], width, h)
+        out = np.zeros_like(acc)
+        out[..., :band] = _panel_step(z[:band], prop.live_modes(h), acc[..., :band],
+                                      coeffs[..., :band], width, h)
         return out
 
     k = 0
@@ -171,17 +174,33 @@ def _sweep(prop, forcing, times, bounds, nodes):
         if k == len(times):
             return
         for i, tau in enumerate(panel_nodes):
-            field = forcing(float(tau))
-            if not isinstance(field, SpectralField) or field.grid != grid:
-                raise StructuralError("forcing returned a field on an incompatible grid")
-            if band == cut and field.spec[cut:].any():
+            specs = _forcing_spectra(forcing(float(tau)), grid)
+            if values is None:
+                # values above the band stay 0 until the band widens, so a node
+                # that precedes the widening within its panel still reads 0 there
+                values = np.zeros((4,) + specs.shape, dtype=complex)
+                coeffs = np.empty_like(values)
+                acc = np.zeros_like(specs)
+            if band == cut and specs[..., cut:].any():
                 band = z.size
-            values[i, :band] = field.spec[:band]
-        np.matmul(_VANDERMONDE_INV, values[:, :band], out=coeffs[:, :band])
+            values[i, ..., :band] = specs[..., :band]
+        # the 4 x 4 interpolation matrix acts on the node axis of each member
+        np.matmul(_VANDERMONDE_INV, np.moveaxis(values[..., :band], 0, -2),
+                  out=np.moveaxis(coeffs[..., :band], 0, -2))
         while k < len(times) and times[k] <= b:
             yield step(b - a, times[k] - a)
             k += 1
         acc = step(b - a, b - a)
+
+
+def _forcing_spectra(value, grid):
+    """The spectrum of one forcing field, or the (P, n) spectra of a list of
+    P fields; StructuralError for a field on another grid."""
+    single = isinstance(value, SpectralField)
+    fields = [value] if single else value
+    if not all(isinstance(f, SpectralField) and f.grid == grid for f in fields):
+        raise StructuralError("forcing returned a field on an incompatible grid")
+    return value.spec if single else np.array([f.spec for f in fields])
 
 
 def _panel_step(z, live, acc, coeffs, width, h):
@@ -196,6 +215,8 @@ def _panel_step(z, live, acc, coeffs, width, h):
     so where |w| <= 0.5 the series of G_3 and the stable downward recursion
     G_(m-1) = (1 + w*G_m)/m overwrite it, also where a tiny |w| overflows 1/w.
     Re(w) <= eta*C_M*width: exp(w) does not overflow.
+    acc may carry a leading stack axis, acc[p] and coeffs[m, p] one member
+    each; exp and the G_m are formed once for the whole stack.
     """
     w = z * h
     e = np.zeros_like(w)
@@ -214,8 +235,7 @@ def _panel_step(z, live, acc, coeffs, width, h):
     out = e * acc
     for m in range(4):
         g[m] *= width * (h / width) ** (m + 1)
-        g[m] *= coeffs[m]
-        out += g[m]
+        out += g[m] * coeffs[m]
     return out
 
 

@@ -24,7 +24,7 @@ style of Kassam-Trefethen) that treats the full linear multiplier exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -122,22 +122,48 @@ def nonlinearity_eval(f: SpectralField, k: float, mode: str) -> SpectralField:
     one inverse real transform, which zero-pads it, and the first cut modes
     of one forward real transform (times i*xi in conservative mode) are
     returned with every higher mode, the Nyquist mode included, zero.
+    It is the composition of its two halves: spectrum to powered samples,
+    and powered samples to forcing spectrum.
     """
+    return _to_forcing(_powered(f, k, mode), f.grid, mode)
+
+
+def nonlinearity_difference(v: SpectralField, w: SpectralField, k: float,
+                            mode: str) -> SpectralField:
+    """N(v) - N(w) in difference form: the forward half of nonlinearity_eval
+    applied once to P(v) - P(w).
+
+    rfft is linear, so this equals nonlinearity_eval(v) - nonlinearity_eval(w)
+    up to roundoff, with 2 inverse and 1 forward transform instead of 2 each.
+    """
+    if v.grid != w.grid:
+        raise StructuralError("cannot difference fields on different grids")
+    return _to_forcing(_powered(v, k, mode) - _powered(w, k, mode), v.grid, mode)
+
+
+def _powered(f: SpectralField, k: float, mode: str) -> np.ndarray:
+    """Samples of P(v) (conservative) or P(d_x u) (gradient) from the band below the cutoff."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     grid = f.grid
     cut = grid.dealias_cutoff
-    ixi = 1j * grid.xi[:cut]
     kept = f.spec[:cut]
     if mode == "gradient":
-        kept = kept * ixi
-    powered = signed_power(np.fft.irfft(kept, grid.n_points, norm="forward"), k)
+        kept = kept * (1j * grid.xi[:cut])
+    return signed_power(np.fft.irfft(kept, grid.n_points, norm="forward"), k)
+
+
+def _to_forcing(powered: np.ndarray, grid: GridSpec, mode: str) -> SpectralField:
+    """The dealiased forcing spectrum of powered samples, times i*xi in
+    conservative mode; BlowUpError when a sample is not finite, as when the
+    power overflowed or a difference of two overflowed powers is inf - inf."""
     if not np.all(np.isfinite(powered)):
         raise BlowUpError("pointwise power overflowed; field amplitude too large")
-    out = np.zeros_like(f.spec)
+    cut = grid.dealias_cutoff
+    out = np.zeros(grid.xi.shape, dtype=complex)
     out[:cut] = np.fft.rfft(powered, norm="forward")[:cut]
     if mode == "conservative":
-        out[:cut] *= ixi
+        out[:cut] *= 1j * grid.xi[:cut]
     return SpectralField(grid, out)
 
 
@@ -176,11 +202,34 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
 
 
 def duhamel_norm(prob: IvpProblem, prop: Propagator, forcing, cfg: WeightedNormConfig,
-                 panels: int) -> float:
-    """Space norm of int_0^t V(t - tau) forcing(tau) dtau over cfg.sample_times,
-    by one duhamel_sweep on [0, cfg.t_final] with the given number of panels."""
+                 panels: int) -> list[float]:
+    """Space norm of int_0^t V(t - tau) F_p(tau) dtau over cfg.sample_times
+    for each member F_p of a stacked forcing.
+
+    forcing is a callable tau -> list of P fields; one duhamel_sweep on
+    [0, cfg.t_final] with the given number of panels serves all P members,
+    and the P norms are returned in order.
+    """
     sweep = duhamel_sweep(prop, forcing, cfg.sample_times, cfg.t_final, panels)
-    return prob.space_norm((SpectralField(prob.grid, spec) for spec in sweep), cfg)
+    stacks = ([SpectralField(prob.grid, spec) for spec in specs] for specs in sweep)
+    return member_norms(prob.space_norm, stacks, cfg)
+
+
+def member_norms(space, stacks, cfg: WeightedNormConfig) -> list[float]:
+    """The space norm of each member of a stack of trajectories.
+
+    stacks yields, for each of cfg.sample_times in order, a list of fields
+    with one member each.  Each time's fields are normed at that time alone
+    and dropped before the next time is formed; a member's norm is the max
+    of its one-time norms, which is the number space gives for its whole
+    trajectory.
+    """
+    best = None
+    for t, fields in zip(cfg.sample_times, stacks, strict=True):
+        at_t = replace(cfg, sample_times=(t,))
+        norms = [space([f], at_t) for f in fields]
+        best = norms if best is None else [max(b, n) for b, n in zip(best, norms)]
+    return best
 
 
 def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
@@ -194,17 +243,24 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
     ||Vg||_space^(k+1)) at T = 1, where T^omega = 1; both norms sample 12
     times, and the Duhamel sweep runs on the given number of panels).  The
     larger ratio is returned, doubled.  A probe with ||g||_{H^s} = 0 raises
-    ValueError.
+    ValueError; a probe so large that a norm, a power or the ratio overflows
+    raises DoubleRangeError, without a numpy warning.
     """
-    hs = sobolev_norm(g, prob.s)
-    if hs == 0.0:
-        raise ValueError("calibration needs a nonzero probe")
-    prop = Propagator(prob.symbol, prob.grid)
-    cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, 1.0, n_times=12)
-    denom = prob.space_norm((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg)
-    forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
-    num = duhamel_norm(prob, prop, forcing, cfg, panels)
-    return 2.0 * max(denom / hs, num / denom ** (prob.k + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = sobolev_norm(g, prob.s)
+        if hs == 0.0:
+            raise ValueError("calibration needs a nonzero probe")
+        prop = Propagator(prob.symbol, prob.grid)
+        cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, 1.0, n_times=12)
+        forcing = lambda tau: [nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)]
+        try:
+            denom = prob.space_norm((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg)
+            num = duhamel_norm(prob, prop, forcing, cfg, panels)[0]
+            return 2.0 * max(denom / hs, num / denom ** (prob.k + 1.0))
+        except (BlowUpError, OverflowError) as exc:
+            raise DoubleRangeError(
+                f"the calibration probe (||g||_H^s = {hs:.6g}) leaves the double range: {exc}"
+            ) from exc
 
 
 class PicardSolution:
@@ -321,7 +377,8 @@ def solve(
 ) -> tuple[PicardSolution, PicardTrace]:
     """Calibrate c on the initial data, select (r, T), and run the Picard iteration."""
     _admissible_omega(prob)
-    hs0 = sobolev_norm(prob.initial_data, prob.s)
+    with np.errstate(over="ignore"):  # an infinite norm is calibrate_c's DoubleRangeError
+        hs0 = sobolev_norm(prob.initial_data, prob.s)
     if hs0 == 0.0:
         return picard_iterate(prob, 0.0, 1.0, panels=panels)
     c = calibrate_c(prob, prob.initial_data, panels)

@@ -9,7 +9,6 @@ when the probe is clearly not extremal).  All randomness is seeded.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +29,8 @@ from .solver import (
     IvpProblem,
     calibrate_c,
     duhamel_norm,
+    member_norms,
+    nonlinearity_difference,
     nonlinearity_eval,
     picard_iterate,
     select_radius_and_time,
@@ -312,11 +313,11 @@ def verify_nonlinear_estimate(prob: IvpProblem, *, seed: int) -> EstimateReport:
     t_values = np.asarray(_GROWTH_T_VALUES)
     prop = Propagator(prob.symbol, prob.grid)
     g = rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
-    forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
+    forcing = lambda tau: [nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)]
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=10)
-        lhs.append(duhamel_norm(prob, prop, forcing, cfg, 12))
+        lhs.append(duhamel_norm(prob, prop, forcing, cfg, 12)[0])
     lhs = _nonzero(lhs, "the Duhamel term's space norm", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, lhs)
     return EstimateReport(
@@ -372,7 +373,9 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
     For pairs (v, w) of free evolutions of scaling-critical random data the
     measured rho(T) = max ||Psi(v)-Psi(w)|| / ||v-w|| should scale as
     T^omega_k; pass when the fitted exponent is within 15% of omega_k.
-    Inadmissible (k, p) pairs produce a skipped report.
+    Inadmissible (k, p) pairs produce a skipped report.  Per T the pairs
+    share each propagator multiplier and one Duhamel sweep over their
+    stacked forcings.
 
     The discrete sup over (0, T] takes 8 samples down to an absolute time floor
     shared by every T in the sweep; a floor relative to T would drag a
@@ -395,24 +398,26 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
         gw = rough_field(prob.grid, seed=seed + 2 * i + 1, spectral_exponent=probe_exp)
         pairs.append((gv, gw))
 
-    def free_pair(pair, t):
-        # One multiplier serves both members of the pair.
+    def free_pairs(which, t):
+        # One multiplier serves both members of every pair.
         m = prop.multiplier(t)
-        return [apply_multiplier_values(g, m) for g in pair]
+        return [[apply_multiplier_values(g, m) for g in pair] for pair in which]
 
     rhos = []
     for t_final in t_values:
         times = tuple(np.geomspace(t_floor, t_final, 8))
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
+        diffs = ([v - w for v, w in free_pairs(pairs, t)] for t in times)
+        kept = [(pair, denom) for pair, denom in zip(pairs, member_norms(space, diffs, cfg))
+                if not denom < 1e-12]
         best = 0.0
-        for pair in pairs:
-            denom = space((operator.sub(*free_pair(pair, t)) for t in times), cfg)
-            if denom < 1e-12:
-                continue
-            forcing = lambda tau: operator.sub(
-                *[nonlinearity_eval(f, prob.k, prob.mode) for f in free_pair(pair, tau)]
-            )
-            best = max(best, duhamel_norm(prob, prop, forcing, cfg, 10) / denom)
+        if kept:
+            live, denoms = zip(*kept)
+            # one sweep over the stacked forcings N(v) - N(w), a member per live pair
+            forcing = lambda tau: [nonlinearity_difference(v, w, prob.k, prob.mode)
+                                   for v, w in free_pairs(live, tau)]
+            for num, denom in zip(duhamel_norm(prob, prop, forcing, cfg, 10), denoms):
+                best = max(best, num / denom)
         rhos.append(best)
     rhos = _nonzero(rhos, "rho(T)", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, rhos)

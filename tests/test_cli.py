@@ -429,6 +429,20 @@ class TestSolveCommand:
         res = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
         assert res.exit_code == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude,exit_code", [(1e4, 0), (1e20, 0), (1e60, 1), (1e200, 1)])
+    def test_calibration_overflow_is_a_named_failure(self, tmp_path, amplitude, exit_code):
+        # at 1e60 the calibration probe's Duhamel term has L^4 norm ~1e480;
+        # at 1e200 its H^s norm overflows too.  Numpy used to warn "overflow
+        # encountered in square" and the run named only a sample time.
+        cfg = solve_config(initial_data={"type": "gaussian", "amplitude": amplitude, "width": 4.0})
+        path = write_config(tmp_path, "large.json", cfg)
+        res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == exit_code
+        assert ("solver failure: the calibration probe" in res.output) == (exit_code == 1)
+        assert (next((tmp_path / "out").iterdir()) / "manifest.json").exists()
+
     def test_unconverged_picard_exit_1(self, tmp_path):
         cfg = solve_config(solver={"max_iter": 1, "tol": 1e-30})
         path = write_config(tmp_path, "unconverged.json", cfg)

@@ -271,6 +271,73 @@ class TestDuhamelIntegral:
             duhamel_sweep(prop, lambda tau: zero, [0.3, 0.1], 0.4, panels=16)
 
 
+class TestStackedSweep:
+    """A forcing that returns a list of P fields sweeps them as one stack."""
+
+    T_FINAL = 0.4
+    TIMES = [0.0, 1e-3, 0.05, 0.2, 0.37, 0.4]
+
+    @staticmethod
+    def forcings(grid, prop, high_from=None):
+        """Three nonlinear forcings; with high_from the second gains content
+        above the dealias cutoff from that time on, the others never do."""
+        probes = [gaussian_field(grid, amplitude=a, width=wd, center=c)
+                  for a, wd, c in ((1.0, 0.7, 0.0), (0.6, 0.5, 1.0), (0.9, 0.9, -1.5))]
+        high = single_mode(grid, grid.dealias_cutoff + 3, amp=1.0e3)
+
+        def forcing(i, tau):
+            out = nonlinearity_eval(apply_semigroup(prop, probes[i], tau), 1.0, "conservative")
+            if i == 1 and high_from is not None and tau >= high_from:
+                out = SpectralField(grid, out.spec + tau * high.spec)
+            return out
+
+        return [functools.partial(forcing, i) for i in range(3)]
+
+    def sweep(self, prop, forcing):
+        return list(duhamel_sweep(prop, forcing, self.TIMES, self.T_FINAL, panels=16))
+
+    @pytest.mark.parametrize("widens", [False, True], ids=["band", "widened"])
+    def test_members_match_separate_sweeps(self, grid, widens):
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        cut = grid.dealias_cutoff
+        nodes = semigroup.duhamel_nodes(self.T_FINAL, 16)
+        # mid-panel in the sixth panel, as in the single-forcing widening test
+        onset = 0.5 * (nodes[5, 1] + nodes[5, 2]) if widens else None
+        forcings = self.forcings(grid, prop, onset)
+        stacked = self.sweep(prop, lambda tau: [f(tau) for f in forcings])
+        separate = [self.sweep(prop, f) for f in forcings]
+        assert len(stacked) == len(self.TIMES)
+        for j, specs in enumerate(stacked):
+            assert specs.shape == (3, grid.n_points // 2 + 1)
+            for member, alone in zip(specs, separate):
+                # == counts -0.0 equal to +0.0: above the band of a member
+                # that never leaves it, the widened stack gives exp(z*h)*0 +
+                # G_m*0, where its own sweep writes +0
+                assert np.array_equal(member, alone[j])
+        assert np.any(stacked[-1][1, cut:] != 0) == widens
+        assert not np.any(stacked[-1][[0, 2], cut:])
+
+    def test_stack_of_one_matches_the_single_forcing(self, grid):
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        f = self.forcings(grid, prop)[0]
+        stacked = self.sweep(prop, lambda tau: [f(tau)])
+        single = self.sweep(prop, f)
+        assert all(a.shape == (1,) + b.shape and np.array_equal(a[0], b)
+                   for a, b in zip(stacked, single))
+
+    @pytest.mark.parametrize("bad", ["other-grid", "array"])
+    def test_malformed_stack_rejected(self, grid, bad):
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        f = self.forcings(grid, prop)[0]
+        other = gaussian_field(GridSpec(2 * np.pi, 64), width=0.7)
+        forcing = {
+            "other-grid": lambda tau: [f(tau), other],
+            "array": lambda tau: f(tau).spec,
+        }[bad]
+        with pytest.raises(StructuralError):
+            self.sweep(prop, forcing)
+
+
 # G_0..G_3 of w, G_m(w) = int_0^1 exp(w*nu) (1-nu)^m dnu, at |w| = 0.49, 0.5,
 # 0.51 and 2 (real, imaginary and mixed), computed once at 50 digits by
 #

@@ -1,15 +1,25 @@
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from gkdv.errors import AdmissibilityError, BlowUpError, DivergenceError, StabilityError
+from gkdv.errors import (
+    AdmissibilityError,
+    BlowUpError,
+    DivergenceError,
+    StabilityError,
+    StructuralError,
+)
 from gkdv.norms import WeightedNormConfig, sobolev_norm, x_norm
 from gkdv.probes import gaussian_field, rough_field
 from gkdv.semigroup import Propagator, apply_semigroup, duhamel_sweep
 from gkdv.solver import (
+    MODES,
     IvpProblem,
     calibrate_c,
+    duhamel_norm,
+    nonlinearity_difference,
     nonlinearity_eval,
     picard_iterate,
     reference_integrate,
@@ -119,6 +129,56 @@ class TestNonlinearity:
             nonlinearity_eval(zero_field(g), -1.0, "conservative")
 
 
+class TestNonlinearityDifference:
+    """N(v) - N(w) in difference form against two nonlinearity_eval calls."""
+
+    @staticmethod
+    def pair(grid):
+        # a rough and a smooth part, so both the band and the power carry content
+        v = SpectralField(grid, 0.3 * rough_field(grid, seed=5).spec
+                          + gaussian_field(grid, amplitude=0.8, width=6.0).spec)
+        w = SpectralField(grid, 0.3 * rough_field(grid, seed=6).spec
+                          + gaussian_field(grid, amplitude=0.7, width=5.0, center=3.0).spec)
+        return v, w
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+    def test_matches_two_evaluations(self, k, mode):
+        # rfft is linear: only roundoff separates the forms, a few ulp of the
+        # largest coefficient of N(v) and N(w)
+        grid = GridSpec(100.0, 512)
+        v, w = self.pair(grid)
+        nv, nw = nonlinearity_eval(v, k, mode), nonlinearity_eval(w, k, mode)
+        new = nonlinearity_difference(v, w, k, mode)
+        scale = max(np.max(np.abs(nv.spec)), np.max(np.abs(nw.spec)))
+        assert np.max(np.abs(new.spec - (nv - nw).spec)) <= 4 * np.finfo(float).eps * scale
+        assert not new.spec[grid.dealias_cutoff:].any()
+
+    def test_one_pair_forcing_is_two_inverse_and_one_forward_transform(self, fft_calls):
+        v, w = self.pair(GridSpec(100.0, 512))
+        fft_calls.clear()
+        nonlinearity_difference(v, w, 1.0, "conservative")
+        assert fft_calls == Counter(irfft=2, rfft=1)
+
+    def test_overflowed_member_raises_blow_up(self):
+        grid = GridSpec(100.0, 256)
+        v, w = self.pair(grid)
+        huge = SpectralField(grid, 1e110 * v.spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError):  # inf - finite
+                nonlinearity_difference(huge, w, 2.0, "conservative")
+            with pytest.raises(BlowUpError):  # inf - inf is nan
+                nonlinearity_difference(huge, huge, 2.0, "gradient")
+
+    def test_different_grids_and_mode_rejected(self):
+        v, _ = self.pair(GridSpec(100.0, 256))
+        other, _ = self.pair(GridSpec(100.0, 512))
+        with pytest.raises(StructuralError):
+            nonlinearity_difference(v, other, 1.0, "conservative")
+        with pytest.raises(ValueError):
+            nonlinearity_difference(v, v, 1.0, "weird")
+
+
 class TestSelection:
     def test_zero_data(self):
         prob = make_problem(amplitude=0.0)
@@ -153,6 +213,25 @@ class TestSelection:
             select_radius_and_time(prob, 1.0)
         with pytest.raises(AdmissibilityError):
             solve(prob)
+
+
+class TestDuhamelNorm:
+    @pytest.mark.parametrize("mode", ["conservative", "gradient"])
+    def test_members_get_the_norm_of_their_own_sweep(self, mode):
+        # each member's norm, streamed time by time, is the float the space
+        # norm gives for the trajectory of that member's own sweep
+        prob = make_problem(mode=mode, s=0.0 if mode == "conservative" else 0.5)
+        prop = Propagator(prob.symbol, prob.grid)
+        probes = [gaussian_field(prob.grid, amplitude=a, width=w, center=c)
+                  for a, w, c in ((0.3, 4.0, 0.0), (0.2, 2.0, 5.0))]
+        forcings = [lambda tau, g=g: nonlinearity_eval(apply_semigroup(prop, g, tau), 1.0, mode)
+                    for g in probes]
+        cfg = WeightedNormConfig.default(prob.s, 1.0, prob.symbol.p, 0.5, n_times=6)
+        stacked = duhamel_norm(prob, prop, lambda tau: [f(tau) for f in forcings], cfg, 8)
+        alone = [prob.space_norm((SpectralField(prob.grid, spec) for spec in
+                                  duhamel_sweep(prop, f, cfg.sample_times, 0.5, 8)), cfg)
+                 for f in forcings]
+        assert stacked == alone and len(set(alone)) == 2
 
 
 class TestCalibration:

@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from gkdv import semigroup, verifier
 from gkdv.errors import DoubleRangeError
 from gkdv.probes import gaussian_field
+from gkdv.semigroup import Propagator
 from gkdv.spectral import GridSpec, zero_field
 from gkdv.solver import IvpProblem
 from gkdv.symbols import builtin_symbol, threshold_M
@@ -171,6 +174,52 @@ class TestContractionScaling:
                           mode="conservative", s=0.0, initial_data=zero_field(g))
         with pytest.raises(DoubleRangeError, match=r"rho\(T\) underflows to 0"):
             verify_contraction_scaling(prob, seed=0)
+
+    @staticmethod
+    def count_work(monkeypatch):
+        """Count Propagator.multiplier and semigroup._panel_step calls from now on."""
+        counts = Counter()
+        multiplier, panel_step = Propagator.multiplier, semigroup._panel_step
+
+        def counted_multiplier(self, t):
+            counts["multiplier"] += 1
+            return multiplier(self, t)
+
+        def counted_panel_step(*args):
+            counts["panel_step"] += 1
+            return panel_step(*args)
+
+        monkeypatch.setattr(Propagator, "multiplier", counted_multiplier)
+        monkeypatch.setattr(semigroup, "_panel_step", counted_panel_step)
+        return counts
+
+    @staticmethod
+    def small_problem():
+        g = GridSpec(50 * np.pi, 256)
+        return IvpProblem(symbol=builtin_symbol("kdv-ks"), grid=g, k=1.0,
+                          mode="conservative", s=0.0, initial_data=zero_field(g))
+
+    def test_work_shared_by_the_pairs(self, monkeypatch):
+        # per T: one multiplier at each of the 8 sample times and at each of
+        # the 40 forcing nodes, whatever the number of pairs, and one sweep of
+        # 8 sample steps and 10 panel carries for the stacked pair forcings
+        counts = self.count_work(monkeypatch)
+        verify_contraction_scaling(self.small_problem(), seed=0, n_pairs=2)
+        assert counts == Counter(multiplier=6 * (8 + 40), panel_step=6 * (8 + 10))
+
+    def test_pair_of_identical_probes_is_skipped(self, monkeypatch):
+        # seed 1 draws the probe of seed 0, so the first pair has v = w and a
+        # zero denominator: rho(T) is that of the second pair alone, the pair
+        # of seeds 2 and 3
+        prob = self.small_problem()
+        alone = verify_contraction_scaling(prob, seed=2, n_pairs=1)
+        rough = verifier.rough_field
+        monkeypatch.setattr(verifier, "rough_field", lambda grid, *, seed, **kwargs:
+                            rough(grid, seed=0 if seed == 1 else seed, **kwargs))
+        counts = self.count_work(monkeypatch)
+        rep = verify_contraction_scaling(prob, seed=0, n_pairs=2)
+        assert rep.notes["rhos"] == alone.notes["rhos"]
+        assert counts["panel_step"] == 6 * (8 + 10)
 
     def test_probe_exponent_values(self):
         assert contraction_probe_exponent(1.0) == pytest.approx(-0.25)
