@@ -92,9 +92,8 @@ def run_solve(config_path: str, out_override: str | None) -> int:
         solution, trace = solve(prob, **solver_opts)
         output_times = cfg.raw.get("output_times") or [trace.t_final]
         x_column = [repr(x) for x in prob.grid.x.tolist()]
-        for idx, t in enumerate(output_times):
-            t = min(float(t), trace.t_final)
-            fld = solution(t)
+        fields = solution.at([min(float(t), trace.t_final) for t in output_times])
+        for idx, fld in enumerate(fields):
             lines = ["x,value"]
             lines += [f"{x},{v!r}" for x, v in zip(x_column, fld.phys.tolist())]
             (run_dir / "data" / f"trajectory_{idx:03d}.csv").write_text("\n".join(lines) + "\n")

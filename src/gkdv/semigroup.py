@@ -144,6 +144,11 @@ def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int)
     per mode; the integral is carried across panel ends as
     I(b_(j+1)) = exp(z*w_j) I(b_j) + w_j * sum_m c_m G_m(z*w_j).
 
+    Order contract: every node of a panel is evaluated before any time in
+    that panel is yielded, and every node evaluated after a time t is yielded
+    lies beyond t.  A caller may therefore replace what forcing reads at t as
+    soon as t is yielded, as picard_iterate does.
+
     times must be ascending and lie in [0, t_final]; t_final lies in (0, 1].
     Arguments are checked at the call, the forcing as the sweep reaches it.
     """

@@ -23,9 +23,10 @@ style of Kassam-Trefethen) that treats the full linear multiplier exactly.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -264,12 +265,14 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
 
 
 class PicardSolution:
-    """Last iterate v^n: stored fields plus single-sweep access anywhere.
+    """Last iterate v^n: stored fields plus one-sweep access anywhere.
 
-    Calling the solution at a stored time returns the iterate v^n there; any
-    other time in [0, T] returns one more Picard application Psi(v^n), by one
-    duhamel_sweep against the nodal forcing of v^n, which the first such call
-    evaluates and keeps.  The two differ by at most the last increment.
+    at(times) returns the iterate v^n at each stored time; every other time
+    in [0, T] gets one more Picard application Psi(v^n).  All the off-grid
+    times of one call share one duhamel_sweep, which forms the forcing of v^n
+    at each node as it reaches it; no nodal forcing is kept.  A time outside
+    [0, T] is a ValueError.
+    The two differ by at most the last increment.
     """
 
     def __init__(self, prop, prob, t_final, panels, stored_fields):
@@ -278,33 +281,40 @@ class PicardSolution:
         self.t_final = t_final
         self.panels = panels
         self._v0_spec = prob.initial_data.spec.copy()
-        self._stored = dict(stored_fields)
+        self._stored = stored_fields
 
-    @cached_property
-    def _nodal_forcing(self) -> dict:
-        nodes = duhamel_nodes(self.t_final, self.panels).ravel()
-        return {
-            float(tau): nonlinearity_eval(self._stored[float(tau)], self.prob.k, self.prob.mode)
-            for tau in nodes
-        }
+    def _integrals(self, times) -> dict:
+        """{t: int_0^t V(t - tau) N(v^n)(tau) dtau} for the distinct times, by one sweep."""
+        for t in times:
+            if t < 0 or t > self.t_final * (1 + 1e-12):
+                raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
+        ordered = sorted(set(times))
+        forcing = lambda tau: nonlinearity_eval(self._stored[tau], self.prob.k, self.prob.mode)
+        sweep = duhamel_sweep(self.prop, forcing, ordered, self.t_final, self.panels)
+        return dict(zip(ordered, sweep, strict=True))
 
-    def _integral(self, t: float) -> np.ndarray:
-        if t < 0 or t > self.t_final * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
-        sweep = duhamel_sweep(self.prop, self._nodal_forcing.__getitem__, [t], self.t_final,
-                              self.panels)
-        return next(sweep)
+    def at(self, times) -> list[SpectralField]:
+        """The solution at each of times, in the order given."""
+        times = [float(t) for t in times]
+        stored = self._stored
+        integrals = self._integrals([t for t in times if t not in stored])
+        return [stored[t] if t in stored else SpectralField(
+                    self.prob.grid, self.prop.multiplier(t) * self._v0_spec - integrals[t])
+                for t in times]
+
+    def duhamel_parts(self, times) -> list[SpectralField]:
+        """The signed integral term of the solution, v(t) - V(t)v0, at each of times."""
+        times = [float(t) for t in times]
+        integrals = self._integrals(times)
+        return [SpectralField(self.prob.grid, -integrals[t]) for t in times]
 
     def __call__(self, t: float) -> SpectralField:
-        t = float(t)
-        if t in self._stored:
-            return self._stored[t]
-        spec = self.prop.multiplier(t) * self._v0_spec - self._integral(t)
-        return SpectralField(self.prob.grid, spec)
+        """The solution at one time: at([t])."""
+        return self.at([t])[0]
 
     def duhamel_part(self, t: float) -> SpectralField:
-        """The signed integral term of the solution, v(t) - V(t)v0."""
-        return SpectralField(self.prob.grid, -self._integral(float(t)))
+        """The signed integral term at one time: duhamel_parts([t])."""
+        return self.duhamel_parts([t])[0]
 
 
 def picard_iterate(
@@ -319,6 +329,11 @@ def picard_iterate(
     """Iterate v^(n+1) = Psi(v^n) from the free evolution until the space norm
     of the increment drops below tol.
 
+    One set of fields is held: each time's field of v^n is replaced by that of
+    v^(n+1) as the sweep yields it, which duhamel_sweep's order allows (every
+    node of a panel is evaluated before any time in the panel is yielded, so
+    no node reads a replaced field).  The free evolution V(t)v0 is formed
+    again at each time, and the increment and size norms stream time by time.
     Iterates leaving the ball (space norm above 10r) raise DivergenceError:
     either the parameters are inadmissible or the calibrated constant is too
     small.
@@ -329,29 +344,35 @@ def picard_iterate(
         raise ValueError("max_iter must be >= 1")
     prop = Propagator(prob.symbol, prob.grid)
     cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
-    space = prob.space_norm
     nodes = duhamel_nodes(t_final, panels).ravel()
     eval_times = sorted(
         {float(t) for t in nodes}
         | {float(t) for t in cfg.sample_times}
         | {float(t_final)}
     )
-    free_specs = {t: prop.multiplier(t) * prob.initial_data.spec for t in eval_times}
-    current = {t: SpectralField(prob.grid, free_specs[t]) for t in eval_times}
+    v0 = prob.initial_data.spec
+    current = {t: SpectralField(prob.grid, prop.multiplier(t) * v0) for t in eval_times}
+    sample_times = set(cfg.sample_times)
+    forcing = lambda tau: nonlinearity_eval(current[tau], prob.k, prob.mode)
+
+    def advance(it):
+        """Replace current by the next iterate, time by time; yield
+        [v^(n+1) - v^n, v^(n+1)] at each sample time, v^(n+1) as a field of
+        its own so that the stored field keeps no samples the norm forms."""
+        sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
+        for t, integral in zip(eval_times, sweep, strict=True):
+            spec = prop.multiplier(t) * v0 - integral
+            if not np.all(np.isfinite(spec)):
+                raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
+            new = SpectralField(prob.grid, spec)
+            if t in sample_times:
+                yield [new - current[t], SpectralField(prob.grid, spec)]
+            current[t] = new
 
     trace = PicardTrace(r=r, t_final=t_final, c_calibrated=calibrated_c)
     prev_increment = None
     for it in range(1, max_iter + 1):
-        forcing = lambda tau, _cur=current: nonlinearity_eval(_cur[tau], prob.k, prob.mode)
-        sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
-        new = {}
-        for t, integral in zip(eval_times, sweep):
-            spec = free_specs[t] - integral
-            if not np.all(np.isfinite(spec)):
-                raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
-            new[t] = SpectralField(prob.grid, spec)
-        increment = space((new[t] - current[t] for t in cfg.sample_times), cfg)
-        size = space((new[t] for t in cfg.sample_times), cfg)
+        increment, size = member_norms(prob.space_norm, advance(it), cfg)
         ratio = None
         if prev_increment is not None and prev_increment > 0:
             ratio = increment / prev_increment
@@ -360,7 +381,6 @@ def picard_iterate(
             raise DivergenceError(
                 f"iterate {it} left the ball: space norm {size:.4g} > 10*r = {10 * r:.4g}"
             )
-        current = new
         prev_increment = increment
         if increment <= tol:
             trace.converged = True
@@ -427,8 +447,14 @@ def reference_integrate(prob: IvpProblem, t_final: float, n_steps: int) -> Refer
 
     The linear multiplier i*xi^3 + eta*Phi is treated exactly per step, the
     (dealiased) nonlinearity explicitly; the scheme is therefore exact on
-    purely linear problems.
+    purely linear problems.  t_final must be finite and >= 0 (t_final = 0
+    returns the data) and n_steps an integer >= 1; anything else is a
+    ValueError.
     """
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    if not isinstance(n_steps, numbers.Integral):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     prop = Propagator(prob.symbol, prob.grid)

@@ -487,15 +487,13 @@ def verify_smoothing(
     free_f = sobolev_norm(apply_semigroup(prop_f, data_f, t_probe), s + mu)
     free_ratio = abs(free_f - free_c) / free_c
 
-    base = sol_c.duhamel_part(t_probe)
+    approach = [t_probe + (t_final - t_probe) * 2.0 ** (-j) for j in range(1, 6)]
+    base, *near = sol_c.duhamel_parts([t_probe] + approach)
     duh_c = sobolev_norm(base, s + mu)
     duh_f = sobolev_norm(sol_f.duhamel_part(t_probe), s + mu)
     duh_ratio = abs(duh_f - duh_c) / duh_c if duh_c > 0 else 0.0
 
-    deltas = []
-    for j in range(1, 6):
-        tj = t_probe + (t_final - t_probe) * 2.0 ** (-j)
-        deltas.append(sobolev_norm(sol_c.duhamel_part(tj) - base, s + mu))
+    deltas = [sobolev_norm(f - base, s + mu) for f in near]
     decreasing = all(b < a for a, b in zip(deltas[:-1], deltas[1:]))
 
     converged = trace_c.converged and trace_f.converged

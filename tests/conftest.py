@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from gkdv import semigroup
-from gkdv.norms import lebesgue_norm, sobolev_norm
+from gkdv.errors import BlowUpError, DivergenceError
+from gkdv.norms import WeightedNormConfig, lebesgue_norm, sobolev_norm
+from gkdv.semigroup import Propagator, duhamel_nodes, duhamel_sweep
+from gkdv.solver import IterationRecord, PicardTrace, nonlinearity_eval
 from gkdv.spectral import GridSpec, SpectralField, fractional_derivative_shifted
 
 
@@ -179,6 +182,64 @@ def full_spectrum_nonlinearity(grid, values, k, mode):
     if mode == "conservative":
         out = out * (1j * xi_odd)
     return out, np.fft.ifft(out).real * n
+
+
+def three_set_picard(prob, r, t_final, max_iter=40, tol=1e-9, panels=16):
+    """Reference Picard loop holding three sets of fields at every evaluation
+    time: the free evolution, v^n and v^(n+1), with the increment and size
+    norms taken over whole trajectories.  Returns the last iterate's fields by
+    time and the trace.  This is the loop picard_iterate ran before it held
+    one set."""
+    prop = Propagator(prob.symbol, prob.grid)
+    cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
+    space = prob.space_norm
+    nodes = duhamel_nodes(t_final, panels).ravel()
+    eval_times = sorted(
+        {float(t) for t in nodes}
+        | {float(t) for t in cfg.sample_times}
+        | {float(t_final)}
+    )
+    free_specs = {t: prop.multiplier(t) * prob.initial_data.spec for t in eval_times}
+    current = {t: SpectralField(prob.grid, free_specs[t]) for t in eval_times}
+
+    trace = PicardTrace(r=r, t_final=t_final, c_calibrated=None)
+    prev_increment = None
+    for it in range(1, max_iter + 1):
+        forcing = lambda tau, _cur=current: nonlinearity_eval(_cur[tau], prob.k, prob.mode)
+        sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
+        new = {}
+        for t, integral in zip(eval_times, sweep):
+            spec = free_specs[t] - integral
+            if not np.all(np.isfinite(spec)):
+                raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
+            new[t] = SpectralField(prob.grid, spec)
+        increment = space((new[t] - current[t] for t in cfg.sample_times), cfg)
+        size = space((new[t] for t in cfg.sample_times), cfg)
+        ratio = None
+        if prev_increment is not None and prev_increment > 0:
+            ratio = increment / prev_increment
+        trace.iterates.append(IterationRecord(it, size, increment, ratio))
+        if r > 0 and size > 10.0 * r:
+            raise DivergenceError(f"iterate {it} left the ball")
+        current = new
+        prev_increment = increment
+        if increment <= tol:
+            trace.converged = True
+            break
+    return current, trace
+
+
+def per_time_solution(prob, stored, t_final, t, panels=16):
+    """The solution at t from the stored fields of the last iterate, by one
+    sweep of its own over the cached nodal forcing, as PicardSolution ran one
+    time at a time: (solution spectrum, signed Duhamel spectrum)."""
+    prop = Propagator(prob.symbol, prob.grid)
+    nodal = {float(tau): nonlinearity_eval(stored[float(tau)], prob.k, prob.mode)
+             for tau in duhamel_nodes(t_final, panels).ravel()}
+    integral = next(duhamel_sweep(prop, nodal.__getitem__, [t], t_final, panels))
+    if t in stored:
+        return stored[t].spec, -integral
+    return prop.multiplier(t) * prob.initial_data.spec - integral, -integral
 
 
 @pytest.fixture

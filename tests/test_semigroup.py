@@ -13,6 +13,7 @@ from gkdv.semigroup import (
     _panel_bounds,
     _panel_step,
     apply_semigroup,
+    duhamel_nodes,
     duhamel_sweep,
     smoothing_norm_profile,
 )
@@ -251,6 +252,35 @@ class TestDuhamelIntegral:
         lhs = sweep_at(prop, combo, t)
         rhs = 2.0 * sweep_at(prop, f1, t).spec - 0.5 * sweep_at(prop, f2, t).spec
         assert np.max(np.abs(lhs.spec - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_order_contract(self, grid):
+        """Every node of a panel is evaluated before any time in that panel is
+        yielded, and every node evaluated after a time is yielded lies beyond
+        it: picard_iterate replaces each field as its time is yielded."""
+        prop = Propagator(builtin_symbol("kdv-ks"), grid)
+        g = gaussian_field(grid, width=0.7)
+        t_final, panels = 0.4, 8
+        bounds = _panel_bounds(t_final, panels)
+        nodes = duhamel_nodes(t_final, panels)
+        # panel ends, nodes, a time inside each panel and t = 0
+        times = sorted({0.0, *map(float, bounds[1:]), *map(float, nodes.ravel()),
+                        *map(float, 0.5 * (bounds[:-1] + bounds[1:]))})
+        events = []
+
+        def forcing(tau):
+            events.append(("node", tau))
+            return g
+
+        for t, _ in zip(times, duhamel_sweep(prop, forcing, times, t_final, panels)):
+            events.append(("time", t))
+        assert [t for kind, t in events if kind == "time"] == times
+        for i, (kind, t) in enumerate(events):
+            if kind != "time":
+                continue
+            panel = int(np.searchsorted(bounds[1:], t))  # the panel [b_j, b_(j+1)] yielding t
+            read = [tau for k, tau in events[:i] if k == "node"]
+            assert set(map(float, nodes[panel])) <= set(read), t
+            assert all(tau > t for k, tau in events[i + 1:] if k == "node"), t
 
     def test_incompatible_grid_rejected(self, grid):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)

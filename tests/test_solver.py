@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -13,7 +14,8 @@ from gkdv.errors import (
 )
 from gkdv.norms import WeightedNormConfig, sobolev_norm, x_norm
 from gkdv.probes import gaussian_field, rough_field
-from gkdv.semigroup import Propagator, apply_semigroup, duhamel_sweep
+from gkdv import solver
+from gkdv.semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
 from gkdv.solver import (
     MODES,
     IvpProblem,
@@ -36,7 +38,7 @@ from gkdv.spectral import (
 )
 from gkdv.verifier import verify_weighted_linear
 
-from conftest import band_limit, rel_l2
+from conftest import band_limit, per_time_solution, rel_l2, three_set_picard
 
 
 def make_problem(name="kdv-ks", grid=None, k=1.0, mode="conservative", s=0.0,
@@ -324,6 +326,98 @@ class TestPicard:
         assert ratio <= 1.25 * rep.empirical_constant
 
 
+class TestOneIterateSet:
+    """picard_iterate holds one set of fields and PicardSolution sweeps all the
+    times of a call at once; both give the bits of the three-set loop and of
+    the per-time sweeps they replaced."""
+
+    T_FINAL = 0.01
+
+    @staticmethod
+    def problem(mode):
+        s = 0.0 if mode == "conservative" else 0.5
+        prob = make_problem(name="kdv-ks", amplitude=0.3, mode=mode, s=s)
+        return prob, 8.0 * sobolev_norm(prob.initial_data, 0.0)
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trace_and_fields_match_three_set_loop(self, mode):
+        prob, r = self.problem(mode)
+        sol, trace = picard_iterate(prob, r, self.T_FINAL, tol=1e-10)
+        want_fields, want_trace = three_set_picard(prob, r, self.T_FINAL, tol=1e-10)
+        assert len(trace.iterates) >= 3
+        assert trace.converged and want_trace.converged
+        assert [asdict(rec) for rec in trace.iterates] == [asdict(rec) for rec in want_trace.iterates]
+        assert list(sol._stored) == list(want_fields)
+        for t, f in want_fields.items():
+            assert self.same_bits(sol._stored[t].spec, f.spec), t
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_multi_time_calls_match_per_time_sweeps(self, mode, monkeypatch):
+        prob, r = self.problem(mode)
+        sol, _ = picard_iterate(prob, r, self.T_FINAL, tol=1e-10)
+        stored, _ = three_set_picard(prob, r, self.T_FINAL, tol=1e-10)
+        sweeps = Counter()
+        real_sweep = solver.duhamel_sweep
+
+        def counted(*args, **kwargs):
+            sweeps["n"] += 1
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "duhamel_sweep", counted)
+        t_stored = list(stored)[40]
+        # unsorted, with a duplicate, a stored time, t = 0 and t = T
+        times = [0.61 * self.T_FINAL, t_stored, 0.37 * self.T_FINAL, self.T_FINAL,
+                 0.61 * self.T_FINAL, 0.0]
+        fields = sol.at(times)
+        assert sweeps["n"] == 1
+        parts = sol.duhamel_parts(times)
+        assert sweeps["n"] == 2
+        for t, f, part in zip(times, fields, parts, strict=True):
+            want, want_part = per_time_solution(prob, stored, self.T_FINAL, t)
+            assert self.same_bits(f.spec, want), t
+            assert self.same_bits(part.spec, want_part), t
+        assert self.same_bits(sol(0.37 * self.T_FINAL).spec, fields[2].spec)
+        assert self.same_bits(sol.duhamel_part(t_stored).spec, parts[1].spec)
+        assert sweeps["n"] == 4
+        for bad in ([0.5 * self.T_FINAL, 1.1 * self.T_FINAL], [-1e-9]):
+            with pytest.raises(ValueError, match="outside the solution interval"):
+                sol.at(bad)
+            with pytest.raises(ValueError, match="outside the solution interval"):
+                sol.duhamel_parts(bad)
+        assert sweeps["n"] == 4
+
+    @staticmethod
+    def peak_in_sets(run, prob, t_final):
+        """tracemalloc peak of run() in sets of half spectra at the evaluation times."""
+        cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
+        times = ({float(t) for t in duhamel_nodes(t_final, 16).ravel()}
+                 | set(cfg.sample_times) | {t_final})
+        one_set = len(times) * (prob.grid.n_points // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / one_set
+
+    def test_picard_holds_at_most_two_sets(self):
+        """Memory guard: the three-set loop peaks above 3.5 sets, picard_iterate
+        at 1.3 on this 4096-point kdv-ks Gaussian problem."""
+        prob = make_problem(grid=GridSpec(100.0, 4096))
+        r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
+        got = self.peak_in_sets(lambda: picard_iterate(prob, r, self.T_FINAL, tol=1e-10),
+                                prob, self.T_FINAL)
+        assert got <= 2.0
+        old = self.peak_in_sets(lambda: three_set_picard(prob, r, self.T_FINAL, tol=1e-10),
+                                prob, self.T_FINAL)
+        assert old > 2.0
+
+
 class TestReferenceIntegrator:
     def test_zero_data(self):
         prob = make_problem(amplitude=0.0)
@@ -366,6 +460,23 @@ class TestReferenceIntegrator:
         prob = make_problem(name="kdv-ks", amplitude=50.0, width=2.0)
         with pytest.raises(StabilityError):
             reference_integrate(prob, 1.0, n_steps=2)
+
+    @pytest.mark.parametrize("t_final, n_steps", [
+        (-0.01, 16), (float("nan"), 16), (float("inf"), 16), (float("-inf"), 16),
+        (0.01, 2.5), (0.01, 16.0), (0.01, "16"),
+    ])
+    def test_bad_horizon_or_step_count_rejected(self, t_final, n_steps):
+        # a negative t_final used to integrate backwards, a non-finite one to
+        # raise BlowUpError from the nonlinearity
+        prob = make_problem(name="kdv-ks", amplitude=0.4)
+        with pytest.raises(ValueError):
+            reference_integrate(prob, t_final, n_steps=n_steps)
+
+    def test_zero_horizon_returns_the_data(self):
+        prob = make_problem(name="kdv-ks", amplitude=0.4)
+        run = reference_integrate(prob, 0.0, n_steps=4)
+        assert np.array_equal(run.final.spec, prob.initial_data.spec)
+        assert np.all(run.times == 0.0)
 
 
 class TestSolve:
