@@ -36,9 +36,8 @@ from .verifier import (
 )
 
 
-def _out_root(cfg: RunConfig, override: str | None) -> Path:
-    root = override or os.environ.get("GKDV_OUT") or cfg.raw.get("output_dir") or "gkdv-runs"
-    return Path(root)
+def _out_root(override: str | None) -> Path:
+    return Path(override or os.environ.get("GKDV_OUT") or "gkdv-runs")
 
 
 def _prepare_run_dir(cfg: RunConfig, out_root: Path) -> Path:
@@ -86,7 +85,7 @@ def run_solve(config_path: str, out_override: str | None) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
-    run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
+    run_dir = _prepare_run_dir(cfg, _out_root(out_override))
     solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int)
     try:
         solution, trace = solve(prob, **solver_opts)
@@ -147,7 +146,7 @@ def run_verify(config_path: str, suite: str | None, out_override: str | None) ->
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
-    run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
+    run_dir = _prepare_run_dir(cfg, _out_root(out_override))
     reports = []
     try:
         # each report is written as it arrives, so a later check that raises
@@ -190,7 +189,7 @@ def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
-    run_dir = _prepare_run_dir(cfg, _out_root(cfg, out_override))
+    run_dir = _prepare_run_dir(cfg, _out_root(out_override))
     try:
         # the pool forks all its workers up front, so it never outnumbers the
         # combinations or the CPUs this process may run on

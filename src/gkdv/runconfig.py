@@ -29,7 +29,7 @@ from .symbols import (
 
 SUITES = ("all", "linear", "nonlinear", "smoothing")
 
-_COMMON_KEYS = {"symbol", "grid", "k", "s", "mode", "seed", "output_dir"}
+_COMMON_KEYS = {"symbol", "grid", "k", "s", "mode", "seed"}
 _ALLOWED = {
     "solve": _COMMON_KEYS | {"initial_data", "output_times", "solver"},
     "verify": _COMMON_KEYS | {"suite", "verify"},

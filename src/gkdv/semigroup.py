@@ -258,9 +258,15 @@ def smoothing_norm_profile(
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0) or np.any(taus > 1):
         raise ValueError("every tau must lie in (0, 1]")
+    return _lattice_sup(sym, (1.0 + grid.xi) ** theta, taus, grid)
+
+
+def _lattice_sup(sym: DissipativeSymbol, weight: np.ndarray, taus, grid: GridSpec) -> list[float]:
+    """sup over grid frequencies of weight * exp(eta*tau*Phi(xi)) per tau, with
+    weight given at each grid frequency; a maximizer at the lattice edge is a
+    ResolutionError."""
     xs = grid.xi
     xi_top = xs[-1]
-    weight = (1.0 + xs) ** theta
     phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
     out = []
     for tau in taus:

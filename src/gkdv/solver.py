@@ -321,10 +321,10 @@ def picard_iterate(
     prob: IvpProblem,
     r: float,
     t_final: float,
-    max_iter: int = 40,
-    tol: float = 1e-9,
-    panels: int = 16,
-    calibrated_c: float | None = None,
+    *,
+    max_iter: int,
+    tol: float,
+    panels: int,
 ) -> tuple[PicardSolution, PicardTrace]:
     """Iterate v^(n+1) = Psi(v^n) from the free evolution until the space norm
     of the increment drops below tol.
@@ -369,7 +369,7 @@ def picard_iterate(
                 yield [new - current[t], SpectralField(prob.grid, spec)]
             current[t] = new
 
-    trace = PicardTrace(r=r, t_final=t_final, c_calibrated=calibrated_c)
+    trace = PicardTrace(r=r, t_final=t_final, c_calibrated=None)
     prev_increment = None
     for it in range(1, max_iter + 1):
         increment, size = member_norms(prob.space_norm, advance(it), cfg)
@@ -395,18 +395,20 @@ def solve(
     tol: float | None = None,
     panels: int = 16,
 ) -> tuple[PicardSolution, PicardTrace]:
-    """Calibrate c on the initial data, select (r, T), and run the Picard iteration."""
+    """Calibrate c on the initial data, select (r, T), and run the Picard
+    iteration; the trace records c, None on zero data (r = 0, T = 1)."""
     _admissible_omega(prob)
     with np.errstate(over="ignore"):  # an infinite norm is calibrate_c's DoubleRangeError
         hs0 = sobolev_norm(prob.initial_data, prob.s)
-    if hs0 == 0.0:
-        return picard_iterate(prob, 0.0, 1.0, panels=panels)
-    c = calibrate_c(prob, prob.initial_data, panels)
-    r, t_final = select_radius_and_time(prob, c)
+    c, r, t_final = None, 0.0, 1.0
+    if hs0 != 0.0:
+        c = calibrate_c(prob, prob.initial_data, panels)
+        r, t_final = select_radius_and_time(prob, c)
     if tol is None:
         tol = min(1e-6, max(1e-12, 1e-8 * r))
-    return picard_iterate(prob, r, t_final, max_iter=max_iter, tol=tol, panels=panels,
-                          calibrated_c=c)
+    solution, trace = picard_iterate(prob, r, t_final, max_iter=max_iter, tol=tol, panels=panels)
+    trace.c_calibrated = c
+    return solution, trace
 
 
 # ---------------------------------------------------------------------------

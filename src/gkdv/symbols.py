@@ -175,9 +175,8 @@ def threshold_M(sym: DissipativeSymbol, xi_max: float) -> float:
     ok = _conditions_hold(sym, xs)
     if ok.all():
         return float(xs[0])
+    # xs ends exactly at xi_max, which passed the pre-check
     last_bad = int(np.nonzero(~ok)[0][-1])
-    if last_bad == n_scan - 1:  # unreachable given the xi_max pre-check
-        raise HypothesisViolationError(f"symbol {sym.name} inadmissible up to xi_max")
     lo, hi = xs[last_bad], xs[last_bad + 1]
     while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)

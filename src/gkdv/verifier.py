@@ -24,7 +24,7 @@ from .norms import (
     x_norm,
 )
 from .probes import rough_field
-from .semigroup import Propagator, apply_semigroup, smoothing_norm_profile
+from .semigroup import Propagator, _lattice_sup, apply_semigroup, smoothing_norm_profile
 from .solver import (
     IvpProblem,
     calibrate_c,
@@ -36,7 +36,7 @@ from .solver import (
     select_radius_and_time,
 )
 from .spectral import GridSpec, apply_multiplier_values, fractional_derivative_shifted
-from .symbols import DissipativeSymbol, _conditions_hold, evaluate_phi, threshold_M
+from .symbols import DissipativeSymbol, _conditions_hold, threshold_M
 
 DEFAULT_LENGTH = 200.0 * np.pi
 DEFAULT_N_POINTS = 2 ** 13
@@ -174,7 +174,8 @@ def verify_multiplier_decay(
     law only as tau -> 0 (the maximizer must sit far above xi = 1), which is
     why the default window adapts to (p, theta); weight="homogeneous"
     replaces the bracket by |xi|^theta, for which the law is exact at every
-    tau, as a supplementary diagnostic.
+    tau, as a supplementary diagnostic.  Both weights take the sup over one
+    lattice and raise ResolutionError when a maximizer sits at its edge.
 
     With an explicit tau_window the bracket-weight verdict still compares the
     finite-window slope with the asymptotic -theta/p, so a "fail" there is
@@ -189,9 +190,7 @@ def verify_multiplier_decay(
     if weight == "bracket":
         profile = smoothing_norm_profile(sym, theta, taus, grid)
     else:
-        xs = grid.xi
-        phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
-        profile = [float(np.max(xs ** theta * np.exp(sym.eta * tau * phi))) for tau in taus]
+        profile = _lattice_sup(sym, grid.xi ** theta, taus, grid)
     theo = -theta / sym.p
     fitted, constant, residual = fit_power_law(taus, profile)
     if theta == 0:
@@ -216,10 +215,11 @@ def verify_multiplier_decay(
 def verify_weighted_linear(
     sym: DissipativeSymbol,
     k: float,
-    s: float = 0.0,
-    grid: GridSpec | None = None,
+    *,
+    s: float,
+    grid: GridSpec,
+    base_seed: int,
     n_seeds: int = 10,
-    base_seed: int = 0,
 ) -> EstimateReport:
     """Check the weighted decay of the free evolution of barely-L^2 data.
 
@@ -227,11 +227,9 @@ def verify_weighted_linear(
     of ||d_x V(t) w0||_{L^{2(k+1)}}, fitted on t <= 0.1, must not fall below
     -gamma_k/p - 0.05; (b) the sup and across-decades ratio of the weighted
     quantity are reported; (c) the ratio x_norm(V(.)w0)/||w0||_{H^s} over
-    seeded draws gives the empirical constant, required stable within 20% of
-    the mean.
+    n_seeds draws on grid, seeded base_seed, base_seed + 1, ..., gives the
+    empirical constant, required stable within 20% of the mean.
     """
-    if grid is None:
-        grid = GridSpec(DEFAULT_LENGTH, DEFAULT_N_POINTS)
     prop = Propagator(sym, grid)
     q = 2.0 * (k + 1.0)
     wexp = gamma_k(k) / sym.p
@@ -457,8 +455,9 @@ def verify_smoothing(
     the problem's own initial_data field is not used.  t_horizon overrides
     the selection rule's existence time: the refinement comparison needs the
     probe time well above the coarse grid's smoothing scale nyquist^(-p), and
-    the worst-case selection rule can land far below it.  Convergence of both
-    fixed-point runs is part of the verdict.
+    the worst-case selection rule can land far below it.  Both fixed-point
+    runs take 16 panels, at most 40 iterations and tol 1e-9, and the
+    convergence of both is part of the verdict.
     """
     if s is None:
         s = prob.s
@@ -477,8 +476,8 @@ def verify_smoothing(
     r, t_final = select_radius_and_time(prob_c, c)
     if t_horizon is not None:
         t_final = t_horizon
-    sol_c, trace_c = picard_iterate(prob_c, r, t_final, panels=16, calibrated_c=c)
-    sol_f, trace_f = picard_iterate(prob_f, r, t_final, panels=16, calibrated_c=c)
+    sol_c, trace_c = picard_iterate(prob_c, r, t_final, max_iter=40, tol=1e-9, panels=16)
+    sol_f, trace_f = picard_iterate(prob_f, r, t_final, max_iter=40, tol=1e-9, panels=16)
     t_probe = 0.5 * t_final
 
     prop_c = Propagator(prob.symbol, coarse)
@@ -523,14 +522,17 @@ def verify_smoothing(
 def verify_hausdorff_young(field_set, p1: float) -> EstimateReport:
     """Empirical constant of ||f||_{L^p1} <= C ||f^||_{L^q1}, 1/p1 + 1/q1 = 1.
 
-    At p1 = 2 the ratio is exactly 1 (Parseval).  The check passes when the
-    constant is finite.
+    At p1 = 2 the ratio is exactly 1 (Parseval), and on the discrete
+    transform the constant is at most 1 for every p1 >= 2 (Riesz-Thorin
+    between Parseval and the l^1 -> l^inf bound).  The check passes when the
+    constant is at most 1 + tolerance; a non-finite constant fails.
     """
     if p1 < 2:
         raise ValueError(f"Hausdorff-Young needs p1 >= 2, got {p1}")
     q1 = p1 / (p1 - 1.0) if np.isfinite(p1) else 1.0
     ratios = [lebesgue_norm(f, p1) / spectral_lq_norm(f, q1) for f in field_set]
     constant = float(np.max(ratios))
+    tolerance = 0.10
     return EstimateReport(
         estimate_id=f"hausdorff-young-p{p1:g}",
         theoretical_exponent=None,
@@ -538,8 +540,8 @@ def verify_hausdorff_young(field_set, p1: float) -> EstimateReport:
         fit_window=(p1, q1),
         residual=0.0,
         empirical_constant=constant,
-        tolerance=0.10,
-        verdict="pass" if np.isfinite(constant) else "fail",
+        tolerance=tolerance,
+        verdict="pass" if constant <= 1.0 + tolerance else "fail",
         notes={"ratios": [float(v) for v in ratios], "q1": q1},
     )
 

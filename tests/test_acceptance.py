@@ -27,6 +27,7 @@ from gkdv.symbols import builtin_symbol
 from gkdv.errors import AdmissibilityError
 from gkdv.verifier import (
     DEFAULT_LENGTH,
+    DEFAULT_N_POINTS,
     fit_power_law,
     verify_contraction_scaling,
     verify_multiplier_decay,
@@ -122,7 +123,8 @@ class TestCriterion2WeightedLinear:
     @pytest.mark.parametrize("k,p", [(1.0, 3.0), (1.0, 4.0), (2.0, 5.0)])
     def test_decay_and_constants(self, k, p):
         sym = builtin_symbol("pure-power", p=p)
-        rep = verify_weighted_linear(sym, k, s=0.0, n_seeds=10, base_seed=0)
+        rep = verify_weighted_linear(sym, k, s=0.0, grid=GridSpec(DEFAULT_LENGTH, DEFAULT_N_POINTS),
+                                     n_seeds=10, base_seed=0)
         bound = -gamma_k(k) / p - 0.05
         ok = rep.fitted_exponent >= bound and rep.notes["constant_spread"] <= 0.2
         report(
@@ -197,7 +199,7 @@ class TestCriterion4CrossValidation:
                           mode="conservative", s=0.0, initial_data=data)
         r = 8.0 * sobolev_norm(data, 0.0)
         t_final = 0.01
-        sol, trace = picard_iterate(prob, r, t_final, tol=1e-11)
+        sol, trace = picard_iterate(prob, r, t_final, max_iter=40, tol=1e-11, panels=16)
         ref = reference_integrate(prob, t_final, n_steps=1024)
         rel = rel_l2(sol(t_final).phys, ref.final.phys)
         ok = trace.converged and rel <= 1e-6
@@ -297,7 +299,9 @@ class TestCriterion9AdmissibilityGating:
     def test_linear_suite_still_passes(self):
         sym = builtin_symbol("kdv-burgers")
         decay = verify_multiplier_decay(sym, 1.0)
-        linear = verify_weighted_linear(sym, 1.0, n_seeds=4)
+        linear = verify_weighted_linear(sym, 1.0, s=0.0,
+                                        grid=GridSpec(DEFAULT_LENGTH, DEFAULT_N_POINTS),
+                                        n_seeds=4, base_seed=0)
         threshold = verify_threshold_conditions(sym)
         ok = decay.verdict == "pass" and linear.passed and threshold.verdict == "pass"
         report("criterion 9 (linear checks for the gated pair)", ok,

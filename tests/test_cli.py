@@ -189,6 +189,22 @@ def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["elsewhere", 5])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_output_dir_key_exit_2_without_run_dir(tmp_path, monkeypatch, command, value):
+    # only --out and GKDV_OUT set the output root, so a config key for it is
+    # unknown, whatever its value
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GKDV_OUT", raising=False)
+    cfg = verify_config(suite="linear") if command == "verify" else solve_config()
+    cfg["output_dir"] = value
+    path = write_config(tmp_path, "output-dir.json", cfg)
+    res = CliRunner().invoke(main, [command, "--config", path])
+    assert res.exit_code == 2
+    assert "config error: unknown key(s) ['output_dir']" in res.output
+    assert [entry.name for entry in tmp_path.iterdir()] == ["output-dir.json"]
+
+
 # Valid configs on which a computed quantity leaves the double range; each
 # used to escape as an uncaught OverflowError or ValueError.  A verify config
 # runs the linear suite unless it sets its own.

@@ -10,6 +10,7 @@ from gkdv.errors import ResolutionError, StructuralError
 from gkdv.norms import lebesgue_norm
 from gkdv.semigroup import (
     Propagator,
+    _lattice_sup,
     _panel_bounds,
     _panel_step,
     apply_semigroup,
@@ -19,7 +20,7 @@ from gkdv.semigroup import (
 )
 from gkdv.solver import nonlinearity_eval
 from gkdv.spectral import GridSpec, SpectralField, coherent_field
-from gkdv.symbols import builtin_symbol, symbol_constants, tabulated_symbol
+from gkdv.symbols import builtin_symbol, evaluate_phi, symbol_constants, tabulated_symbol
 from gkdv.probes import gaussian_field
 
 from conftest import full_band_sweep, gl_duhamel, panel_step
@@ -494,6 +495,17 @@ class TestSmoothingProfile:
             xs = np.linspace(0.0, g.nyquist, 400001)
             oracle = np.max((1 + xs) ** theta * np.exp(-tau * xs ** p))
             assert value == pytest.approx(oracle, rel=1e-5)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0])
+    def test_homogeneous_sup_matches_its_direct_form(self, theta):
+        # the shared sup loop gives the bits of the direct max over the
+        # lattice, for the homogeneous weight of verify_multiplier_decay
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = builtin_symbol("pure-power", p=3)
+        taus = np.geomspace(1e-4, 1e-2, 24)
+        phi = np.asarray(evaluate_phi(sym, g.xi), dtype=float)
+        direct = [float(np.max(g.xi ** theta * np.exp(sym.eta * tau * phi))) for tau in taus]
+        assert _lattice_sup(sym, g.xi ** theta, taus, g) == direct
 
     def test_boundary_maximizer_raises(self):
         g = GridSpec(2 * np.pi, 64)  # nyquist 32, far below the maximizer

@@ -252,7 +252,7 @@ class TestCalibration:
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         prob = make_problem(amplitude=0.0)
-        sol, trace = picard_iterate(prob, 0.0, 1.0, tol=1e-12)
+        sol, trace = picard_iterate(prob, 0.0, 1.0, max_iter=40, tol=1e-12, panels=16)
         assert trace.converged
         assert len(trace.iterates) == 1
         assert np.all(sol(0.7).phys == 0)
@@ -271,7 +271,7 @@ class TestPicard:
         prob = make_problem(name="kdv-ks", amplitude=0.4)
         r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
         t_final = 0.01
-        sol, trace = picard_iterate(prob, r, t_final, tol=1e-11)
+        sol, trace = picard_iterate(prob, r, t_final, max_iter=40, tol=1e-11, panels=16)
         assert trace.converged
         ref = reference_integrate(prob, t_final, n_steps=512)
         assert rel_l2(sol(t_final).phys, ref.final.phys) <= 1e-6
@@ -279,13 +279,13 @@ class TestPicard:
     def test_divergence_detected(self):
         prob = make_problem(amplitude=0.4)
         with pytest.raises(DivergenceError):
-            picard_iterate(prob, 1e-3, 0.01, tol=1e-12)
+            picard_iterate(prob, 1e-3, 0.01, max_iter=40, tol=1e-12, panels=16)
 
     def test_fixed_point_residual(self):
         prob = make_problem(name="kdv-ks", amplitude=0.3)
         tol = 1e-10
         r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
-        sol, trace = picard_iterate(prob, r, 0.01, tol=tol)
+        sol, trace = picard_iterate(prob, r, 0.01, max_iter=40, tol=tol, panels=16)
         assert trace.converged
         cfg = WeightedNormConfig.default(0.0, 1.0, 4.0, 0.01)
         prop = Propagator(prob.symbol, prob.grid)
@@ -301,7 +301,7 @@ class TestPicard:
         prob = make_problem(name="kdv-ks", amplitude=0.3)
         r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
         t_final = 0.01
-        sol, trace = picard_iterate(prob, r, t_final, tol=1e-10)
+        sol, trace = picard_iterate(prob, r, t_final, max_iter=40, tol=1e-10, panels=16)
         assert trace.converged
         t_off = 0.37 * t_final
         assert t_off not in sol._stored
@@ -317,7 +317,7 @@ class TestPicard:
     def test_first_iterate_obeys_linear_bound(self):
         g = GridSpec(200 * np.pi, 2 ** 11)
         sym = builtin("kdv-ks")
-        rep = verify_weighted_linear(sym, 1.0, grid=g, n_seeds=4, base_seed=0)
+        rep = verify_weighted_linear(sym, 1.0, s=0.0, grid=g, n_seeds=4, base_seed=0)
         w0 = rough_field(g, sobolev_index=0.0, seed=99)
         prop = Propagator(sym, g)
         cfg = WeightedNormConfig.default(0.0, 1.0, 4.0, 1.0, n_times=10)
@@ -346,7 +346,7 @@ class TestOneIterateSet:
     @pytest.mark.parametrize("mode", MODES)
     def test_trace_and_fields_match_three_set_loop(self, mode):
         prob, r = self.problem(mode)
-        sol, trace = picard_iterate(prob, r, self.T_FINAL, tol=1e-10)
+        sol, trace = picard_iterate(prob, r, self.T_FINAL, max_iter=40, tol=1e-10, panels=16)
         want_fields, want_trace = three_set_picard(prob, r, self.T_FINAL, tol=1e-10)
         assert len(trace.iterates) >= 3
         assert trace.converged and want_trace.converged
@@ -358,7 +358,7 @@ class TestOneIterateSet:
     @pytest.mark.parametrize("mode", MODES)
     def test_multi_time_calls_match_per_time_sweeps(self, mode, monkeypatch):
         prob, r = self.problem(mode)
-        sol, _ = picard_iterate(prob, r, self.T_FINAL, tol=1e-10)
+        sol, _ = picard_iterate(prob, r, self.T_FINAL, max_iter=40, tol=1e-10, panels=16)
         stored, _ = three_set_picard(prob, r, self.T_FINAL, tol=1e-10)
         sweeps = Counter()
         real_sweep = solver.duhamel_sweep
@@ -410,7 +410,8 @@ class TestOneIterateSet:
         at 1.3 on this 4096-point kdv-ks Gaussian problem."""
         prob = make_problem(grid=GridSpec(100.0, 4096))
         r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
-        got = self.peak_in_sets(lambda: picard_iterate(prob, r, self.T_FINAL, tol=1e-10),
+        got = self.peak_in_sets(lambda: picard_iterate(prob, r, self.T_FINAL, max_iter=40,
+                                                       tol=1e-10, panels=16),
                                 prob, self.T_FINAL)
         assert got <= 2.0
         old = self.peak_in_sets(lambda: three_set_picard(prob, r, self.T_FINAL, tol=1e-10),
@@ -512,7 +513,7 @@ class TestSolve:
             prob = IvpProblem(symbol=builtin("kdv-ks"), grid=g, k=1.0,
                               mode="conservative", s=0.0, initial_data=data)
             r = 8.0 * sobolev_norm(data, 0.0)
-            sol, trace = picard_iterate(prob, r, t_final, tol=1e-11)
+            sol, trace = picard_iterate(prob, r, t_final, max_iter=40, tol=1e-11, panels=16)
             assert trace.converged
             sols[g.n_points] = sol(t_final).phys
         assert rel_l2(sols[256], sols[512][::2]) <= 1e-6
@@ -529,7 +530,7 @@ class TestSolve:
         def solution_at(data):
             prob = IvpProblem(symbol=builtin("kdv-ks"), grid=g, k=1.0,
                               mode="conservative", s=0.0, initial_data=data)
-            sol, trace = picard_iterate(prob, r, t_final, tol=1e-12)
+            sol, trace = picard_iterate(prob, r, t_final, max_iter=40, tol=1e-12, panels=16)
             assert trace.converged
             return sol(t_final).phys
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gkdv import semigroup, verifier
-from gkdv.errors import DoubleRangeError
+from gkdv.errors import DoubleRangeError, ResolutionError
 from gkdv.probes import gaussian_field
 from gkdv.semigroup import Propagator
 from gkdv.spectral import GridSpec, zero_field
@@ -77,6 +77,17 @@ class TestMultiplierDecay:
         assert rep.verdict == "pass"
         assert rep.fitted_exponent == pytest.approx(-0.5, rel=1e-4)
 
+    @pytest.mark.parametrize("weight", ["bracket", "homogeneous"])
+    def test_lattice_edge_maximizer_raises(self, monkeypatch, weight):
+        # a 256-point lattice (nyquist 1.28) lies far below this window's
+        # maximizers (theta/(p*eta*tau))^(1/p) = 1e3 ... 1e4, so neither
+        # weight's sup is on it; a fit to its edge values would read ~0
+        monkeypatch.setattr(verifier, "_lattice_for_profile",
+                            lambda sym, theta, tau_min: GridSpec(verifier.DEFAULT_LENGTH, 256))
+        with pytest.raises(ResolutionError, match="lattice edge"):
+            verify_multiplier_decay(builtin_symbol("pure-power", p=2), 2.0,
+                                    tau_window=(1e-8, 1e-6), weight=weight)
+
     def test_report_is_reproducible(self):
         a = verify_multiplier_decay(builtin_symbol("kdv-ks"), 1.0)
         b = verify_multiplier_decay(builtin_symbol("kdv-ks"), 1.0)
@@ -86,8 +97,8 @@ class TestMultiplierDecay:
 class TestWeightedLinear:
     def test_pure_power_passes(self):
         g = GridSpec(200 * np.pi, 2 ** 11)
-        rep = verify_weighted_linear(builtin_symbol("pure-power", p=4), 1.0, grid=g,
-                                     n_seeds=4)
+        rep = verify_weighted_linear(builtin_symbol("pure-power", p=4), 1.0, s=0.0, grid=g,
+                                     n_seeds=4, base_seed=0)
         assert rep.verdict in ("pass", "pass-weak")
         assert rep.fitted_exponent >= rep.theoretical_exponent - 0.05
         assert rep.notes["constant_spread"] <= 0.2
@@ -264,6 +275,26 @@ class TestHausdorffYoung:
         g = GridSpec(50.0, 256)
         with pytest.raises(ValueError):
             verify_hausdorff_young([gaussian_field(g)], 1.5)
+
+    @pytest.mark.parametrize("p1", [2.0, 4.0])
+    def test_doubled_norm_fails(self, monkeypatch, p1):
+        # the discrete constant is at most 1; a lebesgue_norm that doubles
+        # every norm gives 2.0 and 1.87 on these fields
+        g = GridSpec(50.0, 256)
+        fields = [gaussian_field(g, amplitude=1.0 + 0.1 * i, width=g.length / (20.0 + i))
+                  for i in range(4)]
+        assert verify_hausdorff_young(fields, p1).verdict == "pass"
+        norm = verifier.lebesgue_norm
+        monkeypatch.setattr(verifier, "lebesgue_norm", lambda f, q: 2.0 * norm(f, q))
+        rep = verify_hausdorff_young(fields, p1)
+        assert rep.empirical_constant > 1.0 + rep.tolerance
+        assert rep.verdict == "fail"
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_constant_fails(self, monkeypatch, bad):
+        g = GridSpec(50.0, 256)
+        monkeypatch.setattr(verifier, "lebesgue_norm", lambda f, q: bad)
+        assert verify_hausdorff_young([gaussian_field(g)], 4.0).verdict == "fail"
 
 
 class TestThresholdConditions:
