@@ -242,15 +242,39 @@ def per_time_solution(prob, stored, t_final, t, panels=16):
     return prop.multiplier(t) * prob.initial_data.spec - integral, -integral
 
 
+class FftCalls(Counter):
+    """Transform calls counted by name; lengths lists (name, points) per call
+    in call order, points being the length of the physical side.  clear()
+    empties both."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def clear(self):
+        super().clear()
+        self.lengths.clear()
+
+
+def _transform_points(name, a, n=None, *_, **__):
+    """Physical length of one numpy.fft call: n if given, else from a."""
+    if n is None:
+        size = np.shape(a)[-1]
+        n = 2 * (size - 1) if name == "irfft" else size
+    return n
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Count calls of numpy.fft.{fft, ifft, rfft, irfft} by name."""
-    calls = Counter()
+    """Count calls of numpy.fft.{fft, ifft, rfft, irfft} by name, and record
+    each call's transform length in .lengths."""
+    calls = FftCalls()
     for name in ("fft", "ifft", "rfft", "irfft"):
         orig = getattr(np.fft, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
             calls[_name] += 1
+            calls.lengths.append((_name, _transform_points(_name, *args, **kwargs)))
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)

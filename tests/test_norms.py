@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,13 @@ from gkdv.norms import (
 )
 from gkdv.probes import gaussian_field, rough_field
 from gkdv.semigroup import Propagator, apply_semigroup
-from gkdv.spectral import GridSpec, SpectralField, coherent_field, fractional_derivative_shifted
+from gkdv.spectral import (
+    GridSpec,
+    SpectralField,
+    coherent_field,
+    fractional_derivative_shifted,
+    zero_field,
+)
 from gkdv.symbols import builtin_symbol
 
 from conftest import spatial_derivative, trajectory_norm
@@ -87,6 +95,127 @@ class TestLebesgue:
         assert np.max(np.abs(out - v ** float(n)) / np.abs(v ** float(n))) <= 2e-15
         if n <= 2:
             assert np.array_equal(out, v ** n)
+
+
+def full_grid_norm(spec, n, length, q):
+    """(sum |irfft(spec, n)|^q * h)^(1/q): the n-point rectangle rule."""
+    samples = np.fft.irfft(spec, n, norm="forward")
+    return (np.sum(np.abs(samples) ** q) * (length / n)) ** (1.0 / q)
+
+
+def inverse_lengths(fft_calls):
+    return [n for name, n in fft_calls.lengths if name == "irfft"]
+
+
+class TestExactSubgrid:
+    """Even-q norms of band-limited fields are summed on the coarsest
+    power-of-two grid that integrates |f|^q exactly."""
+
+    @staticmethod
+    def band_limited(n, top):
+        """A rough field times exp(t*z) of the p = 4 pure power, with t
+        = xi_top^-4 so that mode top keeps about e^-1 of its size, and every
+        mode above top set to 0: its highest nonzero mode is top."""
+        g = GridSpec(50 * np.pi, n)
+        w = rough_field(g, sobolev_index=0.0, seed=n)
+        prop = Propagator(builtin_symbol("pure-power", p=4), g)
+        spec = w.spec * prop.multiplier(g.xi[top] ** -4.0)
+        spec[top + 1:] = 0.0
+        assert spec[top] != 0
+        return SpectralField(g, spec)
+
+    @pytest.mark.parametrize("n", [2 ** e for e in range(8, 16)])
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_matches_full_grid_sum_at_the_band_edge(self, fft_calls, n, q):
+        # for m = n/2 and n/16: K = (m-1)//q is the highest mode the m-point
+        # rule integrates exactly (q*K < m), K = ceil(m/q) the lowest that
+        # needs the 2m-point rule (q*K >= m)
+        for m in (n // 2, n // 16):
+            for top, points in (((m - 1) // q, m), (-(-m // q), 2 * m)):
+                f = self.band_limited(n, top)
+                expected = full_grid_norm(f.spec, n, f.grid.length, q)
+                fft_calls.clear()
+                assert lebesgue_norm(f, q) == pytest.approx(expected, rel=1e-14)
+                assert inverse_lengths(fft_calls) == [points]
+                assert "phys" not in f.__dict__ or points == n
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_single_mode_closed_form(self, fft_calls, q):
+        # cos(2*pi*K*x/L) has every mode below K empty; the integral of
+        # cos^q over one length L is L * C(q, q/2) / 2^q
+        g = GridSpec(10.0, 1024)
+        expected = (g.length * math.comb(q, q // 2) / 2 ** q) ** (1.0 / q)
+        for mode in (1, 7, 33, 100):
+            spec = np.zeros(513, complex)
+            spec[mode] = 0.5
+            fft_calls.clear()
+            assert lebesgue_norm(SpectralField(g, spec), q) == pytest.approx(expected, rel=1e-14)
+            assert inverse_lengths(fft_calls) == [min(1 << (q * mode).bit_length(), 1024)]
+
+    @pytest.mark.parametrize("q", [3, 2.5, np.inf])
+    def test_other_exponents_use_the_n_samples(self, fft_calls, q):
+        f = self.band_limited(1024, 10)
+        mag = np.abs(np.fft.irfft(f.spec, 1024, norm="forward"))
+        expected = (np.max(mag) if q == np.inf
+                    else (np.sum(mag ** q) * f.grid.h) ** (1.0 / q))
+        fft_calls.clear()
+        assert lebesgue_norm(f, q) == pytest.approx(expected, rel=1e-15)
+        assert inverse_lengths(fft_calls) == [1024]
+        assert "phys" in f.__dict__
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_full_band_fields_use_the_n_samples(self, fft_calls, q):
+        # a nonzero mode K with q*K >= n/2 keeps the n-point sum, bit for bit;
+        # the rough field fills every mode but the Nyquist one
+        g = GridSpec(17.0, 512)
+        for f in (rough_field(g, sobolev_index=0.0, seed=2),
+                  self.band_limited(512, -(-256 // q))):
+            fft_calls.clear()
+            value = lebesgue_norm(f, q)
+            assert inverse_lengths(fft_calls) == [512]
+            assert value == (np.sum(integer_power(np.abs(f.phys), q)) * f.grid.h) ** (1.0 / q)
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_zero_field_gives_zero(self, q):
+        assert lebesgue_norm(zero_field(GridSpec(10.0, 256)), q) == 0.0
+
+    def test_constant_field_on_one_point(self, fft_calls):
+        # K = 0: one sample is the exact rectangle rule for a constant
+        f = SpectralField(GridSpec(10.0, 256), np.r_[-2.0, np.zeros(128)])
+        fft_calls.clear()
+        assert lebesgue_norm(f, 4) == pytest.approx(2.0 * 10.0 ** 0.25, rel=1e-15)
+        assert inverse_lengths(fft_calls) == [1]
+
+    def test_nan_inside_the_band_is_a_named_blow_up(self):
+        f = self.band_limited(4096, 300)
+        spec = f.spec.copy()
+        spec[123] = np.nan
+        bad = SpectralField(f.grid, spec)
+        assert np.isnan(lebesgue_norm(bad, 4))
+        assert np.isnan(lebesgue_norm(fractional_derivative_shifted(bad, 0.0), 4))
+        with pytest.raises(BlowUpError, match="t=0.5"):
+            x_norm([bad], one_time_cfg(0.5))
+
+    def test_x_norm_lengths_on_a_free_flow(self, fft_calls):
+        # at s = 0, x_norm transforms f and d_x f once each; on V(t)w both
+        # have the highest nonzero mode K < live_modes(t), so at q = 4 the
+        # grid has the smallest power of two above 4*K
+        n = 4096
+        g = GridSpec(50 * np.pi, n)
+        prop = Propagator(builtin_symbol("pure-power", p=4), g)
+        w = rough_field(g, sobolev_index=0.0, seed=0)
+        for t in (1e-2, 1.0):
+            f = apply_semigroup(prop, w, t)
+            top = np.flatnonzero(f.spec)[-1]
+            assert top < prop.live_modes(t)
+            m = 1 << int(4 * top).bit_length()
+            fft_calls.clear()
+            x_norm([f], one_time_cfg(t))
+            assert inverse_lengths(fft_calls) == [m, m]
+            assert m < n
+        fft_calls.clear()
+        x_norm([w], one_time_cfg(1.0))
+        assert inverse_lengths(fft_calls) == [n, n]
 
 
 class TestSobolev:
@@ -323,6 +452,12 @@ class TestConfig:
             WeightedNormConfig(0.0, 1.0, 4.0, 1.0, (0.5, 0.1))
         with pytest.raises(ValueError):
             WeightedNormConfig(0.0, -1.0, 4.0, 1.0, (0.1,))
+
+    @pytest.mark.parametrize("times", [(0.1, np.nan), (np.nan, 0.1), (np.nan,),
+                                       (0.1, np.inf)])
+    def test_non_finite_sample_time_rejected(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedNormConfig(0.0, 1.0, 4.0, 1.0, times)
 
     def test_default_spacing(self):
         cfg = WeightedNormConfig.default(0.0, 1.0, 4.0, 0.5, n_times=20)

@@ -11,7 +11,7 @@ from gkdv.probes import gaussian_field
 from gkdv.semigroup import Propagator
 from gkdv.spectral import GridSpec, zero_field
 from gkdv.solver import IvpProblem
-from gkdv.symbols import builtin_symbol, threshold_M
+from gkdv.symbols import DissipativeSymbol, builtin_symbol, threshold_M
 from gkdv.verifier import (
     EstimateReport,
     contraction_probe_exponent,
@@ -103,6 +103,22 @@ class TestWeightedLinear:
         assert rep.fitted_exponent >= rep.theoretical_exponent - 0.05
         assert rep.notes["constant_spread"] <= 0.2
         assert len(rep.notes["per_seed_constants"]) == 4
+
+    def test_mislabelled_order_fails_on_the_exponent(self):
+        # negative control: labelled p = 4, but Phi = -|xi|^4 + (|xi|^4 - xi^2)
+        # = -xi^2 decays like order 2, faster than the p = 4 bound allows;
+        # the seed constants stay within their spread, so the fitted exponent
+        # alone crosses theoretical_exponent - tolerance
+        g = GridSpec(50 * np.pi, 4096)
+        mislabelled = DissipativeSymbol("mislabelled", p=4.0, q=3.9, c_phi1=1.0,
+                                        phi1=lambda xi: np.abs(xi) ** 4 - xi ** 2)
+        rep = verify_weighted_linear(mislabelled, 1.0, s=0.0, grid=g, base_seed=0)
+        assert rep.verdict == "fail"
+        assert rep.fitted_exponent < rep.theoretical_exponent - rep.tolerance
+        assert rep.notes["constant_spread"] <= rep.notes["spread_tolerance"]
+        pure = verify_weighted_linear(builtin_symbol("pure-power", p=4), 1.0, s=0.0, grid=g,
+                                      base_seed=0)
+        assert pure.verdict in ("pass", "pass-weak")
 
     def test_smooth_data_weighted_vanishes(self):
         # smooth data is not extremal: the weighted quantity decays to 0 as
