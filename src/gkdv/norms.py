@@ -10,6 +10,11 @@ fraction of its cost on band-limited fields such as the dissipative free flow
 V(t)w past Propagator.live_modes(t).  Odd or non-integer q, q = inf and any
 field with q*K >= n/2 use the n samples of f.phys.
 
+Every norm reads a field's coefficients below its band only (see
+spectral.SpectralField): the search for K starts there, and the Sobolev norm
+forms its terms there and sums them with the zeros past it, so a band-limited
+field such as the free flow pays for its live modes and gets the same bits.
+
 The Sobolev bracket is 1 + |xi| throughout.  Trajectory norms replace the
 continuum sup over (0, T] by a max over a finite sample-time grid (a lower
 bound of the true norm); sample grids should include geometrically spaced
@@ -39,24 +44,25 @@ def integer_power(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _exact_sample_count(spec: np.ndarray, q: float) -> int:
+def _exact_sample_count(f: SpectralField, q: float) -> int:
     """Smallest power of two m <= n with q*K < m for an even integer q, else n.
 
-    K is the highest mode of the half spectrum spec with a nonzero (or
-    non-finite) coefficient.  The scan runs from the top of the spectrum down,
-    one halving of m at a time; each halving looks at the lowest mode it would
-    drop before the rest, so a field with high modes leaves after one
-    coefficient.
+    K is the highest mode of f with a nonzero (or non-finite) coefficient.
+    The scan runs from f.band down, one halving of m at a time, and halves
+    past the band without reading a coefficient; each halving looks at the
+    lowest mode it would drop before the rest, so a field with high modes
+    leaves after one coefficient.
     """
+    spec = f.spec
     n = 2 * (spec.size - 1)
     if not (float(q).is_integer() and q % 2 == 0):
         return n
-    m, top = n, spec.size
+    m, top = n, f.band
     while m > 1:
         lo = -(-(m // 2) // int(q))  # lowest mode K with q*K >= m/2
-        if spec[lo] != 0 or spec[lo:top].any():
+        if lo < top and (spec[lo] != 0 or spec[lo:top].any()):
             break
-        m, top = m // 2, lo
+        m, top = m // 2, min(lo, top)
     return m
 
 
@@ -74,7 +80,7 @@ def lebesgue_norm(f: SpectralField, q: float) -> float:
         return float(np.max(np.abs(f.phys)))
     if q < 1:
         raise ValueError(f"Lebesgue exponent must satisfy q >= 1, got {q}")
-    m = _exact_sample_count(f.spec, q)
+    m = _exact_sample_count(f, q)
     if m == f.grid.n_points:
         samples = f.phys
     else:
@@ -101,9 +107,16 @@ def spectral_lq_norm(f: SpectralField, q: float) -> float:
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm: L^2 norm of (1+|xi|)^s-weighted coefficients."""
-    w = 1.0 if s == 0 else (1.0 + f.grid.xi) ** s
-    return float(np.sqrt(f.grid.length * np.sum(f.grid.mode_weights * (w * np.abs(f.spec)) ** 2)))
+    """H^s norm: L^2 norm of (1+|xi|)^s-weighted coefficients.
+
+    The terms are formed below f.band only and summed over the whole half
+    spectrum, zeros included, which keeps np.sum's pairwise order.
+    """
+    band = f.band
+    w = 1.0 if s == 0 else (1.0 + f.grid.xi[:band]) ** s
+    terms = np.zeros(f.spec.size)
+    np.multiply(f.grid.mode_weights[:band], (w * np.abs(f.spec[:band])) ** 2, out=terms[:band])
+    return float(np.sqrt(f.grid.length * np.sum(terms)))
 
 
 def gamma_k(k: float) -> float:

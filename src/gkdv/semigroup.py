@@ -20,11 +20,25 @@ and the propagator caches -max(Re z[k:]) per mode k, which is non-decreasing
 in k, so one searchsorted gives for any t > 0 the live prefix past which
 every mode has Re(t*z) <= -746; exp runs on that prefix and the rest is 0.
 The rule holds for any symbol: Re z need not be monotone in xi nor negative.
+apply_semigroup forms exp(t*z) on min(w0.band, live prefix) only and gives
+a field whose band is that prefix, so the norms and derivatives of the free
+flow V(t)w skip its exactly-zero tail too.
 A sweep also runs its steps on the modes below grid.dealias_cutoff only,
 where every forcing that nonlinearity_eval or nonlinearity_difference builds
 lives, and widens to the whole spectrum for the rest of the sweep once a
 forcing, or any member of a stack, has content at or above the cutoff; above
 the band each step is exp(z*h)*0 + 0 = 0.
+
+The smoothing profile sup_xi weight(xi)*exp(eta*tau*Phi(xi)) is found on
+the log scale: per tau, log(weight) + (eta*tau)*Phi costs a multiply and an
+add per lattice point, and the direct product weight*exp(eta*tau*Phi) is
+formed only at the points within a rounding margin of its maximum.  A point
+outside the margin is below the best one inside by a factor exp(-1e-9) at
+least, far beyond the rounding of either form, so the value, the maximizer
+and its first-index tie rule are those of the direct product over the whole
+lattice.  A profile whose log maximum is not finite, or whose sup is not a
+normal double above the weights' rounding floor, takes the direct product
+at every point.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResolutionError, StructuralError
-from .spectral import GridSpec, SpectralField, _odd_multiplier_frequencies, apply_multiplier_values
+from .spectral import GridSpec, SpectralField, _odd_multiplier_frequencies, _prefix_product
 from .symbols import DissipativeSymbol, evaluate_phi
 
 # Panel nodes of the product rule: the 4 Gauss-Legendre points on [0, 1],
@@ -104,14 +118,20 @@ class Propagator:
 
 
 def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralField:
-    """Evolve w0 forward by time t >= 0."""
+    """Evolve w0 forward by time t >= 0.
+
+    exp(t*z) is formed on the modes below min(w0.band, live_modes(t)) only,
+    which become the band of the result: its coefficients equal
+    w0.spec * multiplier(t) up to the sign of zero.
+    """
     if t < 0:
         raise ValueError(
             f"semigroup not invertible for eta > 0; got negative time t={t}"
         )
     if w0.grid != prop.grid:
         raise StructuralError("field grid does not match the propagator grid")
-    return apply_multiplier_values(w0, prop.multiplier(t))
+    live = min(w0.band, prop.live_modes(t))
+    return _prefix_product(w0, np.exp(t * prop.exponent[:live]))
 
 
 def _panel_bounds(t_final: float, panels: int) -> np.ndarray:
@@ -249,33 +269,58 @@ def smoothing_norm_profile(
 ) -> list[float]:
     """sup over grid frequencies of (1+|xi|)^theta * exp(eta*tau*Phi(xi)) per tau.
 
-    The maximizer must be interior to the resolved frequency range; otherwise
-    the lattice cannot represent the supremum and a ResolutionError advises a
-    finer or larger grid.
+    theta must be finite and nonnegative, and every tau lie in (0, 1].  The
+    maximizer must be interior to the resolved frequency range; otherwise
+    the lattice cannot represent the supremum and a ResolutionError advises
+    a finer or larger grid.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus <= 0) or np.any(taus > 1):
-        raise ValueError("every tau must lie in (0, 1]")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     return _lattice_sup(sym, (1.0 + grid.xi) ** theta, taus, grid)
 
 
 def _lattice_sup(sym: DissipativeSymbol, weight: np.ndarray, taus, grid: GridSpec) -> list[float]:
     """sup over grid frequencies of weight * exp(eta*tau*Phi(xi)) per tau, with
-    weight given at each grid frequency; a maximizer at the lattice edge is a
-    ResolutionError."""
+    weight given at each grid frequency; every tau must lie in (0, 1], and a
+    maximizer at the lattice edge is a ResolutionError.
+
+    The value and the maximizer are np.argmax's over the direct product
+    (first index on ties); the product is formed only where the log profile
+    comes within a rounding margin of its maximum.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if not np.all((taus > 0) & (taus <= 1)):
+        raise ValueError("every tau must lie in (0, 1]")
     xs = grid.xi
     xi_top = xs[-1]
     phi = np.asarray(evaluate_phi(sym, xs), dtype=float)
+    with np.errstate(divide="ignore"):
+        log_weight = np.log(weight)
+    # A sup at or above floor is a normal double far above the absolute
+    # rounding, (1 + max weight)*2^-1075 at most, of a product whose exp or
+    # value is subnormal: no point outside the margin can reach it.
+    floor = np.finfo(float).tiny * max(1.0, np.max(weight))
+
+    def peak(index, tau):
+        # np.argmax of the direct product over the lattice points index
+        vals = weight[index] * np.exp(sym.eta * tau * phi[index])
+        j = int(np.argmax(vals))
+        return int(index[j]), vals[j]
+
+    log_profile = np.empty_like(phi)
     out = []
     for tau in taus:
-        vals = weight * np.exp(sym.eta * tau * phi)
-        i = int(np.argmax(vals))
+        np.multiply(phi, sym.eta * tau, out=log_profile)
+        log_profile += log_weight
+        top = np.max(log_profile)
+        if np.isfinite(top):
+            i, value = peak(np.flatnonzero(log_profile >= top - 1e-9 * (1.0 + abs(top))), tau)
+        if not (np.isfinite(top) and value >= floor):
+            i, value = peak(np.arange(xs.size), tau)
         if xs[i] >= xi_top:
             raise ResolutionError(
                 f"profile maximizer sits at the lattice edge |xi|={xs[i]:.4g} for "
                 f"tau={tau:.3e}; use a grid with a larger frequency range"
             )
-        out.append(float(vals[i]))
+        out.append(float(value))
     return out

@@ -17,11 +17,19 @@ is referenced to the left endpoint of the domain, which is invisible to every
 diagonal (multiplier) operation and to every norm.  Multipliers and
 differences act on spectra only; samples are formed by one inverse
 transform the first time a field's phys is read.
+
+A field also carries its band: every stored coefficient at index band or
+above is exactly 0.  It is the whole half spectrum unless the field comes
+from a multiplier given on a prefix of the modes only, as the free flow
+V(t)w = exp(t*z) w of semigroup.apply_semigroup is, where exp(t*z) is
+exactly 0 past Propagator.live_modes(t).  Such a product is formed on the
+band only, a derivative of a banded field keeps its band, and a difference
+keeps the larger band of its two operands; norms skip the zeros past it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,12 +100,15 @@ class SpectralField:
     """Real periodic field held as its rfft half spectrum.
 
     phys is formed by one inverse transform the first time it is read and
-    then kept; a field built from samples keeps those.  Operations never
-    mutate fields in place.
+    then kept; a field built from samples keeps those.  spec[band:] is
+    exactly 0; band is the whole half spectrum on a field built from a
+    spectrum or from samples, and only a prefix multiplier narrows it.
+    Operations never mutate fields in place.
     """
 
     grid: GridSpec
     spec: np.ndarray
+    band: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.spec = np.asarray(self.spec, dtype=complex)
@@ -106,6 +117,7 @@ class SpectralField:
                 f"expected {self.grid.xi.size} coefficients for "
                 f"n_points={self.grid.n_points}, got shape {self.spec.shape}"
             )
+        self.band = self.spec.size
 
     @cached_property
     def phys(self) -> np.ndarray:
@@ -114,7 +126,9 @@ class SpectralField:
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if self.grid != other.grid:
             raise StructuralError("cannot subtract fields on different grids")
-        return SpectralField(self.grid, self.spec - other.spec)
+        out = SpectralField(self.grid, self.spec - other.spec)
+        out.band = max(self.band, other.band)
+        return out
 
 
 def coherent_field(grid: GridSpec, values) -> SpectralField:
@@ -136,13 +150,30 @@ def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralFie
     values = np.asarray(values)
     if values.shape != f.spec.shape:
         raise StructuralError("multiplier array does not match the frequency lattice")
+    return _prefix_product(f, values)
+
+
+def _prefix_product(f: SpectralField, values: np.ndarray) -> SpectralField:
+    """f times a multiplier given at the first values.size modes.
+
+    Past them the multiplier counts as 0, so values may stop wherever the
+    multiplier or f is exactly 0 from there on.  spec * values is formed on
+    the modes below min(f.band, values.size) only, which become the band of
+    the result; every later coefficient is +0.  A value that is not finite
+    raises MultiplierEvaluationError naming its frequency.
+    """
     bad = ~np.isfinite(values)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise MultiplierEvaluationError(
             f"multiplier is not finite at frequency xi={f.grid.xi[k]:.6g}"
         )
-    return SpectralField(f.grid, f.spec * values)
+    band = min(f.band, values.size)
+    out = np.zeros(f.spec.shape, dtype=complex)
+    np.multiply(f.spec[:band], values[:band], out=out[:band])
+    g = SpectralField(f.grid, out)
+    g.band = band
+    return g
 
 
 def _odd_multiplier_frequencies(grid: GridSpec) -> np.ndarray:
@@ -160,8 +191,10 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
     Fusing the order-s factor with one full derivative keeps the multiplier
     continuous at the origin for every s > -1, avoiding the singular |xi|^s
     alone when s < 0.  s = 0 reproduces the plain derivative i*xi exactly.
+    The multiplier is formed on f's band only, and the result keeps it.
     """
     if s <= -1:
         raise ValueError(f"shifted fractional derivative needs s > -1, got {s}")
-    return apply_multiplier_values(f, 1j * _odd_multiplier_frequencies(f.grid) ** (s + 1.0))
+    xi = _odd_multiplier_frequencies(f.grid)[: f.band]
+    return _prefix_product(f, 1j * xi ** (s + 1.0))
 

@@ -183,6 +183,8 @@ def verify_multiplier_decay(
     """
     if weight not in ("bracket", "homogeneous"):
         raise ValueError("weight must be 'bracket' or 'homogeneous'")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if tau_window is None:
         tau_window = _auto_tau_window(sym, theta)
     taus = np.geomspace(tau_window[0], tau_window[1], 24)

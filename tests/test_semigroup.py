@@ -520,3 +520,154 @@ class TestSmoothingProfile:
             smoothing_norm_profile(sym, -1.0, [0.1], g)
         with pytest.raises(ValueError):
             smoothing_norm_profile(sym, 1.0, [0.0], g)
+
+
+def direct_lattice_sup(sym, weight, tau, grid):
+    """The direct form of one tau of _lattice_sup: np.argmax over the whole
+    lattice of weight * exp(eta*tau*Phi), None where it sits at the edge."""
+    phi = np.asarray(evaluate_phi(sym, grid.xi), dtype=float)
+    vals = weight * np.exp(sym.eta * tau * phi)
+    i = int(np.argmax(vals))
+    return None if grid.xi[i] >= grid.xi[-1] else float(vals[i])
+
+
+class TestLogProfileSupremum:
+    SYMBOLS = [builtin_symbol("kdv-burgers"), builtin_symbol("ostrovsky"),
+               builtin_symbol("kdv-ks")] + [builtin_symbol("pure-power", p=p)
+                                            for p in (2.0, 3.0, 4.0)]
+    TAUS = np.geomspace(1e-10, 1.0, 40)
+
+    @pytest.mark.parametrize("n", [2 ** 13, 2 ** 17])
+    def test_equals_the_direct_product_bit_for_bit(self, n):
+        # every symbol, both weights of verify_multiplier_decay, five theta
+        # and 40 tau over ten decades: the same value, or the same edge error
+        g = GridSpec(200 * np.pi, n)
+        cases = edges = 0
+        for sym in self.SYMBOLS:
+            phi = np.asarray(evaluate_phi(sym, g.xi), dtype=float)
+            kernels = [np.exp(sym.eta * tau * phi) for tau in self.TAUS]
+            for theta in (0.0, 0.5, 1.0, 2.0, 3.0):
+                for weight in ((1.0 + g.xi) ** theta, g.xi ** theta):
+                    want = {}
+                    for tau, kernel in zip(self.TAUS, kernels):
+                        vals = weight * kernel
+                        i = int(np.argmax(vals))
+                        want[tau] = None if i == g.xi.size - 1 else float(vals[i])
+                    interior = [tau for tau in self.TAUS if want[tau] is not None]
+                    assert _lattice_sup(sym, weight, interior, g) == [want[t] for t in interior]
+                    for tau in self.TAUS:
+                        if want[tau] is None:
+                            with pytest.raises(ResolutionError, match="lattice edge"):
+                                _lattice_sup(sym, weight, [tau], g)
+                    cases += len(self.TAUS)
+                    edges += len(self.TAUS) - len(interior)
+        assert cases == 6 * 5 * 2 * 40
+        assert 0 < edges < cases
+
+    def test_many_taus_in_one_call(self):
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = builtin_symbol("kdv-ks")
+        taus = np.geomspace(1e-4, 1.0, 24)
+        weight = (1.0 + g.xi) ** 1.5
+        assert _lattice_sup(sym, weight, taus, g) == [
+            direct_lattice_sup(sym, weight, tau, g) for tau in taus]
+
+    def test_plateau_of_exact_ties_keeps_the_first_index(self):
+        # at tau = 1e-16 exp(eta*tau*Phi) rounds to exactly 1 on the low
+        # modes, so the flat weight ties there; np.argmax takes mode 0
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = builtin_symbol("pure-power", p=2)
+        weight = np.ones_like(g.xi)
+        vals = np.exp(sym.eta * 1e-16 * np.asarray(evaluate_phi(sym, g.xi)))
+        assert np.count_nonzero(vals == 1.0) > 10
+        assert _lattice_sup(sym, weight, [1e-16], g) == [1.0]
+
+    def test_near_ties_keep_the_direct_maximizer(self):
+        # weight = (1 + j*2^-52)/exp(eta*tau*Phi), j in -3..3: the products are
+        # 1 to within a few ulps, and the log profile ranks them otherwise
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = builtin_symbol("kdv-ks")
+        tau = 0.3
+        phi = np.asarray(evaluate_phi(sym, g.xi), dtype=float)
+        kept = phi > -2000
+        jitter = np.random.default_rng(0).integers(-3, 4, np.count_nonzero(kept))
+        weight = np.zeros_like(phi)
+        weight[kept] = (1.0 + jitter * 2.0 ** -52) / np.exp(sym.eta * tau * phi[kept])
+        vals = weight * np.exp(sym.eta * tau * phi)
+        with np.errstate(divide="ignore"):
+            log_profile = np.log(weight) + sym.eta * tau * phi
+        assert np.argmax(log_profile) != np.argmax(vals)
+        assert 1.0 <= vals.max() <= 1.0 + 1e-15
+        assert _lattice_sup(sym, weight, [tau], g) == [direct_lattice_sup(sym, weight, tau, g)]
+
+    def test_exact_tie_with_the_edge_keeps_the_interior_maximizer(self):
+        # mode 1 and the edge mode both give the product 1.0 exactly, and the
+        # log profile reads higher at the edge: np.argmax takes mode 1, so
+        # the sup is 1.0 and no ResolutionError is raised
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = builtin_symbol("pure-power", p=2)
+        phi = np.asarray(evaluate_phi(sym, g.xi), dtype=float)
+
+        def unit_weights(x):
+            # (w, log(w) + x) for the doubles w next to 1/exp(x) with w*exp(x) == 1
+            out, w = [], np.nextafter(np.nextafter(1.0 / np.exp(x), 0.0), 0.0)
+            for _ in range(5):
+                if w * np.exp(x) == 1.0:
+                    out.append((w, np.log(w) + x))
+                w = np.nextafter(w, np.inf)
+            return out
+
+        for tau in np.linspace(0.01, 0.4, 200):
+            inner = unit_weights(sym.eta * tau * phi[1])
+            edge = unit_weights(sym.eta * tau * phi[-1])
+            if inner and edge and max(e[1] for e in edge) > min(i[1] for i in inner):
+                break
+        else:
+            pytest.fail("no exact tie with a higher edge log profile on the tau range")
+        weight = np.zeros_like(phi)
+        weight[1] = min(inner, key=lambda e: e[1])[0]
+        weight[-1] = max(edge, key=lambda e: e[1])[0]
+        assert direct_lattice_sup(sym, weight, tau, g) == 1.0
+        assert _lattice_sup(sym, weight, [tau], g) == [1.0]
+
+    def test_all_underflow_profile_is_zero_at_mode_zero(self):
+        # Phi <= -1e6 everywhere: every product underflows to 0, and np.argmax
+        # of the all-zero profile is mode 0, which is interior
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = tabulated_symbol("sunk", 2.0, [0.0, 1e9], [-1e6, -1e6], q=1.0, c_phi1=1e6)
+        assert _lattice_sup(sym, (1.0 + g.xi) ** 2.0, [0.5, 1.0], g) == [0.0, 0.0]
+        assert direct_lattice_sup(sym, (1.0 + g.xi) ** 2.0, 1.0, g) == 0.0
+
+    def test_subnormal_products_take_the_direct_form(self):
+        # the sup is a subnormal double: the log profile cannot rank the
+        # rounded products, so the direct product decides
+        g = GridSpec(200 * np.pi, 2 ** 13)
+        sym = tabulated_symbol("deep", 2.0, [0.0, 1e9], [-740.0, -740.0], q=1.0, c_phi1=740.0)
+        weight = (1.0 + g.xi) ** 3.0
+        for tau in (0.99, 1.0):
+            assert _lattice_sup(sym, weight, [tau], g) == [direct_lattice_sup(sym, weight, tau, g)]
+
+    def test_edge_maximizer_raises(self):
+        g = GridSpec(2 * np.pi, 64)
+        sym = builtin_symbol("pure-power", p=2)
+        assert direct_lattice_sup(sym, g.xi ** 2.0, 1e-6, g) is None
+        with pytest.raises(ResolutionError, match="lattice edge"):
+            _lattice_sup(sym, g.xi ** 2.0, [1e-6], g)
+
+
+class TestProfileArgumentsAreFinite:
+    # NaN passes every ordered comparison as False, so (0, 1] and >= 0 checks
+    # written as "reject if outside" let it through
+    @pytest.mark.parametrize("taus", [[np.nan], [0.1, np.nan], [np.inf]])
+    def test_non_finite_tau_raises(self, taus):
+        g = GridSpec(200 * np.pi, 2 ** 12)
+        with pytest.raises(ValueError, match="tau"):
+            smoothing_norm_profile(builtin_symbol("kdv-ks"), 1.0, taus, g)
+        with pytest.raises(ValueError, match="tau"):
+            _lattice_sup(builtin_symbol("kdv-ks"), g.xi, taus, g)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_non_finite_theta_raises(self, theta):
+        g = GridSpec(200 * np.pi, 2 ** 12)
+        with pytest.raises(ValueError, match="theta"):
+            smoothing_norm_profile(builtin_symbol("kdv-ks"), theta, [0.1], g)

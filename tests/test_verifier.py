@@ -88,6 +88,31 @@ class TestMultiplierDecay:
             verify_multiplier_decay(builtin_symbol("pure-power", p=2), 2.0,
                                     tau_window=(1e-8, 1e-6), weight=weight)
 
+    def test_mislabelled_order_fails_on_the_exponent(self):
+        # negative control: labelled p = 4, but Phi = -xi^2 is of order 2, so
+        # the homogeneous sup decays like tau^(-theta/2) = tau^-1 where the
+        # label claims tau^-0.5; the fit crosses the lower end of its band
+        mislabelled = DissipativeSymbol("mislabelled", p=4.0, q=3.9, c_phi1=1.0,
+                                        phi1=lambda xi: np.abs(xi) ** 4 - xi ** 2)
+        rep = verify_multiplier_decay(mislabelled, 2.0, tau_window=(1e-2, 0.5),
+                                      weight="homogeneous")
+        assert rep.verdict == "fail"
+        assert rep.theoretical_exponent == -0.5
+        assert rep.fitted_exponent < rep.theoretical_exponent - rep.tolerance
+        assert rep.fitted_exponent == pytest.approx(-1.0, abs=1e-3)
+        pure = verify_multiplier_decay(builtin_symbol("pure-power", p=4), 2.0,
+                                       tau_window=(1e-2, 0.5), weight="homogeneous")
+        assert pure.verdict == "pass"
+        assert abs(pure.fitted_exponent - pure.theoretical_exponent) <= pure.tolerance
+
+    @pytest.mark.parametrize("weight", ["bracket", "homogeneous"])
+    @pytest.mark.parametrize("theta,window", [(1.0, (np.nan, 1e-2)), (1.0, (1e-4, np.nan)),
+                                              (np.nan, None), (np.inf, (1e-4, 1e-2))])
+    def test_non_finite_arguments_raise_value_error(self, weight, theta, window):
+        with pytest.raises(ValueError, match="tau|theta"):
+            verify_multiplier_decay(builtin_symbol("kdv-ks"), theta, tau_window=window,
+                                    weight=weight)
+
     def test_report_is_reproducible(self):
         a = verify_multiplier_decay(builtin_symbol("kdv-ks"), 1.0)
         b = verify_multiplier_decay(builtin_symbol("kdv-ks"), 1.0)
