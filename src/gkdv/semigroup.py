@@ -85,7 +85,7 @@ class Propagator:
         which only dissipates; a rotating Nyquist coefficient has no real
         representation on the grid.
         """
-        xi_disp = _odd_multiplier_frequencies(self.grid)
+        xi_disp = _odd_multiplier_frequencies(self.grid, self.grid.xi.size)
         return 1j * xi_disp ** 3 + self.symbol.eta * evaluate_phi(self.symbol, self.grid.xi)
 
     @cached_property

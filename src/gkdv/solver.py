@@ -421,16 +421,21 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float):
 
     Each coefficient is the mean of the defining formula over 32 points on a
     unit circle around dt*z, which is exact for these entire functions and
-    avoids the cancellation of the direct formulas near z = 0.
+    avoids the cancellation of the direct formulas near z = 0.  The circle
+    points are summed one at a time: the traced peak is about 14 arrays of
+    z's length, the six returned included, whatever the number of points.
     """
     w = dt * z
-    circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-    pts = w[:, None] + circle[None, :]
-    ez = np.exp(pts)
-    q = dt * np.mean((np.exp(pts / 2.0) - 1.0) / pts, axis=1)
-    f1 = dt * np.mean((-4.0 - pts + ez * (4.0 - 3.0 * pts + pts ** 2)) / pts ** 3, axis=1)
-    f2 = dt * np.mean((2.0 + pts + ez * (pts - 2.0)) / pts ** 3, axis=1)
-    f3 = dt * np.mean((-4.0 - 3.0 * pts - pts ** 2 + ez * (4.0 - pts)) / pts ** 3, axis=1)
+    q, f1, f2, f3 = (np.zeros_like(w) for _ in range(4))
+    for c in np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32):
+        pts = w + c
+        ez = np.exp(pts)
+        square, cube = pts ** 2, pts ** 3
+        q += (np.exp(pts / 2.0) - 1.0) / pts
+        f1 += (-4.0 - pts + ez * (4.0 - 3.0 * pts + square)) / cube
+        f2 += (2.0 + pts + ez * (pts - 2.0)) / cube
+        f3 += (-4.0 - 3.0 * pts - square + ez * (4.0 - pts)) / cube
+    q, f1, f2, f3 = (dt * (acc / 32) for acc in (q, f1, f2, f3))
     return np.exp(w), np.exp(w / 2.0), q, f1, f2, f3
 
 

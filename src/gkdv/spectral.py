@@ -176,12 +176,14 @@ def _prefix_product(f: SpectralField, values: np.ndarray) -> SpectralField:
     return g
 
 
-def _odd_multiplier_frequencies(grid: GridSpec) -> np.ndarray:
-    # The unpaired Nyquist mode of a real field must not acquire an imaginary
-    # coefficient; odd multipliers act as zero there (the sampled derivative
-    # of the Nyquist cosine vanishes at the grid points).
-    xi = np.array(grid.xi)
-    xi[-1] = 0.0
+def _odd_multiplier_frequencies(grid: GridSpec, band: int) -> np.ndarray:
+    # The first band frequencies.  The unpaired Nyquist mode of a real field
+    # must not acquire an imaginary coefficient; odd multipliers act as zero
+    # there (the sampled derivative of the Nyquist cosine vanishes at the grid
+    # points), so its frequency reads 0 when the band reaches it.
+    xi = grid.xi[:band].copy()
+    if band == grid.xi.size:
+        xi[-1] = 0.0
     return xi
 
 
@@ -195,6 +197,6 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
     """
     if s <= -1:
         raise ValueError(f"shifted fractional derivative needs s > -1, got {s}")
-    xi = _odd_multiplier_frequencies(f.grid)[: f.band]
+    xi = _odd_multiplier_frequencies(f.grid, f.band)
     return _prefix_product(f, 1j * xi ** (s + 1.0))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -153,6 +154,35 @@ def full_band_sweep(prop, forcing, t_final, panels=16):
         acc = panel_step(prop.exponent, None, acc, coeffs, b - a, b - a)
         out.append(acc)
     return out
+
+
+def contour_etdrk4_coefficients(z, dt):
+    """Reference ETDRK4 coefficients from one (modes x 32) contour array.
+
+    The 2-D form solver._etdrk4_coefficients first had: all 32 circle points
+    around dt*z at once, each coefficient dt times np.mean over the circle.
+    """
+    w = dt * z
+    circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    pts = w[:, None] + circle[None, :]
+    ez = np.exp(pts)
+    q = dt * np.mean((np.exp(pts / 2.0) - 1.0) / pts, axis=1)
+    f1 = dt * np.mean((-4.0 - pts + ez * (4.0 - 3.0 * pts + pts ** 2)) / pts ** 3, axis=1)
+    f2 = dt * np.mean((2.0 + pts + ez * (pts - 2.0)) / pts ** 3, axis=1)
+    f3 = dt * np.mean((-4.0 - 3.0 * pts - pts ** 2 + ez * (4.0 - pts)) / pts ** 3, axis=1)
+    return np.exp(w), np.exp(w / 2.0), q, f1, f2, f3
+
+
+def peak_half_spectra(run, grid):
+    """tracemalloc peak of run(), in half spectra of grid: (n/2 + 1) complex
+    numbers, 16 bytes each."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ((grid.n_points // 2 + 1) * 16)
 
 
 def full_spectrum_nonlinearity(grid, values, k, mode):

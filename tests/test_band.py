@@ -5,6 +5,7 @@ the full-length product w.spec * multiplier(t) gives."""
 import numpy as np
 import pytest
 
+from gkdv import spectral
 from gkdv.errors import MultiplierEvaluationError
 from gkdv.norms import WeightedNormConfig, lebesgue_norm, sobolev_norm, x_norm
 from gkdv.probes import gaussian_field, rough_field
@@ -111,6 +112,40 @@ class TestFullBandElsewhere:
             apply_semigroup(Propagator(builtin_symbol("kdv-ks"), g), rough, 0.0),
         ]
         assert [f.band for f in fields] == [size] * len(fields)
+
+
+def derivative_on_full_frequencies(f, s):
+    """fractional_derivative_shifted(f, s) with its multiplier cut from the
+    whole frequency array, Nyquist entry zeroed, as it was first built."""
+    xi = np.array(f.grid.xi)
+    xi[-1] = 0.0
+    return spectral._prefix_product(f, 1j * xi[: f.band] ** (s + 1.0))
+
+
+class TestDerivativeOnTheBand:
+    @pytest.mark.parametrize("s", [0.0, 0.5, -0.5, 2.0])
+    def test_free_fields_keep_their_bits(self, flow, s):
+        prop, w0 = flow
+        for t in TIMES:
+            f = apply_semigroup(prop, w0, t)
+            got, want = fractional_derivative_shifted(f, s), derivative_on_full_frequencies(f, s)
+            assert got.band == want.band == f.band
+            assert got.spec.tobytes() == want.spec.tobytes(), t
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, -0.5, 2.0])
+    def test_band_ends_at_and_below_the_nyquist_mode(self, s):
+        # the full band zeroes the Nyquist entry; a band one mode short of it
+        # must not zero its own last entry
+        g = GridSpec(50 * np.pi, 2 ** 10)
+        rough = rough_field(g, seed=2)
+        short = spectral._prefix_product(rough, np.ones(g.xi.size - 1))
+        assert rough.band == g.xi.size and short.band == g.xi.size - 1
+        for f in (rough, short):
+            got, want = fractional_derivative_shifted(f, s), derivative_on_full_frequencies(f, s)
+            assert got.band == want.band == f.band
+            assert got.spec.tobytes() == want.spec.tobytes()
+        assert fractional_derivative_shifted(rough, s).spec[-1] == 0.0
+        assert fractional_derivative_shifted(short, s).spec[-2] != 0.0
 
 
 class TestNonFiniteMultiplier:

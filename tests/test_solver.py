@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -38,7 +37,14 @@ from gkdv.spectral import (
 )
 from gkdv.verifier import verify_weighted_linear
 
-from conftest import band_limit, per_time_solution, rel_l2, three_set_picard
+from conftest import (
+    band_limit,
+    contour_etdrk4_coefficients,
+    peak_half_spectra,
+    per_time_solution,
+    rel_l2,
+    three_set_picard,
+)
 
 
 def make_problem(name="kdv-ks", grid=None, k=1.0, mode="conservative", s=0.0,
@@ -52,8 +58,8 @@ def make_problem(name="kdv-ks", grid=None, k=1.0, mode="conservative", s=0.0,
 def builtin(name, eta=1.0):
     from gkdv.symbols import builtin_symbol
 
-    if name == "pure-power-4":
-        return builtin_symbol("pure-power", p=4.0, eta=eta)
+    if name.startswith("pure-power-"):
+        return builtin_symbol("pure-power", p=float(name.rsplit("-", 1)[1]), eta=eta)
     return builtin_symbol(name, eta=eta)
 
 
@@ -396,14 +402,7 @@ class TestOneIterateSet:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
         times = ({float(t) for t in duhamel_nodes(t_final, 16).ravel()}
                  | set(cfg.sample_times) | {t_final})
-        one_set = len(times) * (prob.grid.n_points // 2 + 1) * 16
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak / one_set
+        return peak_half_spectra(run, prob.grid) / len(times)
 
     def test_picard_holds_at_most_two_sets(self):
         """Memory guard: the three-set loop peaks above 3.5 sets, picard_iterate
@@ -478,6 +477,36 @@ class TestReferenceIntegrator:
         run = reference_integrate(prob, 0.0, n_steps=4)
         assert np.array_equal(run.final.spec, prob.initial_data.spec)
         assert np.all(run.times == 0.0)
+
+    @pytest.mark.parametrize("name", ["ostrovsky", "kdv-ks", "kdv-burgers",
+                                      "pure-power-4", "pure-power-6"])
+    def test_contour_sum_matches_the_2d_mean(self, name):
+        # the circle points are summed one at a time instead of averaged along
+        # a (modes x 32) array: only the summation order of q, f1, f2 and f3
+        # changes, and exp(w), exp(w/2) keep their bits
+        sym = builtin(name)
+        worst = 0.0
+        for n in (256, 4096, 32768):
+            z = Propagator(sym, GridSpec(100.0, n)).exponent
+            for dt in (1e-2 / 1024, 1e-4, 1e-2, 0.1 / 16):
+                got = solver._etdrk4_coefficients(z, dt)
+                want = contour_etdrk4_coefficients(z, dt)
+                for a, b in zip(got[:2], want[:2], strict=True):
+                    assert a.tobytes() == b.tobytes(), (n, dt)
+                for a, b in zip(got[2:], want[2:], strict=True):
+                    assert np.all(np.isfinite(a)), (n, dt)
+                    worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [2 ** 10, 2 ** 12])
+    def test_reference_peak_memory(self, n):
+        """Memory guard: 4 ETDRK4 steps on ostrovsky, k = 2, peak at about 20
+        half spectra; with the (modes x 32) contour arrays they took 163."""
+        grid = GridSpec(100.0, n)
+        prob = make_problem(name="ostrovsky", grid=grid, k=2.0, amplitude=0.4)
+        peak = peak_half_spectra(lambda: reference_integrate(prob, 4 * 0.01 / 1024, n_steps=4),
+                                 grid)
+        assert peak < 32
 
 
 class TestSolve:

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gkdv import semigroup, verifier
 from gkdv.errors import DoubleRangeError, ResolutionError
 from gkdv.probes import gaussian_field
+from gkdv.runconfig import RunConfig
 from gkdv.semigroup import Propagator
 from gkdv.spectral import GridSpec, zero_field
 from gkdv.solver import IvpProblem
@@ -21,6 +23,7 @@ from gkdv.verifier import (
     verify_hausdorff_young,
     verify_multiplier_decay,
     verify_nonlinear_estimate,
+    verify_smoothing,
     verify_threshold_conditions,
     verify_weighted_linear,
 )
@@ -287,6 +290,39 @@ class TestContractionScaling:
         assert rep.fitted_exponent is not None
         assert len(rep.notes["rhos"]) == 6
         assert all(r > 0 for r in rep.notes["rhos"])
+
+
+class TestSmoothing:
+    @staticmethod
+    def shipped_problem():
+        """configs/verify-pure-power.json (pure power p = 4, seed 7) on 4096 points."""
+        data = json.loads((Path(__file__).parents[1] / "configs"
+                           / "verify-pure-power.json").read_text())
+        data["grid"]["n_points"] = 4096
+        return RunConfig.from_dict(data, "verify").build_problem()
+
+    def test_probe_below_the_smoothing_scale_fails_on_both_refinements(self):
+        # negative control: the coarse grid smooths on the scale nyquist^-p =
+        # 81.9^-4 = 2.2e-8.  At t_horizon 1e-8 the probe time 5e-9 lies below
+        # it, so the coarse and fine grids disagree in H^(s+mu), free and
+        # Duhamel part alike; at 1e-6 the probe lies far above it
+        prob = self.shipped_problem()
+        rep = verify_smoothing(prob, seed=7, t_horizon=1e-8)
+        notes = rep.notes
+        assert rep.verdict == "fail"
+        assert notes["converged"] and notes["continuity_decreasing"]
+        assert notes["free_refinement_ratio"] > rep.tolerance == 0.10
+        assert notes["duhamel_refinement_ratio"] > rep.tolerance
+        assert notes["free_refinement_ratio"] == pytest.approx(0.407, abs=1e-3)
+        assert notes["duhamel_refinement_ratio"] == pytest.approx(3.44, abs=1e-2)
+        assert rep.residual == notes["duhamel_refinement_ratio"]
+
+        ok = verify_smoothing(prob, seed=7, t_horizon=1e-6)
+        assert ok.verdict == "pass"
+        assert ok.notes["converged"] and ok.notes["continuity_decreasing"]
+        assert ok.notes["free_refinement_ratio"] == 0.0
+        assert ok.notes["duhamel_refinement_ratio"] == pytest.approx(0.0081, abs=1e-4)
+        assert ok.residual <= ok.tolerance
 
 
 class TestHausdorffYoung:
