@@ -18,16 +18,16 @@ Neither exp(t*z) nor a sweep step spends work on a mode whose result is
 exactly 0 in double precision.  exp(x) underflows to 0 below x = -745.13,
 and the propagator caches -max(Re z[k:]) per mode k, which is non-decreasing
 in k, so one searchsorted gives for any t > 0 the live prefix past which
-every mode has Re(t*z) <= -746; exp runs on that prefix and the rest is 0.
-The rule holds for any symbol: Re z need not be monotone in xi nor negative.
-apply_semigroup forms exp(t*z) on min(w0.band, live prefix) only and gives
-a field whose band is that prefix, so the norms and derivatives of the free
-flow V(t)w skip its exactly-zero tail too.
-A sweep also runs its steps on the modes below grid.dealias_cutoff only,
-where every forcing that nonlinearity_eval or nonlinearity_difference builds
-lives, and widens to the whole spectrum for the rest of the sweep once a
-forcing, or any member of a stack, has content at or above the cutoff; above
-the band each step is exp(z*h)*0 + 0 = 0.
+every mode has Re(t*z) <= -746.  The rule holds for any symbol: Re z need
+not be monotone in xi nor negative.  V(t) has one form: multiplier(t) runs
+exp on that prefix and returns it, and apply_semigroup passes it to
+spectral.apply_multiplier_values, which forms the product on the modes below
+min(w.band, prefix) only and makes them the band of V(t)w, so the norms and
+derivatives of the free flow skip its exactly-zero tail too.
+A sweep runs its steps on the widest band among the forcing fields it has
+read so far, starting from 0; a forcing from nonlinearity_eval or
+nonlinearity_difference has its dealiased band.  Past the band every forcing
+read was 0, and each step there is exp(z*h)*0 + 0 = 0.
 
 The smoothing profile sup_xi weight(xi)*exp(eta*tau*Phi(xi)) is found on
 the log scale: per tau, log(weight) + (eta*tau)*Phi costs a multiply and an
@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResolutionError, StructuralError
-from .spectral import GridSpec, SpectralField, _odd_multiplier_frequencies, _prefix_product
+from .spectral import GridSpec, SpectralField, _odd_multiplier_frequencies, apply_multiplier_values
 from .symbols import DissipativeSymbol, evaluate_phi
 
 # Panel nodes of the product rule: the 4 Gauss-Legendre points on [0, 1],
@@ -104,25 +104,20 @@ class Propagator:
         return int(np.searchsorted(self._suffix_decay, _EXP_UNDERFLOW / t))
 
     def multiplier(self, t: float) -> np.ndarray:
-        """exp(t*z) per mode, for any real t.
+        """exp(t*z) on the live prefix of live_modes(t) modes, for any real t.
 
-        exp runs on the live prefix of live_modes(t) only and every later
-        mode is set to +0, where exp gives +-0: the values equal
-        np.exp(t * exponent) up to the sign of zero.
+        This is the one place the free-flow exponential is formed.  Every
+        later mode of exp(t*z) is exactly 0 and is not stored:
+        spectral.apply_multiplier_values reads the values as a prefix.
         """
-        z = self.exponent
-        live = self.live_modes(t)
-        out = np.zeros_like(z)
-        np.exp(t * z[:live], out=out[:live])
-        return out
+        return np.exp(t * self.exponent[: self.live_modes(t)])
 
 
 def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralField:
-    """Evolve w0 forward by time t >= 0.
+    """Evolve w0 forward by time t >= 0: w0 times multiplier(t).
 
-    exp(t*z) is formed on the modes below min(w0.band, live_modes(t)) only,
-    which become the band of the result: its coefficients equal
-    w0.spec * multiplier(t) up to the sign of zero.
+    The product is formed on the modes below min(w0.band, live_modes(t))
+    only, which become the band of the result.
     """
     if t < 0:
         raise ValueError(
@@ -130,8 +125,7 @@ def apply_semigroup(prop: Propagator, w0: SpectralField, t: float) -> SpectralFi
         )
     if w0.grid != prop.grid:
         raise StructuralError("field grid does not match the propagator grid")
-    live = min(w0.band, prop.live_modes(t))
-    return _prefix_product(w0, np.exp(t * prop.exponent[:live]))
+    return apply_multiplier_values(w0, prop.multiplier(t))
 
 
 def _panel_bounds(t_final: float, panels: int) -> np.ndarray:
@@ -184,8 +178,7 @@ def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int)
 def _sweep(prop, forcing, times, bounds, nodes):
     grid = prop.grid
     z = prop.exponent
-    cut = grid.dealias_cutoff
-    band = cut
+    band = 0
     values = coeffs = acc = None
 
     def step(width, h):
@@ -199,15 +192,14 @@ def _sweep(prop, forcing, times, bounds, nodes):
         if k == len(times):
             return
         for i, tau in enumerate(panel_nodes):
-            specs = _forcing_spectra(forcing(float(tau)), grid)
+            specs, top = _forcing_spectra(forcing(float(tau)), grid)
             if values is None:
                 # values above the band stay 0 until the band widens, so a node
                 # that precedes the widening within its panel still reads 0 there
                 values = np.zeros((4,) + specs.shape, dtype=complex)
                 coeffs = np.empty_like(values)
                 acc = np.zeros_like(specs)
-            if band == cut and specs[..., cut:].any():
-                band = z.size
+            band = max(band, top)
             values[i, ..., :band] = specs[..., :band]
         # the 4 x 4 interpolation matrix acts on the node axis of each member
         np.matmul(_VANDERMONDE_INV, np.moveaxis(values[..., :band], 0, -2),
@@ -219,13 +211,15 @@ def _sweep(prop, forcing, times, bounds, nodes):
 
 
 def _forcing_spectra(value, grid):
-    """The spectrum of one forcing field, or the (P, n) spectra of a list of
-    P fields; StructuralError for a field on another grid."""
+    """The spectrum and band of one forcing field, or the (P, n) spectra of a
+    list of P fields and their widest band; StructuralError for a field on
+    another grid."""
     single = isinstance(value, SpectralField)
     fields = [value] if single else value
     if not all(isinstance(f, SpectralField) and f.grid == grid for f in fields):
         raise StructuralError("forcing returned a field on an incompatible grid")
-    return value.spec if single else np.array([f.spec for f in fields])
+    band = max(f.band for f in fields)
+    return (value.spec if single else np.array([f.spec for f in fields])), band
 
 
 def _panel_step(z, live, acc, coeffs, width, h):

@@ -122,9 +122,10 @@ def nonlinearity_eval(f: SpectralField, k: float, mode: str) -> SpectralField:
     power: the slice spec[:cut] (times i*xi in gradient mode) goes through
     one inverse real transform, which zero-pads it, and the first cut modes
     of one forward real transform (times i*xi in conservative mode) are
-    returned with every higher mode, the Nyquist mode included, zero.
-    It is the composition of its two halves: spectrum to powered samples,
-    and powered samples to forcing spectrum.
+    returned with every higher mode, the Nyquist mode included, zero; the
+    cutoff is the band of the result.  It is the composition of its two
+    halves: spectrum to powered samples, and powered samples to forcing
+    spectrum.
     """
     return _to_forcing(_powered(f, k, mode), f.grid, mode)
 
@@ -165,7 +166,9 @@ def _to_forcing(powered: np.ndarray, grid: GridSpec, mode: str) -> SpectralField
     out[:cut] = np.fft.rfft(powered, norm="forward")[:cut]
     if mode == "conservative":
         out[:cut] *= 1j * grid.xi[:cut]
-    return SpectralField(grid, out)
+    forcing = SpectralField(grid, out)
+    forcing.band = cut
+    return forcing
 
 
 def _admissible_omega(prob: IvpProblem) -> float:
@@ -280,7 +283,6 @@ class PicardSolution:
         self.prob = prob
         self.t_final = t_final
         self.panels = panels
-        self._v0_spec = prob.initial_data.spec.copy()
         self._stored = stored_fields
 
     def _integrals(self, times) -> dict:
@@ -296,10 +298,10 @@ class PicardSolution:
     def at(self, times) -> list[SpectralField]:
         """The solution at each of times, in the order given."""
         times = [float(t) for t in times]
-        stored = self._stored
+        stored, prop, v0 = self._stored, self.prop, self.prob.initial_data
         integrals = self._integrals([t for t in times if t not in stored])
         return [stored[t] if t in stored else SpectralField(
-                    self.prob.grid, self.prop.multiplier(t) * self._v0_spec - integrals[t])
+                    self.prob.grid, apply_semigroup(prop, v0, t).spec - integrals[t])
                 for t in times]
 
     def duhamel_parts(self, times) -> list[SpectralField]:
@@ -350,8 +352,8 @@ def picard_iterate(
         | {float(t) for t in cfg.sample_times}
         | {float(t_final)}
     )
-    v0 = prob.initial_data.spec
-    current = {t: SpectralField(prob.grid, prop.multiplier(t) * v0) for t in eval_times}
+    v0 = prob.initial_data
+    current = {t: apply_semigroup(prop, v0, t) for t in eval_times}
     sample_times = set(cfg.sample_times)
     forcing = lambda tau: nonlinearity_eval(current[tau], prob.k, prob.mode)
 
@@ -361,7 +363,7 @@ def picard_iterate(
         its own so that the stored field keeps no samples the norm forms."""
         sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
         for t, integral in zip(eval_times, sweep, strict=True):
-            spec = prop.multiplier(t) * v0 - integral
+            spec = apply_semigroup(prop, v0, t).spec - integral
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
             new = SpectralField(prob.grid, spec)

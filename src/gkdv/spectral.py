@@ -20,11 +20,14 @@ transform the first time a field's phys is read.
 
 A field also carries its band: every stored coefficient at index band or
 above is exactly 0.  It is the whole half spectrum unless the field comes
-from a multiplier given on a prefix of the modes only, as the free flow
-V(t)w = exp(t*z) w of semigroup.apply_semigroup is, where exp(t*z) is
-exactly 0 past Propagator.live_modes(t).  Such a product is formed on the
-band only, a derivative of a banded field keeps its band, and a difference
-keeps the larger band of its two operands; norms skip the zeros past it.
+from apply_multiplier_values, which reads its multiplier as a prefix of the
+modes, 0 past its end, or is a forcing of the nonlinearity, 0 above the
+dealias cutoff.  The free flow V(t)w of semigroup.apply_semigroup is such a
+product: Propagator.multiplier(t) gives exp(t*z) on the live prefix only,
+past which it is exactly 0.  A product is formed on the band only, a
+derivative of a banded field keeps its band, and a difference keeps the
+larger band of its two operands; norms and Duhamel sweeps skip the zeros
+past it.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ class SpectralField:
     phys is formed by one inverse transform the first time it is read and
     then kept; a field built from samples keeps those.  spec[band:] is
     exactly 0; band is the whole half spectrum on a field built from a
-    spectrum or from samples, and only a prefix multiplier narrows it.
+    spectrum or from samples, and only a prefix multiplier or the
+    nonlinearity's dealiasing narrows it.
     Operations never mutate fields in place.
     """
 
@@ -146,22 +150,18 @@ def zero_field(grid: GridSpec) -> SpectralField:
 
 
 def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralField:
-    """Apply a precomputed multiplier array m(xi_k) on the spectral side."""
-    values = np.asarray(values)
-    if values.shape != f.spec.shape:
-        raise StructuralError("multiplier array does not match the frequency lattice")
-    return _prefix_product(f, values)
-
-
-def _prefix_product(f: SpectralField, values: np.ndarray) -> SpectralField:
     """f times a multiplier given at the first values.size modes.
 
-    Past them the multiplier counts as 0, so values may stop wherever the
-    multiplier or f is exactly 0 from there on.  spec * values is formed on
-    the modes below min(f.band, values.size) only, which become the band of
-    the result; every later coefficient is +0.  A value that is not finite
-    raises MultiplierEvaluationError naming its frequency.
+    values is 1-D with at most n/2 + 1 entries.  Past them the multiplier
+    counts as 0, so values may stop wherever the multiplier or f is exactly 0
+    from there on.  spec * values is formed on the modes below
+    min(f.band, values.size) only, which become the band of the result;
+    every later coefficient is +0.  A value that is not finite raises
+    MultiplierEvaluationError naming its frequency.
     """
+    values = np.asarray(values)
+    if values.ndim != 1 or values.size > f.spec.size:
+        raise StructuralError("multiplier array does not fit the frequency lattice")
     bad = ~np.isfinite(values)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -198,5 +198,5 @@ def fractional_derivative_shifted(f: SpectralField, s: float) -> SpectralField:
     if s <= -1:
         raise ValueError(f"shifted fractional derivative needs s > -1, got {s}")
     xi = _odd_multiplier_frequencies(f.grid, f.band)
-    return _prefix_product(f, 1j * xi ** (s + 1.0))
+    return apply_multiplier_values(f, 1j * xi ** (s + 1.0))
 

@@ -8,7 +8,7 @@ import pytest
 from gkdv import semigroup
 from gkdv.errors import BlowUpError, DivergenceError
 from gkdv.norms import WeightedNormConfig, lebesgue_norm, sobolev_norm
-from gkdv.semigroup import Propagator, duhamel_nodes, duhamel_sweep
+from gkdv.semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
 from gkdv.solver import IterationRecord, PicardTrace, nonlinearity_eval
 from gkdv.spectral import GridSpec, SpectralField, fractional_derivative_shifted
 
@@ -74,6 +74,15 @@ def band_limit(f):
     return SpectralField(f.grid, spec)
 
 
+def padded_multiplier(prop, t):
+    """exp(t*z) on every stored mode: prop.multiplier(t), the live prefix,
+    padded with +0 to the full half spectrum."""
+    m = prop.multiplier(t)
+    out = np.zeros_like(prop.exponent)
+    out[: m.size] = m
+    return out
+
+
 def gl_duhamel(prop, forcing, t, panels=16, grading=2.0):
     """Reference int_0^t V(t - tau) forcing(tau) dtau by per-time quadrature.
 
@@ -88,7 +97,7 @@ def gl_duhamel(prop, forcing, t, panels=16, grading=2.0):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for node, weight in zip(nodes, weights):
             tau = mid + half * node
-            acc += (half * weight) * prop.multiplier(t - tau) * forcing(tau).spec
+            acc += (half * weight) * padded_multiplier(prop, t - tau) * forcing(tau).spec
     return SpectralField(prop.grid, acc)
 
 
@@ -229,7 +238,7 @@ def three_set_picard(prob, r, t_final, max_iter=40, tol=1e-9, panels=16):
         | {float(t) for t in cfg.sample_times}
         | {float(t_final)}
     )
-    free_specs = {t: prop.multiplier(t) * prob.initial_data.spec for t in eval_times}
+    free_specs = {t: apply_semigroup(prop, prob.initial_data, t).spec for t in eval_times}
     current = {t: SpectralField(prob.grid, free_specs[t]) for t in eval_times}
 
     trace = PicardTrace(r=r, t_final=t_final, c_calibrated=None)
@@ -269,7 +278,7 @@ def per_time_solution(prob, stored, t_final, t, panels=16):
     integral = next(duhamel_sweep(prop, nodal.__getitem__, [t], t_final, panels))
     if t in stored:
         return stored[t].spec, -integral
-    return prop.multiplier(t) * prob.initial_data.spec - integral, -integral
+    return apply_semigroup(prop, prob.initial_data, t).spec - integral, -integral
 
 
 class FftCalls(Counter):

@@ -1,15 +1,15 @@
 """Banded free fields: the free flow V(t)w carries the band past which its
 coefficients are exactly 0, and every norm and derivative of it equals what
-the full-length product w.spec * multiplier(t) gives."""
+the full-length product w.spec * exp(t*z) gives."""
 
 import numpy as np
 import pytest
 
-from gkdv import spectral
 from gkdv.errors import MultiplierEvaluationError
 from gkdv.norms import WeightedNormConfig, lebesgue_norm, sobolev_norm, x_norm
 from gkdv.probes import gaussian_field, rough_field
-from gkdv.semigroup import Propagator, apply_semigroup
+from gkdv.semigroup import Propagator, apply_semigroup, duhamel_sweep
+from gkdv.solver import nonlinearity_difference, nonlinearity_eval
 from gkdv.spectral import (
     GridSpec,
     SpectralField,
@@ -20,16 +20,18 @@ from gkdv.spectral import (
 )
 from gkdv.symbols import builtin_symbol
 
+from conftest import padded_multiplier
+
 TIMES = (0.0, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0)
 
 
 def full_product(prop, w0, t):
-    """The free flow as the full-length product of the spectrum and multiplier(t).
+    """The free flow as the full-length product of the spectrum and the padded multiplier(t).
 
     The multiplier is bound to a name: numpy may compute spec * <temporary>
     in place in the temporary, and an in-place complex multiply rounds
     differently from one into a new array."""
-    m = prop.multiplier(t)
+    m = padded_multiplier(prop, t)
     return SpectralField(w0.grid, w0.spec * m)
 
 
@@ -95,6 +97,52 @@ class TestFreeFlowBand:
             assert sobolev_norm(diff, 0.0) == sobolev_norm(SpectralField(a.grid, diff.spec), 0.0)
 
 
+class TestOneFreeFlowForm:
+    """V(t)w is formed one way: the live prefix multiplier(t) applied by
+    apply_multiplier_values."""
+
+    @pytest.mark.parametrize("name", ["kdv-ks", "ostrovsky", "kdv-burgers"])
+    @pytest.mark.parametrize("n", [2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15])
+    def test_padded_product_agrees_to_rounding(self, name, n):
+        # the padded multiplier times the spectrum, the factors in the other
+        # order, differs from the prefix product by the rounding of one
+        # complex multiply at most (2.2e-16 relative was the largest seen)
+        g = GridSpec(50 * np.pi, n)
+        prop = Propagator(builtin_symbol(name), g)
+        for w0 in (rough_field(g, sobolev_index=0.0, seed=n), gaussian_field(g, width=2.0)):
+            for t in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0):
+                old = padded_multiplier(prop, t) * w0.spec
+                new = apply_semigroup(prop, w0, t).spec
+                assert np.all(np.abs(old - new) <= 4.5e-16 * np.abs(old)), t
+
+
+class TestForcingBand:
+    """A forcing of the nonlinearity carries the dealias cutoff as its band,
+    and a sweep steps on the widest band of the forcings it reads."""
+
+    @pytest.mark.parametrize("mode", ["conservative", "gradient"])
+    def test_nonlinearity_band_is_the_cutoff(self, mode):
+        g = GridSpec(50 * np.pi, 2 ** 10)
+        v, w = rough_field(g, seed=1), rough_field(g, seed=2)
+        for f in (nonlinearity_eval(v, 1.0, mode), nonlinearity_difference(v, w, 1.0, mode)):
+            assert f.band == g.dealias_cutoff
+            assert not f.spec[f.band:].any()
+
+    def test_full_band_forcing_gives_the_banded_bits(self):
+        g = GridSpec(50 * np.pi, 2 ** 12)
+        cut = g.dealias_cutoff
+        prop = Propagator(builtin_symbol("kdv-ks"), g)
+        w0 = rough_field(g, seed=4)
+        banded = lambda tau: nonlinearity_eval(apply_semigroup(prop, w0, tau), 1.0, "conservative")
+        full = lambda tau: SpectralField(g, banded(tau).spec)
+        assert full(0.0).band == g.xi.size
+        times = [0.0, 1e-3, 0.05, 0.2]
+        for a, b in zip(duhamel_sweep(prop, banded, times, 0.2, 16),
+                        duhamel_sweep(prop, full, times, 0.2, 16), strict=True):
+            assert a[:cut].tobytes() == b[:cut].tobytes()
+            assert not a[cut:].any() and not b[cut:].any()
+
+
 class TestFullBandElsewhere:
     def test_fields_built_any_other_way_span_the_half_spectrum(self):
         g = GridSpec(50 * np.pi, 2 ** 10)
@@ -119,7 +167,7 @@ def derivative_on_full_frequencies(f, s):
     whole frequency array, Nyquist entry zeroed, as it was first built."""
     xi = np.array(f.grid.xi)
     xi[-1] = 0.0
-    return spectral._prefix_product(f, 1j * xi[: f.band] ** (s + 1.0))
+    return apply_multiplier_values(f, 1j * xi[: f.band] ** (s + 1.0))
 
 
 class TestDerivativeOnTheBand:
@@ -138,7 +186,7 @@ class TestDerivativeOnTheBand:
         # must not zero its own last entry
         g = GridSpec(50 * np.pi, 2 ** 10)
         rough = rough_field(g, seed=2)
-        short = spectral._prefix_product(rough, np.ones(g.xi.size - 1))
+        short = apply_multiplier_values(rough, np.ones(g.xi.size - 1))
         assert rough.band == g.xi.size and short.band == g.xi.size - 1
         for f in (rough, short):
             got, want = fractional_derivative_shifted(f, s), derivative_on_full_frequencies(f, s)

@@ -31,7 +31,7 @@ from gkdv.spectral import (
 )
 from gkdv.symbols import builtin_symbol
 
-from conftest import spatial_derivative, trajectory_norm
+from conftest import padded_multiplier, spatial_derivative, trajectory_norm
 
 
 def cfg_for(s=0.0, k=1.0, p=4.0, t_final=1.0, n_times=8):
@@ -119,7 +119,7 @@ class TestExactSubgrid:
         g = GridSpec(50 * np.pi, n)
         w = rough_field(g, sobolev_index=0.0, seed=n)
         prop = Propagator(builtin_symbol("pure-power", p=4), g)
-        spec = w.spec * prop.multiplier(g.xi[top] ** -4.0)
+        spec = w.spec * padded_multiplier(prop, g.xi[top] ** -4.0)
         spec[top + 1:] = 0.0
         assert spec[top] != 0
         return SpectralField(g, spec)

@@ -23,7 +23,7 @@ from gkdv.spectral import GridSpec, SpectralField, coherent_field
 from gkdv.symbols import builtin_symbol, evaluate_phi, symbol_constants, tabulated_symbol
 from gkdv.probes import gaussian_field
 
-from conftest import full_band_sweep, gl_duhamel, panel_step
+from conftest import full_band_sweep, gl_duhamel, padded_multiplier, panel_step
 
 
 def single_mode(grid, k, amp=0.5):
@@ -110,7 +110,16 @@ class TestLivePrefix:
     @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-4, 1.0])
     def test_multiplier_matches_full_exp(self, prop, t):
         # == counts -0.0 equal to +0.0: the values agree up to the sign of zero
-        assert np.array_equal(prop.multiplier(t), np.exp(t * prop.exponent))
+        assert np.array_equal(padded_multiplier(prop, t), np.exp(t * prop.exponent))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-4, 1e-2, 1.0])
+    def test_multiplier_is_the_live_prefix(self, prop, t):
+        m = prop.multiplier(t)
+        full = np.exp(t * prop.exponent)
+        live = prop.live_modes(t)
+        assert m.size == live
+        assert m.tobytes() == full[:live].tobytes()
+        assert np.all(full[live:] == 0)
 
     def test_multiplier_with_cut_between_two_modes(self, prop):
         # a t whose bound 746/t falls halfway between two consecutive distinct
@@ -121,7 +130,7 @@ class TestLivePrefix:
         assert prop.live_modes(t) == k
         full = np.exp(t * prop.exponent)
         assert np.any(full[k - 8:k] != 0) and np.all(full[k:] == 0)
-        assert np.array_equal(prop.multiplier(t), full)
+        assert np.array_equal(padded_multiplier(prop, t), full)
 
     def test_every_mode_live_for_nonpositive_time(self, prop):
         assert prop.live_modes(0.0) == prop.live_modes(-0.5) == prop.exponent.size

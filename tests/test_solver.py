@@ -303,6 +303,21 @@ class TestPicard:
         residual = x_norm((residual_at(t) for t in cfg.sample_times), cfg)
         assert residual <= 2 * tol
 
+    def test_solution_is_free_flow_plus_duhamel_part_exactly(self):
+        # V(t)v0 has one form: off the stored times the solution is the free
+        # flow apply_semigroup gives plus the signed Duhamel part, to the bit
+        prob = make_problem(name="kdv-ks", amplitude=0.3)
+        r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
+        t_final = 0.01
+        sol, trace = picard_iterate(prob, r, t_final, max_iter=40, tol=1e-10, panels=16)
+        assert trace.converged
+        prop = Propagator(prob.symbol, prob.grid)
+        for t in (0.013 * t_final, 0.37 * t_final, 0.91 * t_final):
+            assert t not in sol._stored
+            free = apply_semigroup(prop, prob.initial_data, t)
+            expected = free.spec + sol.duhamel_part(t).spec
+            assert sol.at([t])[0].spec.tobytes() == expected.tobytes(), t
+
     def test_off_grid_call_matches_batch_sweep(self):
         prob = make_problem(name="kdv-ks", amplitude=0.3)
         r = 8.0 * sobolev_norm(prob.initial_data, 0.0)
@@ -316,7 +331,7 @@ class TestPicard:
         forcing = lambda tau: nonlinearity_eval(sol(tau), prob.k, prob.mode)
         times = [0.1 * t_final, t_off, t_final]
         batch = dict(zip(times, duhamel_sweep(prop, forcing, times, t_final, panels=16)))
-        expected = prop.multiplier(t_off) * prob.initial_data.spec - batch[t_off]
+        expected = apply_semigroup(prop, prob.initial_data, t_off).spec - batch[t_off]
         assert np.array_equal(sol(t_off).spec, expected)
         assert np.array_equal(sol.duhamel_part(t_off).spec, -batch[t_off])
 

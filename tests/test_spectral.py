@@ -118,6 +118,28 @@ class TestMultipliers:
         assert out.spec[-1] == 0
         assert np.array_equal(out.spec[:-1], 1j * small_grid.xi[:-1] * f.spec[:-1])
 
+    def test_multiplier_must_be_a_prefix_of_the_lattice(self, small_grid):
+        f = random_field(small_grid)
+        size = small_grid.xi.size
+        with pytest.raises(StructuralError):
+            apply_multiplier_values(f, np.ones(size + 1))
+        with pytest.raises(StructuralError):
+            apply_multiplier_values(f, np.ones((1, size)))
+        with pytest.raises(StructuralError):
+            apply_multiplier_values(f, np.float64(1.0))
+
+    def test_prefix_multiplier_sets_the_band(self, small_grid):
+        f = random_field(small_grid, band_limited=False)
+        size = small_grid.xi.size
+        short = apply_multiplier_values(f, np.full(size // 3, 2.0))
+        assert short.band == size // 3
+        assert np.array_equal(short.spec[: size // 3], 2.0 * f.spec[: size // 3])
+        assert not short.spec[size // 3:].any()
+        # a prefix longer than the field's band keeps that band
+        assert apply_multiplier_values(short, np.ones(size // 2)).band == size // 3
+        assert apply_multiplier_values(short, np.ones(size // 5)).band == size // 5
+        assert apply_multiplier_values(f, np.ones(0)).band == 0
+
     def test_non_finite_multiplier_names_frequency(self, small_grid):
         f = random_field(small_grid)
         xi = small_grid.xi

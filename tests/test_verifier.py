@@ -276,6 +276,26 @@ class TestContractionScaling:
         assert rep.notes["rhos"] == alone.notes["rhos"]
         assert counts["panel_step"] == 6 * (8 + 10)
 
+    def test_mislabelled_order_fails_on_the_exponent(self):
+        # negative control: labelled p = 4, but Phi = -xi^2 smooths like
+        # order 2, so rho(T) grows with T faster than T^omega_k allows and the
+        # fitted exponent crosses omega_k + tolerance; the pure power of the
+        # labelled order passes on the same grid and seed
+        g = GridSpec(50 * np.pi, 4096)
+        mislabelled = DissipativeSymbol("mislabelled", p=4.0, q=3.9, c_phi1=1.0,
+                                        phi1=lambda xi: np.abs(xi) ** 4 - xi ** 2)
+        reports = {}
+        for sym in (mislabelled, builtin_symbol("pure-power", p=4)):
+            prob = IvpProblem(symbol=sym, grid=g, k=1.0, mode="conservative", s=0.0,
+                              initial_data=zero_field(g))
+            reports[sym.name] = verify_contraction_scaling(prob, seed=0)
+        rep, pure = reports["mislabelled"], reports["pure-power-4"]
+        assert rep.theoretical_exponent == pure.theoretical_exponent == pytest.approx(0.375)
+        assert rep.verdict == "fail"
+        assert rep.fitted_exponent > rep.theoretical_exponent + rep.tolerance
+        assert pure.verdict == "pass"
+        assert abs(pure.fitted_exponent - pure.theoretical_exponent) <= pure.tolerance
+
     def test_probe_exponent_values(self):
         assert contraction_probe_exponent(1.0) == pytest.approx(-0.25)
         assert contraction_probe_exponent(0.5) == pytest.approx(0.0)
