@@ -3,7 +3,10 @@
 Output layout: <outdir>/<run-id>/{manifest.json, config.json, reports/*.json,
 data/*.csv} with run-id the first 12 hex digits of the config hash.  The
 GKDV_OUT environment variable overrides the output root.  Exit codes:
-0 success, 1 computational failure, 2 usage error.
+0 success, 1 computational failure, 2 usage error.  _run owns the lifecycle
+every command shares: the exit codes 0/1/2, the run directory, which a rerun
+of the config replaces, and the manifest; each command passes it only its
+own work.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,58 +40,55 @@ from .verifier import (
 )
 
 
-def _out_root(override: str | None) -> Path:
-    return Path(override or os.environ.get("GKDV_OUT") or "gkdv-runs")
-
-
-def _prepare_run_dir(cfg: RunConfig, out_root: Path) -> Path:
-    run_dir = out_root / cfg.config_hash()[:12]
-    (run_dir / "reports").mkdir(parents=True, exist_ok=True)
-    (run_dir / "data").mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(cfg.canonical_json() + "\n")
-    return run_dir
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(cfg: RunConfig, run_dir: Path, started: float) -> None:
-    files = []
-    for path in sorted(run_dir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            files.append(
-                {
-                    "path": str(path.relative_to(run_dir)),
-                    "sha256": _sha256(path),
-                    "bytes": path.stat().st_size,
-                }
-            )
-    manifest = {
-        "config_hash": cfg.config_hash(),
-        "artifact_version": __version__,
-        "started_at": started,
-        "finished_at": time.time(),
-        "files": files,
-    }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def run_solve(config_path: str, out_override: str | None) -> int:
+def _run(command: str, config_path: str, out_override: str | None, build, body) -> int:
+    """The lifecycle every command shares; returns the exit code.
+
+    The config is parsed and build(cfg) run before any directory exists, so a
+    ConfigError exits 2 and leaves nothing behind.  The run directory is then
+    made afresh, body(cfg, built, run_dir) does the command's own work and
+    returns its exit code, a GkdvError it raises exits 1, and the manifest is
+    written in either case.
+    """
     started = time.time()
     try:
-        cfg = RunConfig.from_file(config_path, "solve")
-        prob = cfg.build_problem()
+        cfg = RunConfig.from_file(config_path, command)
+        built = build(cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
-    run_dir = _prepare_run_dir(cfg, _out_root(out_override))
-    solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int)
+    out_root = Path(out_override or os.environ.get("GKDV_OUT") or "gkdv-runs")
+    run_dir = out_root / cfg.config_hash()[:12]
+    # --suite is not part of the run id, so an earlier run of this config may
+    # have left files here that this run would not write, yet would list
+    if run_dir.exists():
+        shutil.rmtree(run_dir)
+    for sub in ("reports", "data"):
+        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(cfg.canonical_json() + "\n")
     try:
+        code = body(cfg, built, run_dir)
+    except GkdvError as exc:
+        label = {"solve": "solver", "verify": "verification", "sweep": "sweep"}[command]
+        click.echo(f"{label} failure: {exc}", err=True)
+        code = 1
+    files = [
+        {"path": str(path.relative_to(run_dir)), "bytes": path.stat().st_size,
+         "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        for path in sorted(run_dir.rglob("*")) if path.is_file()
+    ]
+    manifest = {"config_hash": cfg.config_hash(), "artifact_version": __version__,
+                "started_at": started, "finished_at": time.time(), "files": files}
+    _write_json(run_dir / "manifest.json", manifest)
+    return code
+
+
+def run_solve(config_path: str, out_override: str | None) -> int:
+    def body(cfg: RunConfig, prob: IvpProblem, run_dir: Path) -> int:
+        solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int)
         solution, trace = solve(prob, **solver_opts)
         output_times = cfg.raw.get("output_times") or [trace.t_final]
         x_column = [repr(x) for x in prob.grid.x.tolist()]
@@ -97,19 +98,17 @@ def run_solve(config_path: str, out_override: str | None) -> int:
             lines += [f"{x},{v!r}" for x, v in zip(x_column, fld.phys.tolist())]
             (run_dir / "data" / f"trajectory_{idx:03d}.csv").write_text("\n".join(lines) + "\n")
         _write_json(run_dir / "reports" / "picard_trace.json", asdict(trace))
-    except GkdvError as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        _write_manifest(cfg, run_dir, started)
-        return 1
-    _write_manifest(cfg, run_dir, started)
-    if not trace.converged:
-        click.echo(f"solver failure: no convergence in {len(trace.iterates)} iterations", err=True)
-        return 1
-    click.echo(
-        f"solve: converged={trace.converged} r={trace.r:.6g} T={trace.t_final:.6g} "
-        f"iterations={len(trace.iterates)} -> {run_dir}"
-    )
-    return 0
+        if not trace.converged:
+            click.echo(f"solver failure: no convergence in {len(trace.iterates)} iterations",
+                       err=True)
+            return 1
+        click.echo(
+            f"solve: converged={trace.converged} r={trace.r:.6g} T={trace.t_final:.6g} "
+            f"iterations={len(trace.iterates)} -> {run_dir}"
+        )
+        return 0
+
+    return _run("solve", config_path, out_override, RunConfig.build_problem, body)
 
 
 def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
@@ -139,31 +138,19 @@ def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
 
 
 def run_verify(config_path: str, suite: str | None, out_override: str | None) -> int:
-    started = time.time()
-    try:
-        cfg = RunConfig.from_file(config_path, "verify")
-        prob = cfg.build_problem()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return 2
-    run_dir = _prepare_run_dir(cfg, _out_root(out_override))
-    reports = []
-    try:
+    def body(cfg: RunConfig, prob: IvpProblem, run_dir: Path) -> int:
+        reports = []
         # each report is written as it arrives, so a later check that raises
         # keeps the reports of the checks before it
         for rep in _verify_reports(cfg, prob, suite or cfg.suite):
             _write_json(run_dir / "reports" / f"{rep.estimate_id}.json", asdict(rep))
             reports.append(rep)
-    except GkdvError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        _write_manifest(cfg, run_dir, started)
-        return 1
-    table = render_report_table(reports)
-    (run_dir / "reports" / "summary.txt").write_text(table + "\n")
-    _write_manifest(cfg, run_dir, started)
-    click.echo(table)
-    failed = [r for r in reports if not r.passed]
-    return 1 if failed else 0
+        table = render_report_table(reports)
+        (run_dir / "reports" / "summary.txt").write_text(table + "\n")
+        click.echo(table)
+        return 1 if any(not r.passed for r in reports) else 0
+
+    return _run("verify", config_path, out_override, RunConfig.build_problem, body)
 
 
 def _sweep_job(cfg: RunConfig) -> list[str]:
@@ -180,17 +167,13 @@ def _sweep_job(cfg: RunConfig) -> list[str]:
 
 
 def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
-    started = time.time()
-    try:
-        cfg = RunConfig.from_file(config_path, "sweep")
+    def build(cfg: RunConfig) -> list[RunConfig]:
         combos = cfg.sweep_configs()
         for combo in combos:
             combo.build_problem()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return 2
-    run_dir = _prepare_run_dir(cfg, _out_root(out_override))
-    try:
+        return combos
+
+    def body(cfg: RunConfig, combos: list[RunConfig], run_dir: Path) -> int:
         # the pool forks all its workers up front, so it never outnumbers the
         # combinations or the CPUs this process may run on
         if hasattr(os, "sched_getaffinity"):
@@ -203,16 +186,13 @@ def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
                 results = list(pool.map(_sweep_job, combos))
         else:
             results = [_sweep_job(combo) for combo in combos]
-    except GkdvError as exc:
-        click.echo(f"sweep failure: {exc}", err=True)
-        _write_manifest(cfg, run_dir, started)
-        return 1
-    rows = [row for combo_rows in results for row in combo_rows]
-    header = "k,p,s,estimate_id,theoretical,fitted,verdict"
-    (run_dir / "data" / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
-    _write_manifest(cfg, run_dir, started)
-    click.echo(f"sweep: {len(combos)} combinations -> {run_dir}")
-    return 1 if any(row.endswith(",fail") for row in rows) else 0
+        rows = [row for combo_rows in results for row in combo_rows]
+        header = "k,p,s,estimate_id,theoretical,fitted,verdict"
+        (run_dir / "data" / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
+        click.echo(f"sweep: {len(combos)} combinations -> {run_dir}")
+        return 1 if any(row.endswith(",fail") for row in rows) else 0
+
+    return _run("sweep", config_path, out_override, build, body)
 
 
 @click.group()

@@ -482,10 +482,8 @@ def verify_smoothing(
     sol_f, trace_f = picard_iterate(prob_f, r, t_final, max_iter=40, tol=1e-9, panels=16)
     t_probe = 0.5 * t_final
 
-    prop_c = Propagator(prob.symbol, coarse)
-    prop_f = Propagator(prob.symbol, fine)
-    free_c = sobolev_norm(apply_semigroup(prop_c, data_c, t_probe), s + mu)
-    free_f = sobolev_norm(apply_semigroup(prop_f, data_f, t_probe), s + mu)
+    free_c = sobolev_norm(apply_semigroup(sol_c.prop, data_c, t_probe), s + mu)
+    free_f = sobolev_norm(apply_semigroup(sol_f.prop, data_f, t_probe), s + mu)
     free_ratio = abs(free_f - free_c) / free_c
 
     approach = [t_probe + (t_final - t_probe) * 2.0 ** (-j) for j in range(1, 6)]

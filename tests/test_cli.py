@@ -206,8 +206,8 @@ def test_output_dir_key_exit_2_without_run_dir(tmp_path, monkeypatch, command, v
 
 
 # Valid configs on which a computed quantity leaves the double range; each
-# used to escape as an uncaught OverflowError or ValueError.  A verify config
-# runs the linear suite unless it sets its own.
+# used to escape as an uncaught OverflowError or ValueError.  A verify or sweep
+# config runs the linear suite unless it sets its own.
 RANGE_FAILURES = {
     # the automatic tau window needs 40^p
     "tau-window": ("verify", {"symbol": {"name": "pure-power", "p": 1e6}},
@@ -229,13 +229,16 @@ RANGE_FAILURES = {
     "contraction-window": ("verify", {"grid": {"length": 1e100, "n_points": 256},
                                       "suite": "nonlinear"},
                            "verification failure: no contraction window"),
+    # the p = 4 combination finishes; p = 1e6 has no tau window
+    "sweep-tau-window": ("sweep", {"sweep": {"p": [4.0, 1e6]}},
+                         "sweep failure: no tau window"),
 }
 
 
 @pytest.mark.parametrize("command,changes,message", RANGE_FAILURES.values(),
                          ids=RANGE_FAILURES.keys())
 def test_double_range_is_a_named_failure(tmp_path, command, changes, message):
-    if command == "verify":
+    if command in ("verify", "sweep"):
         cfg = verify_config(**{"suite": "linear", **changes})
     else:
         cfg = solve_config(**changes)
@@ -524,6 +527,29 @@ class TestVerifyCommand:
         assert json.loads((run_dir / name).read_text())["verdict"] == "pass"
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert name in {entry["path"] for entry in manifest["files"]}
+
+    def test_rerun_replaces_the_run_directory(self, tmp_path):
+        # --suite is not part of the run id; the linear run used to keep the
+        # nonlinear run's reports, and its manifest vouched for them
+        path = write_config(tmp_path, "v.json", verify_config())
+        out = tmp_path / "out"
+        runner = CliRunner()
+        args = ["verify", "--config", path, "--out", str(out), "--suite"]
+        assert runner.invoke(main, [*args, "nonlinear"]).exit_code == 1
+        (out / "other.txt").write_text("not a run\n")
+        assert runner.invoke(main, [*args, "linear"]).exit_code == 0
+        assert (out / "other.txt").read_text() == "not a run\n"
+        run_dir = next(p for p in out.iterdir() if p.is_dir())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        listed = {entry["path"] for entry in manifest["files"]}
+        on_disk = {
+            str(p.relative_to(run_dir))
+            for p in run_dir.rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+        }
+        assert listed == on_disk
+        stale = ("reports/nonlinear-growth-", "reports/contraction-scaling-")
+        assert not any(name.startswith(stale) for name in listed)
 
     @pytest.mark.filterwarnings("error")
     def test_large_pure_power_runs_without_overflow_warning(self, tmp_path):
