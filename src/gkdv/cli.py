@@ -11,13 +11,11 @@ own work.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -75,6 +73,8 @@ def _run(command: str, config_path: str, out_override: str | None, build, body) 
         label = {"solve": "solver", "verify": "verification", "sweep": "sweep"}[command]
         click.echo(f"{label} failure: {exc}", err=True)
         code = 1
+    import hashlib  # OpenSSL loads only once a run has files to vouch for
+
     files = [
         {"path": str(path.relative_to(run_dir)), "bytes": path.stat().st_size,
          "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
@@ -182,6 +182,9 @@ def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
             cpus = os.cpu_count() or 1
         workers = min(jobs, len(combos), cpus)
         if workers > 1:
+            # multiprocessing loads only for a sweep that starts a pool
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_job, combos))
         else:

@@ -7,7 +7,6 @@ keys, fixed separators) backs the deterministic config hash used as run id.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -177,6 +176,8 @@ class RunConfig:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
+        import hashlib  # OpenSSL loads only for a run that hashes its config
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     @property

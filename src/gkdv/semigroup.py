@@ -54,10 +54,21 @@ from .spectral import GridSpec, SpectralField, _odd_multiplier_frequencies, appl
 from .symbols import DissipativeSymbol, evaluate_phi
 
 # Panel nodes of the product rule: the 4 Gauss-Legendre points on [0, 1],
-# and the inverse Vandermonde matrix taking values there to the coefficients
-# of the cubic interpolant in powers of the panel coordinate.
-_UNIT_NODES = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
-_VANDERMONDE_INV = np.linalg.inv(np.vander(_UNIT_NODES, 4, increasing=True))
+# 0.5*(1 +- sqrt(3/7 -+ (2/7)*sqrt(6/5))), the roots of P_4(2u - 1); and the
+# inverse Vandermonde matrix taking values there to the coefficients of the
+# cubic interpolant in powers of the panel coordinate, as round-trip
+# literals.  Both are fixed doubles: no LAPACK call at import, and no
+# dependence of the sweep's bits on the LAPACK build.
+_INNER = math.sqrt(3.0 / 7.0 - (2.0 / 7.0) * math.sqrt(6.0 / 5.0))
+_OUTER = math.sqrt(3.0 / 7.0 + (2.0 / 7.0) * math.sqrt(6.0 / 5.0))
+_UNIT_NODES = np.array([0.5 * (1.0 - _OUTER), 0.5 * (1.0 - _INNER),
+                        0.5 * (1.0 + _INNER), 0.5 * (1.0 + _OUTER)])
+_VANDERMONDE_INV = np.array([
+    [1.526788125457267, -0.8136324494869273, 0.4007615203116502, -0.1139171962819898],
+    [-8.546023607872202, 13.807166925689575, -7.417070421462634, 2.1559271036452583],
+    [14.325858354171888, -31.388222363446044, 24.998125859219098, -7.9357618499449405],
+    [-7.420540068038942, 18.795449407555044, -18.79544940755504, 7.420540068038938],
+])
 
 # Exponent g of the graded mesh b_j = T*(j/m)^g of every Duhamel sweep.
 _GRADING = 2.0

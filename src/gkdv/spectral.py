@@ -76,7 +76,7 @@ class GridSpec:
         """Largest resolved |frequency|, pi/h."""
         return np.pi / self.h
 
-    @property
+    @cached_property
     def dealias_cutoff(self) -> int:
         """Mode index above which (inclusive) dealiasing zeroes coefficients."""
         return int(round(self.dealias_fraction * self.n_points / 2))

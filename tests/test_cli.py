@@ -755,7 +755,7 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = self.sweep_cfg()
         cfg["sweep"] = {"k": [1.0, 2.0]}
         path = write_config(tmp_path, "s2.json", cfg)
@@ -778,7 +778,7 @@ class TestSweepCommand:
             pools.append(max_workers)
             raise AssertionError("one usable CPU needs no pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         if one_cpu == "affinity":
             monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:

@@ -409,6 +409,27 @@ G_MOMENTS_50_DIGITS = [
 ]
 
 
+class TestQuadratureConstants:
+    """The panel nodes and the interpolation matrix are literals; they keep
+    their definition as the Gauss-Legendre nodes and the inverse Vandermonde
+    matrix there."""
+
+    def test_nodes_are_the_gauss_legendre_points_on_the_unit_panel(self):
+        u = semigroup._UNIT_NODES
+        assert np.all(np.diff(u) > 0)
+        x = 2.0 * u - 1.0
+        assert np.max(np.abs((35.0 * x**4 - 30.0 * x**2 + 3.0) / 8.0)) <= 1e-15
+        lapack = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
+        assert np.all(np.abs(u - lapack) <= 2 * np.spacing(lapack))
+
+    def test_matrix_inverts_the_vandermonde_matrix_of_the_nodes(self):
+        vander = np.vander(semigroup._UNIT_NODES, 4, increasing=True)
+        inv = semigroup._VANDERMONDE_INV
+        assert np.max(np.abs(inv @ vander - np.eye(4))) <= 1e-13
+        lapack = np.linalg.inv(vander)
+        assert np.all(np.abs(inv - lapack) <= 4 * np.spacing(np.abs(lapack)))
+
+
 class TestPanelStep:
     """The product-rule step against the two-exponential oracle and 50-digit moments."""
 

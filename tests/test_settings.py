@@ -5,7 +5,10 @@ may only fall."""
 
 import ast
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gkdv
@@ -99,3 +102,25 @@ def test_public_names_have_a_caller():
     uncalled = sorted(name for name in names - PAPER_NAMES - CLICK_COMMANDS
                       if not has_caller(name))
     assert uncalled == []
+
+
+# Libraries no op of the paper's machinery uses: OpenSSL (hashing a run's
+# config and files), the process pool (a sweep with 2 or more workers) and
+# numpy.polynomial with its LAPACK set-up.
+NOT_LOADED_AT_IMPORT = {"hashlib", "_hashlib", "multiprocessing",
+                        "concurrent.futures.process", "numpy.polynomial"}
+
+
+def test_import_loads_no_hashing_pool_or_polynomial_modules():
+    """Importing gkdv and its CLI loads none of them.  The baseline is the set
+    a bare numpy import loads, since numpy 1.x imports numpy.polynomial itself."""
+    probe = ("import sys, numpy\n"
+             "base = set(sys.modules)\n"
+             "import gkdv, gkdv.cli\n"
+             "print('\\n'.join(sorted(set(sys.modules) - base)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    added = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "gkdv.cli" in added
+    assert sorted(NOT_LOADED_AT_IMPORT & set(added)) == []
