@@ -24,7 +24,7 @@ import click
 from . import __version__
 from .errors import ConfigError, GkdvError
 from .probes import gaussian_field
-from .runconfig import SUITES, RunConfig, _set_keys
+from .runconfig import SUITES, RunConfig
 from .solver import IvpProblem, solve
 from .verifier import (
     render_report_table,
@@ -88,11 +88,10 @@ def _run(command: str, config_path: str, out_override: str | None, build, body) 
 
 def run_solve(config_path: str, out_override: str | None) -> int:
     def body(cfg: RunConfig, prob: IvpProblem, run_dir: Path) -> int:
-        solver_opts = _set_keys(cfg.raw.get("solver", {}), max_iter=int, tol=float, panels=int)
-        solution, trace = solve(prob, **solver_opts)
-        output_times = cfg.raw.get("output_times") or [trace.t_final]
+        solution, trace = solve(prob, **cfg.opts("solver", "max_iter", "tol", "panels"))
+        output_times = cfg.opts(None, "output_times").get("output_times") or [trace.t_final]
         x_column = [repr(x) for x in prob.grid.x.tolist()]
-        fields = solution.at([min(float(t), trace.t_final) for t in output_times])
+        fields = solution.at([min(t, trace.t_final) for t in output_times])
         for idx, fld in enumerate(fields):
             lines = ["x,value"]
             lines += [f"{x},{v!r}" for x, v in zip(x_column, fld.phys.tolist())]
@@ -114,27 +113,25 @@ def run_solve(config_path: str, out_override: str | None) -> int:
 def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
     """Yield the reports of one suite on prob, the problem cfg builds, each as
     soon as its check has finished."""
-    opts = cfg.raw.get("verify", {})
     grid, symbol, k, s = prob.grid, prob.symbol, prob.k, prob.s
     seed = cfg.seed
     if suite in ("all", "linear"):
-        for theta in _set_keys(opts, theta_values=list).get("theta_values", [1.0]):
-            yield verify_multiplier_decay(symbol, float(theta), **_set_keys(opts, tau_window=tuple))
-        yield verify_weighted_linear(
-            symbol, k, s=s, grid=grid, base_seed=seed, **_set_keys(opts, n_seeds=int)
-        )
+        for theta in cfg.opts("verify", "theta_values").get("theta_values", [1.0]):
+            yield verify_multiplier_decay(symbol, theta, **cfg.opts("verify", "tau_window"))
+        yield verify_weighted_linear(symbol, k, s=s, grid=grid, base_seed=seed,
+                                     **cfg.opts("verify", "n_seeds"))
         hy_fields = [
             gaussian_field(grid, amplitude=1.0 + 0.1 * i, width=grid.length / (20.0 + i))
             for i in range(4)
         ]
-        for p1 in _set_keys(opts, hy_exponents=list).get("hy_exponents", [2.0, 4.0]):
-            yield verify_hausdorff_young(hy_fields, float(p1))
-        yield verify_threshold_conditions(symbol, **_set_keys(opts, xi_max=float))
+        for p1 in cfg.opts("verify", "hy_exponents").get("hy_exponents", [2.0, 4.0]):
+            yield verify_hausdorff_young(hy_fields, p1)
+        yield verify_threshold_conditions(symbol, **cfg.opts("verify", "xi_max"))
     if suite in ("all", "nonlinear"):
         yield verify_nonlinear_estimate(prob, seed=seed)
-        yield verify_contraction_scaling(prob, seed=seed, **_set_keys(opts, n_pairs=int))
+        yield verify_contraction_scaling(prob, seed=seed, **cfg.opts("verify", "n_pairs"))
     if suite in ("all", "smoothing"):
-        yield verify_smoothing(prob, seed=seed, **_set_keys(opts, t_horizon=float))
+        yield verify_smoothing(prob, seed=seed, **cfg.opts("verify", "t_horizon"))
 
 
 def run_verify(config_path: str, suite: str | None, out_override: str | None) -> int:
@@ -157,7 +154,7 @@ def _sweep_job(cfg: RunConfig) -> list[str]:
     """The sweep.csv rows of one combination, labelled with the k, p and s of
     the problem that ran."""
     prob = cfg.build_problem()
-    kps = ",".join(repr(float(v)) for v in (prob.k, prob.symbol.p, prob.s))
+    kps = ",".join(repr(v) for v in (prob.k, prob.symbol.p, prob.s))
     rows = []
     for rep in _verify_reports(cfg, prob, cfg.suite):
         theo = "" if rep.theoretical_exponent is None else repr(float(rep.theoretical_exponent))

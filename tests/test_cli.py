@@ -189,6 +189,55 @@ def test_out_of_range_value_exit_2_without_run_dir(tmp_path, command, section, k
     assert not (tmp_path / "out").exists()
 
 
+TABULATED = {"name": "custom", "p": 3.0, "q": 1.0, "c_phi1": 2.0}
+GAUSSIAN = {"type": "gaussian", "amplitude": 0.05, "width": 4.0}
+# Refused values, each as the sections or top-level keys it changes and the
+# key it names; rough data and table rows need their whole section.
+REFUSED = {
+    # a numeric string or a bool used to run as the number it casts to
+    "amplitude-numeric-string": ("solve", {"initial_data": {**GAUSSIAN, "amplitude": "0.02"}},
+                                 "amplitude"),
+    "center-bool": ("solve", {"initial_data": {**GAUSSIAN, "center": False}}, "center"),
+    "rough-sobolev_index-numeric-string": (
+        "solve", {"initial_data": {"type": "rough", "amplitude": 0.05, "sobolev_index": "1"}},
+        "sobolev_index"),
+    # a short row used to crash with an IndexError, a long row's third column
+    # to be ignored
+    "table-short-row": ("verify", {"symbol": {**TABULATED, "table": [[0, 0], [1]]}}, "table"),
+    "table-long-row": ("verify", {"symbol": {**TABULATED, "table": [[0, 0], [1, 1, 5]]}},
+                       "table"),
+    # an integer literal beyond the double range used to raise OverflowError,
+    # for tol and xi_max after the run directory was made
+    "k-past-double-range": ("solve", {"k": 10**400}, "k"),
+    "length-past-double-range": ("solve", {"grid": {"length": 10**400, "n_points": 256}},
+                                 "length"),
+    "tol-past-double-range": ("solve", {"solver": {"tol": 10**400}}, "tol"),
+    "xi_max-past-double-range": ("verify", {"verify": {"xi_max": 10**400}}, "xi_max"),
+}
+
+
+@pytest.mark.parametrize("command,changes,key", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_value_exit_2_without_run_dir(tmp_path, command, changes, key):
+    cfg = verify_config(**changes) if command == "verify" else solve_config(**changes)
+    path = write_config(tmp_path, "refused.json", cfg)
+    res = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output and key in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_literal_past_the_digit_limit_exit_2_without_run_dir(tmp_path):
+    # Python refuses to parse an integer of more than 4300 digits; the
+    # ValueError used to escape as a traceback
+    text = json.dumps(solve_config(k=0)).replace('"k": 0', '"k": 1' + "0" * 5000)
+    path = tmp_path / "digits.json"
+    path.write_text(text)
+    res = CliRunner().invoke(main, ["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["elsewhere", 5])
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_output_dir_key_exit_2_without_run_dir(tmp_path, monkeypatch, command, value):
@@ -820,28 +869,43 @@ INTEGER_KEYS = {"seed", "n_points", "n_seeds", "n_pairs", "panels", "max_iter"}
 
 
 def boundary_bases():
-    """A valid solve and a valid verify config that set most keys of their command."""
+    """Valid configs, each under its name with the command it runs, that
+    between them set every key outside the sweep section."""
     solve = solve_config(solver={"max_iter": 20, "tol": 1e-10, "panels": 16})
     solve["grid"]["dealias_fraction"] = 0.5
     solve["symbol"]["eta"] = 1.0
     solve["initial_data"]["center"] = 1.0
-    return {"solve": solve, "verify": verify_config(suite="linear")}
+    rough = solve_config(initial_data=INITIAL_DATA["rough"])
+    tabulated = verify_config(suite="linear", symbol={
+        **TABULATED, "eta": 1.0, "table": [[0.0, 0.0], [1.0, 1.5], [10.0, 4.0]]})
+    tabulated["verify"].update(tau_window=[1e-4, 1e-2], t_horizon=0.5)
+    return {"solve": ("solve", solve), "verify": ("verify", verify_config(suite="linear")),
+            "solve-rough": ("solve", rough), "verify-tabulated": ("verify", tabulated)}
 
 
 BOUNDARY_BASES = boundary_bases()
 BOUNDARY_KEYS = [
-    (command, section, key)
-    for command, base in BOUNDARY_BASES.items()
+    (name, section, key)
+    for name, (_, base) in BOUNDARY_BASES.items()
     for section, keys in [(None, list(base))] + [
-        (name, list(sec)) for name, sec in base.items() if isinstance(sec, dict)]
+        (section, list(sec)) for section, sec in base.items() if isinstance(sec, dict)]
     for key in keys
 ]
 boundary_cases = st.tuples(st.sampled_from(BOUNDARY_KEYS), st.sampled_from(BOUNDARY_VALUES))
 
 
+def test_boundary_keys_cover_every_row_of_the_key_table_outside_sweep():
+    accepted = {key if name is None else f"{name}.{key}"
+                for name, rows in runconfig._KEYS.items() if name != "sweep" for key in rows}
+    sampled = {key if section is None else f"{section}.{key}"
+               for _, section, key in BOUNDARY_KEYS}
+    assert accepted <= sampled
+
+
 def with_boundary_value(case):
-    (command, section, key), value = case
-    raw = copy.deepcopy(BOUNDARY_BASES[command])
+    (name, section, key), value = case
+    command, base = BOUNDARY_BASES[name]
+    raw = copy.deepcopy(base)
     (raw if section is None else raw[section])[key] = value
     return command, raw
 

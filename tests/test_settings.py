@@ -4,6 +4,7 @@ cover, and every exported name needs a caller outside the tests, so all three
 may only fall."""
 
 import ast
+import copy
 import itertools
 import os
 import re
@@ -11,8 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gkdv
 from gkdv import runconfig
+from gkdv.errors import ConfigError
+from gkdv.runconfig import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gkdv"
@@ -71,6 +76,52 @@ def readme_key_rows() -> set:
 
 def test_readme_key_table_matches_the_accepted_keys():
     assert readme_key_rows() == accepted_keys()
+
+
+# A valid config of each command; every accepted key is a key of one of them.
+BASES = {
+    "solve": {"symbol": {"name": "kdv-ks"}, "grid": {"length": 100.0, "n_points": 256},
+              "seed": 1, "initial_data": {"type": "zero"}},
+    "verify": {"symbol": {"name": "kdv-ks"}, "grid": {"length": 100.0, "n_points": 256},
+               "seed": 1},
+    "sweep": {"symbol": {"name": "kdv-ks"}, "grid": {"length": 100.0, "n_points": 256},
+              "seed": 1, "sweep": {"k": [1.0]}},
+}
+STRING_KEYS = {"mode", "suite", "symbol.name", "initial_data.type"}
+
+
+def with_key(key: str, value) -> tuple:
+    """The command and a copy of its base config with key set to value."""
+    section, _, leaf = key.rpartition(".")
+    command = next(c for c in BASES if (section or leaf) in runconfig._ALLOWED[c])
+    raw = copy.deepcopy(BASES[command])
+    (raw.setdefault(section, {}) if section else raw)[leaf] = value
+    return command, raw
+
+
+def test_every_key_refuses_a_bool_and_every_number_key_a_numeric_string():
+    """A key added without a row of the key table would accept both."""
+    for key in sorted(accepted_keys()):
+        values = [True] if key in STRING_KEYS else [True, "1"]
+        for value in values:
+            command, raw = with_key(key, value)
+            with pytest.raises(ConfigError, match=re.escape(repr(key.split(".")[-1]))):
+                RunConfig.from_dict(raw, command)
+
+
+def test_cli_decodes_no_config_itself():
+    """cli.py reads config values only through RunConfig.opts: no .raw and no
+    private name of runconfig, so config decoding stays in one module."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    raw_reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "raw"]
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "runconfig"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "runconfig"]
+    assert raw_reads == [] and private == []
 
 
 # Registered on the click group by decorator, so nothing calls them by name.
