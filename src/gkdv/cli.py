@@ -90,12 +90,15 @@ def run_solve(config_path: str, out_override: str | None) -> int:
     def body(cfg: RunConfig, prob: IvpProblem, run_dir: Path) -> int:
         solution, trace = solve(prob, **cfg.opts("solver", "max_iter", "tol", "panels"))
         output_times = cfg.opts(None, "output_times").get("output_times") or [trace.t_final]
-        x_column = [repr(x) for x in prob.grid.x.tolist()]
         fields = solution.at([min(t, trace.t_final) for t in output_times])
+        del solution  # its held iterate is not read again; free it before the files are written
         for idx, fld in enumerate(fields):
-            lines = ["x,value"]
-            lines += [f"{x},{v!r}" for x, v in zip(x_column, fld.phys.tolist())]
-            (run_dir / "data" / f"trajectory_{idx:03d}.csv").write_text("\n".join(lines) + "\n")
+            # line by line, each number formed as its line is: no file's lines
+            # or column of numbers are held as a list
+            columns = zip(map(float, prob.grid.x), map(float, fld.phys))
+            with open(run_dir / "data" / f"trajectory_{idx:03d}.csv", "w") as out:
+                out.write("x,value\n")
+                out.writelines(f"{x!r},{v!r}\n" for x, v in columns)
         _write_json(run_dir / "reports" / "picard_trace.json", asdict(trace))
         if not trace.converged:
             click.echo(f"solver failure: no convergence in {len(trace.iterates)} iterations",

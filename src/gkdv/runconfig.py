@@ -4,9 +4,11 @@ _KEYS has one row per accepted key: its accepted values, their test and the
 type it is passed on as.  from_dict checks each section against its rows in
 one pass, so an unknown key or a refused value (a bool, a numeric string,
 NaN, an infinity or an integer beyond the double range where a number
-belongs) aborts before any computation; opts is the one way to read a value,
-and null means unset.  A seed is mandatory so that every randomized
-experiment is reproducible.  The canonical serialization (sorted keys, fixed
+belongs) aborts before any computation; so does a key set in the symbol or
+initial_data section that the configured kind of symbol or data does not
+read (_READ_BY).  opts is the one way to read a value, and null means
+unset.  A seed is mandatory so that every randomized experiment is
+reproducible.  The canonical serialization (sorted keys, fixed
 separators) backs the deterministic config hash used as run id.
 """
 
@@ -134,6 +136,17 @@ _KEYS = {
 # The keys of each section, which is a JSON object.
 _SECTIONS = {name: set(rows) for name, rows in _KEYS.items() if name is not None}
 
+# The keys each kind of symbol and of initial data reads.  A symbol is
+# tabulated when its table is set, else builtin; the type key names the kind
+# of initial data.  Any other key set in the section would be ignored.
+_READ_BY = {
+    "builtin symbol": {"name", "p", "eta"},
+    "tabulated symbol": {"name", "p", "eta", "q", "c_phi1", "table"},
+    "zero data": {"type"},
+    "gaussian data": {"type", "amplitude", "width", "center"},
+    "rough data": {"type", "amplitude", "sobolev_index", "seed"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -174,6 +187,15 @@ class RunConfig:
             raise ConfigError(f"sweep has {n_combos} combinations, more than {_MAX_COUNT}")
         if command == "solve" and not cfg.opts("initial_data", "type"):
             raise ConfigError("solve config requires an initial_data section with a type")
+        tabulated = data["symbol"].get("table") is not None
+        kinds = {"symbol": "tabulated symbol" if tabulated else "builtin symbol"}
+        if command == "solve":
+            kinds["initial_data"] = f"{data['initial_data']['type']} data"
+        for name, kind in kinds.items():
+            unread = sorted(key for key, value in data[name].items()
+                            if value is not None and key not in _READ_BY[kind])
+            if unread:
+                raise ConfigError(f"{kind} does not read key(s) {unread} of the {name} section")
         return cfg
 
     @classmethod

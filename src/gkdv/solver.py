@@ -14,7 +14,9 @@ Picard iterates are coupled through the fixed graded-panel node set of
 semigroup.duhamel_sweep: each iteration evaluates the nonlinearity of the
 current iterate once per node inside one sweep over all stored times, and the
 converged iterate can be re-evaluated at any other time by one more sweep
-over its nodal forcing, with no interpolation of the iterate itself.
+over its nodal forcing, with no interpolation of the iterate itself.  An
+iterate is stored as its modes below the dealias cutoff only: from the
+cutoff on, every forcing is 0 and the iterate is the free flow V(t)v0.
 
 The independent cross-check is a fourth-order exponential time-differencing
 Runge-Kutta scheme (Cox-Matthews stages, contour-averaged coefficients in the
@@ -127,7 +129,7 @@ def nonlinearity_eval(f: SpectralField, k: float, mode: str) -> SpectralField:
     halves: spectrum to powered samples, and powered samples to forcing
     spectrum.
     """
-    return _to_forcing(_powered(f, k, mode), f.grid, mode)
+    return _nonlinearity(f.grid, f.spec, k, mode)
 
 
 def nonlinearity_difference(v: SpectralField, w: SpectralField, k: float,
@@ -140,16 +142,22 @@ def nonlinearity_difference(v: SpectralField, w: SpectralField, k: float,
     """
     if v.grid != w.grid:
         raise StructuralError("cannot difference fields on different grids")
-    return _to_forcing(_powered(v, k, mode) - _powered(w, k, mode), v.grid, mode)
+    powered = _powered(v.grid, v.spec, k, mode) - _powered(w.grid, w.spec, k, mode)
+    return _to_forcing(powered, v.grid, mode)
 
 
-def _powered(f: SpectralField, k: float, mode: str) -> np.ndarray:
-    """Samples of P(v) (conservative) or P(d_x u) (gradient) from the band below the cutoff."""
+def _nonlinearity(grid: GridSpec, spec: np.ndarray, k: float, mode: str) -> SpectralField:
+    """N(v) from spec, v's half spectrum or only its band below the dealias cutoff."""
+    return _to_forcing(_powered(grid, spec, k, mode), grid, mode)
+
+
+def _powered(grid: GridSpec, spec: np.ndarray, k: float, mode: str) -> np.ndarray:
+    """Samples of P(v) (conservative) or P(d_x u) (gradient) from the first
+    grid.dealias_cutoff coefficients of spec, the only ones read."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    grid = f.grid
     cut = grid.dealias_cutoff
-    kept = f.spec[:cut]
+    kept = spec[:cut]
     if mode == "gradient":
         kept = kept * (1j * grid.xi[:cut])
     return signed_power(np.fft.irfft(kept, grid.n_points, norm="forward"), k)
@@ -268,22 +276,25 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
 
 
 class PicardSolution:
-    """Last iterate v^n: stored fields plus one-sweep access anywhere.
+    """Last iterate v^n: its band below the dealias cutoff at the stored
+    times, plus one-sweep access anywhere.
 
-    at(times) returns the iterate v^n at each stored time; every other time
-    in [0, T] gets one more Picard application Psi(v^n).  All the off-grid
-    times of one call share one duhamel_sweep, which forms the forcing of v^n
-    at each node as it reaches it; no nodal forcing is kept.  A time outside
-    [0, T] is a ValueError.
+    Above the band v^n is the free flow V(t)v0 to the bit (see
+    picard_iterate).  at(times) returns the iterate v^n at each stored time,
+    formed as V(t)v0 with the band written over its first modes; every other
+    time in [0, T] gets one more Picard application Psi(v^n).  All the
+    off-grid times of one call share one duhamel_sweep, which forms the
+    forcing of v^n at each node from its band as it reaches it; no nodal
+    forcing is kept.  A time outside [0, T] is a ValueError.
     The two differ by at most the last increment.
     """
 
-    def __init__(self, prop, prob, t_final, panels, stored_fields):
+    def __init__(self, prop, prob, t_final, panels, stored_bands):
         self.prop = prop
         self.prob = prob
         self.t_final = t_final
         self.panels = panels
-        self._stored = stored_fields
+        self._stored = stored_bands
 
     def _integrals(self, times) -> dict:
         """{t: int_0^t V(t - tau) N(v^n)(tau) dtau} for the distinct times, by one sweep."""
@@ -291,7 +302,8 @@ class PicardSolution:
             if t < 0 or t > self.t_final * (1 + 1e-12):
                 raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
         ordered = sorted(set(times))
-        forcing = lambda tau: nonlinearity_eval(self._stored[tau], self.prob.k, self.prob.mode)
+        prob = self.prob
+        forcing = lambda tau: _nonlinearity(prob.grid, self._stored[tau], prob.k, prob.mode)
         sweep = duhamel_sweep(self.prop, forcing, ordered, self.t_final, self.panels)
         return dict(zip(ordered, sweep, strict=True))
 
@@ -300,9 +312,15 @@ class PicardSolution:
         times = [float(t) for t in times]
         stored, prop, v0 = self._stored, self.prop, self.prob.initial_data
         integrals = self._integrals([t for t in times if t not in stored])
-        return [stored[t] if t in stored else SpectralField(
-                    self.prob.grid, apply_semigroup(prop, v0, t).spec - integrals[t])
-                for t in times]
+        out = []
+        for t in times:
+            spec = apply_semigroup(prop, v0, t).spec
+            if t in stored:
+                spec[:stored[t].size] = stored[t]
+            else:
+                spec = spec - integrals[t]
+            out.append(SpectralField(self.prob.grid, spec))
+        return out
 
     def duhamel_parts(self, times) -> list[SpectralField]:
         """The signed integral term of the solution, v(t) - V(t)v0, at each of times."""
@@ -331,11 +349,17 @@ def picard_iterate(
     """Iterate v^(n+1) = Psi(v^n) from the free evolution until the space norm
     of the increment drops below tol.
 
-    One set of fields is held: each time's field of v^n is replaced by that of
-    v^(n+1) as the sweep yields it, which duhamel_sweep's order allows (every
-    node of a panel is evaluated before any time in the panel is yielded, so
-    no node reads a replaced field).  The free evolution V(t)v0 is formed
-    again at each time, and the increment and size norms stream time by time.
+    One set of fields is held, and of each field only its first
+    grid.dealias_cutoff coefficients, copied so that no view keeps a half
+    spectrum alive: every forcing is exactly 0 from the cutoff on, so there
+    each iterate is the free flow V(t)v0 to the bit, and the forcing at a
+    node reads the band alone.  Each time's band of v^n is replaced by that
+    of v^(n+1) as the sweep yields it, which duhamel_sweep's order allows
+    (every node of a panel is evaluated before any time in the panel is
+    yielded, so no node reads a replaced band).  The free evolution V(t)v0
+    is formed again at each time, and the increment and size norms stream
+    time by time; the increment is the difference of the two bands with +0
+    above them, which v^(n+1) - v^n is there.
     Iterates leaving the ball (space norm above 10r) raise DivergenceError:
     either the parameters are inadmissible or the calibrated constant is too
     small.
@@ -344,7 +368,8 @@ def picard_iterate(
         raise ValueError(f"t_final must lie in (0, 1], got {t_final}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    prop = Propagator(prob.symbol, prob.grid)
+    grid = prob.grid
+    prop = Propagator(prob.symbol, grid)
     cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final)
     nodes = duhamel_nodes(t_final, panels).ravel()
     eval_times = sorted(
@@ -353,23 +378,25 @@ def picard_iterate(
         | {float(t_final)}
     )
     v0 = prob.initial_data
-    current = {t: apply_semigroup(prop, v0, t) for t in eval_times}
+    cut = grid.dealias_cutoff
+    held = {t: apply_semigroup(prop, v0, t).spec[:cut].copy() for t in eval_times}
     sample_times = set(cfg.sample_times)
-    forcing = lambda tau: nonlinearity_eval(current[tau], prob.k, prob.mode)
+    forcing = lambda tau: _nonlinearity(grid, held[tau], prob.k, prob.mode)
 
     def advance(it):
-        """Replace current by the next iterate, time by time; yield
-        [v^(n+1) - v^n, v^(n+1)] at each sample time, v^(n+1) as a field of
-        its own so that the stored field keeps no samples the norm forms."""
+        """Replace held by the band of the next iterate, time by time; yield
+        [v^(n+1) - v^n, v^(n+1)] at each sample time."""
         sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
         for t, integral in zip(eval_times, sweep, strict=True):
             spec = apply_semigroup(prop, v0, t).spec - integral
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
-            new = SpectralField(prob.grid, spec)
+            band = spec[:cut].copy()
             if t in sample_times:
-                yield [new - current[t], SpectralField(prob.grid, spec)]
-            current[t] = new
+                increment = np.zeros_like(spec)
+                np.subtract(band, held[t], out=increment[:cut])
+                yield [SpectralField(grid, increment), SpectralField(grid, spec)]
+            held[t] = band
 
     trace = PicardTrace(r=r, t_final=t_final, c_calibrated=None)
     prev_increment = None
@@ -387,7 +414,7 @@ def picard_iterate(
         if increment <= tol:
             trace.converged = True
             break
-    solution = PicardSolution(prop, prob, t_final, panels, current)
+    solution = PicardSolution(prop, prob, t_final, panels, held)
     return solution, trace
 
 

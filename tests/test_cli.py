@@ -373,6 +373,46 @@ def test_uncastable_initial_data_exit_2_without_run_dir(tmp_path, kind, key):
     assert not (tmp_path / "out").exists()
 
 
+# A key the configured kind of symbol or data does not read, which used to be
+# accepted and ignored: each run as the changes it makes and the key it names.
+UNREAD = {
+    "builtin-symbol-q": ({"symbol": {"name": "kdv-ks", "q": 0.5}}, "q"),
+    "builtin-symbol-c_phi1": ({"symbol": {"name": "kdv-ks", "c_phi1": 7}}, "c_phi1"),
+    "rough-data-width": ({"initial_data": {**INITIAL_DATA["rough"], "width": 3}}, "width"),
+    "gaussian-data-seed": ({"initial_data": {**INITIAL_DATA["gaussian"], "seed": 1}}, "seed"),
+    "zero-data-amplitude": ({"initial_data": {"type": "zero", "amplitude": 1.0}}, "amplitude"),
+}
+
+
+@pytest.mark.parametrize("changes,key", UNREAD.values(), ids=UNREAD.keys())
+def test_unread_key_exit_2_without_run_dir(tmp_path, changes, key):
+    path = write_config(tmp_path, "unread.json", solve_config(**changes))
+    res = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "config error" in res.output and repr(key) in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_key_refused_for_verify_and_each_sweep_combination():
+    builtin_q = {"symbol": {"name": "pure-power", "p": 4.0, "q": 0.5}}
+    with pytest.raises(ConfigError, match="builtin symbol.*'q'"):
+        RunConfig.from_dict(verify_config(**builtin_q), "verify")
+    with pytest.raises(ConfigError, match="builtin symbol.*'q'"):
+        RunConfig.from_dict(verify_config(sweep={"k": [1.0]}, **builtin_q), "sweep")
+
+
+def test_keys_each_kind_reads_are_accepted_and_null_stays_unset():
+    tabulated = {**TABULATED, "eta": 1.0, "table": [[0.0, 0.0], [10.0, 1.0]]}
+    RunConfig.from_dict(verify_config(symbol=tabulated), "verify").build_symbol()
+    for kind, section in INITIAL_DATA.items():
+        RunConfig.from_dict(solve_config(initial_data=section), "solve").build_problem()
+    nulls = solve_config(symbol={"name": "kdv-ks", "q": None, "c_phi1": None, "table": None},
+                         initial_data={**INITIAL_DATA["rough"], "width": None, "center": None})
+    RunConfig.from_dict(nulls, "solve").build_problem()
+    zero = solve_config(initial_data={"type": "zero", "amplitude": None, "seed": None})
+    RunConfig.from_dict(zero, "solve").build_problem()
+
+
 MALFORMED = {
     "grid-not-object": ("verify", {"grid": 5}),
     "sweep-entry-not-list": ("sweep", {"sweep": {"k": 1.0}}),
