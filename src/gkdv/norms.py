@@ -22,6 +22,14 @@ small times, which WeightedNormConfig.default provides.  A trajectory is
 passed as its fields at those sample times, in order, and each trajectory
 norm returns that max as one float: sup_t ||f(t)||_{H^s} + t^w * (sum of
 its weighted components).
+
+Every norm also takes a stack of P members (see spectral.SpectralField) and
+returns an array of P values, each with the bits of its member normed alone:
+a field is a stack of one, and both run the same code.  A stack shares one
+multiplier per derivative and one inverse transform per group of members
+with the same exact sample count m; each member is then powered and summed
+on its own m points, never on a wider grid, and np.sum runs over each row
+alone, so every member keeps the pairwise order of its own sum.
 """
 
 from __future__ import annotations
@@ -44,29 +52,43 @@ def integer_power(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _exact_sample_count(f: SpectralField, q: float) -> int:
-    """Smallest power of two m <= n with q*K < m for an even integer q, else n.
+def _rows(f: SpectralField) -> np.ndarray:
+    """The spectra of f's members, one per row: a field is a stack of one."""
+    return f.spec.reshape(-1, f.spec.shape[-1])
 
-    K is the highest mode of f with a nonzero (or non-finite) coefficient.
-    The scan runs from f.band down, one halving of m at a time, and halves
-    past the band without reading a coefficient; each halving looks at the
-    lowest mode it would drop before the rest, so a field with high modes
-    leaves after one coefficient.
+
+def _per_member(values: np.ndarray, f: SpectralField):
+    """values, one per member of f, as a float for a field and an array for a stack."""
+    return float(values[0]) if f.spec.ndim == 1 else values
+
+
+def _exact_sample_count(f: SpectralField, q: float) -> list[int]:
+    """For each member of f: the smallest power of two m <= n with q*K < m
+    for an even integer q, else n.
+
+    K is the highest mode of the member with a nonzero (or non-finite)
+    coefficient.  The scan runs from f.band down, one halving of m at a
+    time, and halves past the band without reading a coefficient; each
+    halving looks at the lowest mode it would drop before the rest, so a
+    member with high modes leaves after one coefficient.
     """
-    spec = f.spec
-    n = 2 * (spec.size - 1)
+    n = f.grid.n_points
+    rows = _rows(f)
     if not (float(q).is_integer() and q % 2 == 0):
-        return n
-    m, top = n, f.band
-    while m > 1:
-        lo = -(-(m // 2) // int(q))  # lowest mode K with q*K >= m/2
-        if lo < top and (spec[lo] != 0 or spec[lo:top].any()):
-            break
-        m, top = m // 2, min(lo, top)
-    return m
+        return [n] * len(rows)
+    counts = []
+    for spec in rows:
+        m, top = n, f.band
+        while m > 1:
+            lo = -(-(m // 2) // int(q))  # lowest mode K with q*K >= m/2
+            if lo < top and (spec[lo] != 0 or spec[lo:top].any()):
+                break
+            m, top = m // 2, min(lo, top)
+        counts.append(m)
+    return counts
 
 
-def lebesgue_norm(f: SpectralField, q: float) -> float:
+def lebesgue_norm(f: SpectralField, q: float):
     """Discrete L^q norm (rectangle rule); q = inf gives the max norm.
 
     For an even integer q the sum runs on the smallest power-of-two grid of
@@ -75,19 +97,31 @@ def lebesgue_norm(f: SpectralField, q: float) -> float:
     to roundoff.  The m samples come from one inverse transform of the first
     m/2 + 1 coefficients; f.phys is neither formed nor kept.  Every other q,
     and a field with q*K >= n/2, is summed on the n samples of f.phys.
+
+    A stack gives one norm per member.  Its members are grouped by m, each
+    group takes one inverse transform of its rows, and each row is then
+    powered and summed on its own: the bits of the member normed alone.
     """
     if q == np.inf:
-        return float(np.max(np.abs(f.phys)))
+        return _per_member(np.max(np.abs(f.phys.reshape(-1, f.grid.n_points)), axis=-1), f)
     if q < 1:
         raise ValueError(f"Lebesgue exponent must satisfy q >= 1, got {q}")
-    m = _exact_sample_count(f, q)
-    if m == f.grid.n_points:
-        samples = f.phys
-    else:
-        samples = np.fft.irfft(f.spec[: m // 2 + 1], m, norm="forward")
-    mag = np.abs(samples)
-    powered = integer_power(mag, int(q)) if float(q).is_integer() else mag ** q
-    return float((np.sum(powered) * (f.grid.length / m)) ** (1.0 / q))
+    n = f.grid.n_points
+    counts = _exact_sample_count(f, q)
+    rows = _rows(f)
+    out = np.empty(len(counts))
+    for m in dict.fromkeys(counts):
+        members = [i for i, c in enumerate(counts) if c == m]
+        pick = slice(None) if len(members) == len(counts) else members
+        if m == n:
+            mags = np.abs(f.phys.reshape(-1, n)[pick])
+        else:
+            mags = np.fft.irfft(rows[pick, : m // 2 + 1], m, norm="forward")
+            np.abs(mags, out=mags)
+        for i, mag in zip(members, mags):
+            powered = integer_power(mag, int(q)) if float(q).is_integer() else mag ** q
+            out[i] = (np.sum(powered) * (f.grid.length / m)) ** (1.0 / q)
+    return _per_member(out, f)
 
 
 def spectral_lq_norm(f: SpectralField, q: float) -> float:
@@ -106,17 +140,23 @@ def spectral_lq_norm(f: SpectralField, q: float) -> float:
     return float((np.sum(f.grid.mode_weights * coeffs ** q) / f.grid.length) ** (1.0 / q))
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
+def sobolev_norm(f: SpectralField, s: float):
     """H^s norm: L^2 norm of (1+|xi|)^s-weighted coefficients.
 
     The terms are formed below f.band only and summed over the whole half
-    spectrum, zeros included, which keeps np.sum's pairwise order.
+    spectrum, zeros included, which keeps np.sum's pairwise order.  A stack
+    gives one norm per member, its rows summed in turn in one half-spectrum
+    buffer.
     """
     band = f.band
     w = 1.0 if s == 0 else (1.0 + f.grid.xi[:band]) ** s
-    terms = np.zeros(f.spec.size)
-    np.multiply(f.grid.mode_weights[:band], (w * np.abs(f.spec[:band])) ** 2, out=terms[:band])
-    return float(np.sqrt(f.grid.length * np.sum(terms)))
+    rows = _rows(f)
+    terms = np.zeros(f.grid.xi.size)
+    sums = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        np.multiply(f.grid.mode_weights[:band], (w * np.abs(row[:band])) ** 2, out=terms[:band])
+        sums[i] = np.sum(terms)
+    return _per_member(np.sqrt(f.grid.length * sums), f)
 
 
 def gamma_k(k: float) -> float:
@@ -167,7 +207,8 @@ class WeightedNormConfig:
         return cls(s=s, k=k, p=p, t_final=t_final, sample_times=times)
 
 
-def _weighted_sup(fields, cfg: WeightedNormConfig, q: float, orders: tuple, wexp: float) -> float:
+def _weighted_sup(fields, cfg: WeightedNormConfig, q: float, orders: tuple, wexp: float,
+                  components):
     """Shared driver: sup over sample times of H^s plus weighted component sum.
 
     fields holds the trajectory at cfg.sample_times, one field per time in
@@ -175,7 +216,10 @@ def _weighted_sup(fields, cfg: WeightedNormConfig, q: float, orders: tuple, wexp
     the L^q norm of f itself (order None) or of D^o d_x f (order o, with
     o = 0.0 the plain derivative) and carries the factor t^wexp at time t;
     each distinct order is evaluated once per time, so an order listed twice
-    is transformed once and added twice.
+    is transformed once and added twice.  Fields that are stacks of P members
+    give P sups, one per member, each with the bits of that member's
+    trajectory normed alone.  components, when not None, is a list that
+    receives each time's {order: L^q norm} in order.
     """
     sup_total = 0.0
     for t, f in zip(cfg.sample_times, fields, strict=True):
@@ -184,13 +228,15 @@ def _weighted_sup(fields, cfg: WeightedNormConfig, q: float, orders: tuple, wexp
             o: lebesgue_norm(f if o is None else fractional_derivative_shifted(f, o), q)
             for o in dict.fromkeys(orders)
         }
+        if components is not None:
+            components.append(norms)
         weighted = 0.0
         for o in orders:
             weighted += t ** wexp * norms[o]
-        if not np.isfinite(hs) or not np.isfinite(weighted):
+        if not (np.isfinite(hs).all() and np.isfinite(weighted).all()):
             raise BlowUpError(f"non-finite norm at sample time t={t:g}")
-        sup_total = max(sup_total, hs + weighted)
-    return float(sup_total)
+        sup_total = np.maximum(sup_total, hs + weighted)
+    return sup_total if np.ndim(sup_total) else float(sup_total)
 
 
 def x_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -203,7 +249,7 @@ def x_norm(fields, cfg: WeightedNormConfig) -> float:
     + ||D^s d_x f||_{L^q} ),  q = 2(k+1).
     """
     q = 2.0 * (cfg.k + 1.0)
-    return _weighted_sup(fields, cfg, q, (None, 0.0, cfg.s), cfg.weight_exponent)
+    return _weighted_sup(fields, cfg, q, (None, 0.0, cfg.s), cfg.weight_exponent, None)
 
 
 def y_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -213,7 +259,7 @@ def y_norm(fields, cfg: WeightedNormConfig) -> float:
     fields is read as in x_norm.
     """
     q = 2.0 * (cfg.k + 1.0)
-    return _weighted_sup(fields, cfg, q, (0.0, cfg.s), cfg.weight_exponent)
+    return _weighted_sup(fields, cfg, q, (0.0, cfg.s), cfg.weight_exponent, None)
 
 
 def z_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -222,7 +268,7 @@ def z_norm(fields, cfg: WeightedNormConfig) -> float:
     fields is read as in x_norm.  The odd exponent 2k+1 is intentional and
     differs from the 2(k+1) used by x_norm/y_norm.
     """
-    return _weighted_sup(fields, cfg, 2.0 * cfg.k + 1.0, (None,), cfg.weight_exponent)
+    return _weighted_sup(fields, cfg, 2.0 * cfg.k + 1.0, (None,), cfg.weight_exponent, None)
 
 
 def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
@@ -230,4 +276,4 @@ def z_tilde_norm(fields, cfg: WeightedNormConfig) -> float:
 
     fields is read as in x_norm.
     """
-    return _weighted_sup(fields, cfg, 2, (0.0,), (1.0 + abs(cfg.s)) / cfg.p)
+    return _weighted_sup(fields, cfg, 2, (0.0,), (1.0 + abs(cfg.s)) / cfg.p, None)

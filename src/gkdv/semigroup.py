@@ -77,7 +77,7 @@ _GRADING = 2.0
 # room for the rounding of t*z and of 746/t.
 _EXP_UNDERFLOW = 746.0
 
-# Taylor coefficients 3!/(j+4)! of G_3, highest power first as np.polyval takes them.
+# Taylor coefficients 3!/(j+4)! of G_3, highest power first, for Horner's rule.
 _G3_SERIES = [6.0 / math.factorial(j + 4) for j in reversed(range(19))]
 
 
@@ -259,7 +259,11 @@ def _panel_step(z, live, acc, coeffs, width, h):
             g[m] = (m * g[m - 1] - 1.0) * inv
     small = np.flatnonzero(np.abs(w) <= 0.5)
     ws = w[small]
-    g[3, small] = gs = np.polyval(_G3_SERIES, ws)
+    gs = np.full_like(ws, _G3_SERIES[0])
+    for c in _G3_SERIES[1:]:  # Horner in place: np.polyval's bits, without its temporaries
+        gs *= ws
+        gs += c
+    g[3, small] = gs
     for m in range(3, 0, -1):
         g[m - 1, small] = gs = (1.0 + ws * gs) / m
     out = e * acc

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,28 +220,11 @@ def duhamel_norm(prob: IvpProblem, prop: Propagator, forcing, cfg: WeightedNormC
 
     forcing is a callable tau -> list of P fields; one duhamel_sweep on
     [0, cfg.t_final] with the given number of panels serves all P members,
-    and the P norms are returned in order.
+    each time's (P, n/2 + 1) spectra are normed as one stack, and the P
+    norms are returned in order.
     """
     sweep = duhamel_sweep(prop, forcing, cfg.sample_times, cfg.t_final, panels)
-    stacks = ([SpectralField(prob.grid, spec) for spec in specs] for specs in sweep)
-    return member_norms(prob.space_norm, stacks, cfg)
-
-
-def member_norms(space, stacks, cfg: WeightedNormConfig) -> list[float]:
-    """The space norm of each member of a stack of trajectories.
-
-    stacks yields, for each of cfg.sample_times in order, a list of fields
-    with one member each.  Each time's fields are normed at that time alone
-    and dropped before the next time is formed; a member's norm is the max
-    of its one-time norms, which is the number space gives for its whole
-    trajectory.
-    """
-    best = None
-    for t, fields in zip(cfg.sample_times, stacks, strict=True):
-        at_t = replace(cfg, sample_times=(t,))
-        norms = [space([f], at_t) for f in fields]
-        best = norms if best is None else [max(b, n) for b, n in zip(best, norms)]
-    return best
+    return prob.space_norm((SpectralField(prob.grid, specs) for specs in sweep), cfg).tolist()
 
 
 def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
@@ -358,8 +341,9 @@ def picard_iterate(
     (every node of a panel is evaluated before any time in the panel is
     yielded, so no node reads a replaced band).  The free evolution V(t)v0
     is formed again at each time, and the increment and size norms stream
-    time by time; the increment is the difference of the two bands with +0
-    above them, which v^(n+1) - v^n is there.
+    time by time, as the two rows of one stack; the increment is the
+    difference of the two bands with +0 above them, which v^(n+1) - v^n is
+    there.
     Iterates leaving the ball (space norm above 10r) raise DivergenceError:
     either the parameters are inadmissible or the calibrated constant is too
     small.
@@ -385,23 +369,25 @@ def picard_iterate(
 
     def advance(it):
         """Replace held by the band of the next iterate, time by time; yield
-        [v^(n+1) - v^n, v^(n+1)] at each sample time."""
+        the stack [v^(n+1) - v^n, v^(n+1)] at each sample time."""
         sweep = duhamel_sweep(prop, forcing, eval_times, t_final, panels=panels)
         for t, integral in zip(eval_times, sweep, strict=True):
-            spec = apply_semigroup(prop, v0, t).spec - integral
+            free = apply_semigroup(prop, v0, t).spec
+            # at a sample time v^(n+1) is formed as row 1 of [increment, v^(n+1)]
+            pair = np.zeros((2,) + free.shape, dtype=complex) if t in sample_times else None
+            spec = np.subtract(free, integral, out=None if pair is None else pair[1])
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
             band = spec[:cut].copy()
-            if t in sample_times:
-                increment = np.zeros_like(spec)
-                np.subtract(band, held[t], out=increment[:cut])
-                yield [SpectralField(grid, increment), SpectralField(grid, spec)]
+            if pair is not None:
+                np.subtract(band, held[t], out=pair[0, :cut])
+                yield SpectralField(grid, pair)
             held[t] = band
 
     trace = PicardTrace(r=r, t_final=t_final, c_calibrated=None)
     prev_increment = None
     for it in range(1, max_iter + 1):
-        increment, size = member_norms(prob.space_norm, advance(it), cfg)
+        increment, size = prob.space_norm(advance(it), cfg).tolist()
         ratio = None
         if prev_increment is not None and prev_increment > 0:
             ratio = increment / prev_increment

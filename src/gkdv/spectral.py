@@ -28,6 +28,14 @@ past which it is exactly 0.  A product is formed on the band only, a
 derivative of a banded field keeps its band, and a difference keeps the
 larger band of its two operands; norms and Duhamel sweeps skip the zeros
 past it.
+
+A field may also be a stack of P members, a member per row: its spec has
+shape (P, n/2 + 1), as duhamel_sweep yields for a stacked forcing, or
+(P, W) when every member is 0 from mode W on, which is then not stored.
+Its band is that of the stack, the widest of its members, and phys holds
+the (P, n) samples.  apply_multiplier_values and
+fractional_derivative_shifted act on every row with one multiplier, and
+each row gets the bits it would get as a field of its own.
 """
 
 from __future__ import annotations
@@ -106,8 +114,10 @@ class SpectralField:
     then kept; a field built from samples keeps those.  spec[band:] is
     exactly 0; band is the whole half spectrum on a field built from a
     spectrum or from samples, and only a prefix multiplier or the
-    nonlinearity's dealiasing narrows it.
-    Operations never mutate fields in place.
+    nonlinearity's dealiasing narrows it.  A spec of shape (P, W) holds a
+    stack of P members, one per row, with one band for all of them: the
+    first W <= n/2 + 1 coefficients of each, every later one 0 and not
+    stored.  Operations never mutate fields in place.
     """
 
     grid: GridSpec
@@ -116,12 +126,14 @@ class SpectralField:
 
     def __post_init__(self):
         self.spec = np.asarray(self.spec, dtype=complex)
-        if self.spec.shape != self.grid.xi.shape:
+        size = self.grid.xi.size
+        if not (self.spec.shape == (size,)
+                or (self.spec.ndim == 2 and 0 < self.spec.shape[1] <= size)):
             raise StructuralError(
-                f"expected {self.grid.xi.size} coefficients for "
+                f"expected {size} coefficients for "
                 f"n_points={self.grid.n_points}, got shape {self.spec.shape}"
             )
-        self.band = self.spec.size
+        self.band = self.spec.shape[-1]
 
     @cached_property
     def phys(self) -> np.ndarray:
@@ -156,11 +168,12 @@ def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralFie
     counts as 0, so values may stop wherever the multiplier or f is exactly 0
     from there on.  spec * values is formed on the modes below
     min(f.band, values.size) only, which become the band of the result;
-    every later coefficient is +0.  A value that is not finite raises
+    every later coefficient is +0.  On a stack each row is multiplied by the
+    same values.  A value that is not finite raises
     MultiplierEvaluationError naming its frequency.
     """
     values = np.asarray(values)
-    if values.ndim != 1 or values.size > f.spec.size:
+    if values.ndim != 1 or values.size > f.grid.xi.size:
         raise StructuralError("multiplier array does not fit the frequency lattice")
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -170,7 +183,7 @@ def apply_multiplier_values(f: SpectralField, values: np.ndarray) -> SpectralFie
         )
     band = min(f.band, values.size)
     out = np.zeros(f.spec.shape, dtype=complex)
-    np.multiply(f.spec[:band], values[:band], out=out[:band])
+    np.multiply(f.spec[..., :band], values[:band], out=out[..., :band])
     g = SpectralField(f.grid, out)
     g.band = band
     return g

@@ -7,10 +7,12 @@ import pytest
 
 from gkdv import semigroup
 from gkdv.errors import BlowUpError, DivergenceError
-from gkdv.norms import WeightedNormConfig, lebesgue_norm, sobolev_norm
+from gkdv.norms import WeightedNormConfig, gamma_k, lebesgue_norm, sobolev_norm, x_norm
+from gkdv.probes import rough_field
 from gkdv.semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
 from gkdv.solver import IterationRecord, PicardTrace, nonlinearity_eval
 from gkdv.spectral import GridSpec, SpectralField, fractional_derivative_shifted
+from gkdv.verifier import EstimateReport, _nonzero, _one_sided_verdict, fit_power_law
 
 
 def rel_l2(a, b):
@@ -279,6 +281,61 @@ def per_time_solution(prob, stored, t_final, t, panels=16):
     if t in stored:
         return stored[t].spec, -integral
     return apply_semigroup(prop, prob.initial_data, t).spec - integral, -integral
+
+
+def per_seed_weighted_linear(sym, k, *, s, grid, base_seed, n_seeds):
+    """Reference verify_weighted_linear, one seed at a time: the decay fit on
+    its own evolution of the first draw, then x_norm of each draw's free flow
+    over the 20 sample times, each field the whole half spectrum.  This is
+    the check as it ran before its seeds were normed as stacks."""
+    prop = Propagator(sym, grid)
+    q = 2.0 * (k + 1.0)
+    wexp = gamma_k(k) / sym.p
+    theo = -wexp
+    margin, spread_tol = 0.05, 0.2
+
+    cfg = WeightedNormConfig.default(s, k, sym.p, 1.0)
+    ts = np.array(cfg.sample_times)
+    w0 = rough_field(grid, sobolev_index=0.0, seed=base_seed)
+    ys = _nonzero(
+        [lebesgue_norm(fractional_derivative_shifted(apply_semigroup(prop, w0, t), 0.0), q)
+         for t in ts],
+        f"||d_x V(t) w0||_L^{q:g}", grid,
+    )
+    mask = ts <= 1e-1
+    fitted, _, residual = fit_power_law(ts[mask], ys[mask])
+
+    weighted = ts ** wexp * ys
+    sup_weighted = float(np.max(weighted))
+    ratio_decades = float(np.max(weighted) / np.min(weighted))
+
+    constants = []
+    for i in range(n_seeds):
+        wi = w0 if i == 0 else rough_field(grid, sobolev_index=0.0, seed=base_seed + i)
+        free = (apply_semigroup(prop, wi, t) for t in cfg.sample_times)
+        constants.append(x_norm(free, cfg) / sobolev_norm(wi, s))
+    constants = np.array(constants)
+    mean_c = float(np.mean(constants))
+    spread = float(np.max(np.abs(constants - mean_c)) / mean_c)
+
+    verdict = _one_sided_verdict(fitted, theo, margin) if spread <= spread_tol else "fail"
+    return EstimateReport(
+        estimate_id=f"weighted-linear-{sym.name}-k{k:g}",
+        theoretical_exponent=theo,
+        fitted_exponent=fitted,
+        fit_window=(float(ts[mask][0]), float(ts[mask][-1])),
+        residual=residual,
+        empirical_constant=float(np.max(constants)),
+        tolerance=margin,
+        verdict=verdict,
+        notes={
+            "sup_weighted": sup_weighted,
+            "weighted_ratio_across_decades": ratio_decades,
+            "per_seed_constants": [float(c) for c in constants],
+            "constant_spread": spread,
+            "spread_tolerance": spread_tol,
+        },
+    )
 
 
 class FftCalls(Counter):

@@ -25,6 +25,7 @@ from gkdv.semigroup import Propagator, apply_semigroup
 from gkdv.spectral import (
     GridSpec,
     SpectralField,
+    apply_multiplier_values,
     coherent_field,
     fractional_derivative_shifted,
     zero_field,
@@ -471,3 +472,114 @@ class TestConfig:
     def test_weight_exponent(self):
         cfg = WeightedNormConfig.default(0.0, 1.0, 4.0, 1.0)
         assert cfg.weight_exponent == gamma_k(1.0) / 4.0
+
+
+def bits(values):
+    """The doubles of values as an array, compared by .view(float) below."""
+    return np.asarray(values, dtype=float)
+
+
+class TestStackedNorms:
+    """A stack of P members, spec (P, n/2 + 1) or its first W columns, gives
+    each member's norm with the bits of that member normed alone."""
+
+    GRIDS = [2 ** j for j in range(8, 16)]
+
+    @staticmethod
+    def members(grid, count, seed):
+        """count fields whose highest nonzero modes, and so exact sample
+        counts, differ, each with a band at or a little past that mode."""
+        rng = np.random.default_rng(seed)
+        size = grid.xi.size
+        out = []
+        for i in range(count):
+            top = max(1, int(size * (1.0, 0.5, 0.2, 1 / 16, 1 / 64)[i % 5]))
+            spec = np.zeros(size, dtype=complex)
+            spec[:top] = rng.standard_normal(top) + 1j * rng.standard_normal(top)
+            f = SpectralField(grid, spec)
+            f.band = min(size, top + i % 3)
+            out.append(f)
+        return out
+
+    @staticmethod
+    def stacks(fields):
+        """The full-width stack of fields and the stack of their first W
+        columns, W the widest band."""
+        full = SpectralField(fields[0].grid, np.array([f.spec for f in fields]))
+        full.band = width = max(f.band for f in fields)
+        narrow = SpectralField(fields[0].grid, np.array([f.spec[:width] for f in fields]))
+        assert narrow.band == width
+        return full, narrow
+
+    @pytest.mark.parametrize("n", GRIDS)
+    @pytest.mark.parametrize("count", [1, 2, 10])
+    def test_sobolev_and_lebesgue(self, n, count):
+        g = GridSpec(100.0, n)
+        fields = self.members(g, count, seed=n + count)
+        for stack in self.stacks(fields):
+            for s in (-0.5, 0.0, 0.5):
+                want = bits([sobolev_norm(f, s) for f in fields])
+                assert np.array_equal(bits(sobolev_norm(stack, s)).view(float), want.view(float))
+            for q in (2, 3, 4, 6, np.inf):
+                want = bits([lebesgue_norm(f, q) for f in fields])
+                got = lebesgue_norm(stack, q)
+                assert got.shape == (count,)
+                assert np.array_equal(bits(got).view(float), want.view(float)), q
+                counts = [norms._exact_sample_count(f, q)[0] for f in fields]
+                assert norms._exact_sample_count(stack, q) == counts
+        if count == 10 and n >= 2 ** 10:
+            # the members fall into several exact sample counts
+            assert len(set(norms._exact_sample_count(stack, 4))) >= 3
+
+    @pytest.mark.parametrize("n", [2 ** 8, 2 ** 12, 2 ** 15])
+    def test_multipliers_act_on_every_row(self, n):
+        g = GridSpec(100.0, n)
+        fields = self.members(g, 10, seed=1)
+        values = Propagator(builtin_symbol("kdv-ks"), g).multiplier(1e-3)
+        for stack in self.stacks(fields):
+            width = stack.spec.shape[1]
+            for s in (-0.5, 0.0, 0.5):
+                got = fractional_derivative_shifted(stack, s)
+                assert got.band == stack.band and got.spec.shape == stack.spec.shape
+                for row, f in zip(got.spec, fields):
+                    want = fractional_derivative_shifted(f, s).spec
+                    assert np.array_equal(row.view(float), want[:width].view(float))
+            got = apply_multiplier_values(stack, values)
+            assert got.band == min(stack.band, values.size)
+            for row, f in zip(got.spec, fields):
+                want = apply_multiplier_values(f, values).spec
+                assert np.array_equal(row.view(float), want[:width].view(float))
+                assert not np.any(want[width:])
+
+    @pytest.mark.parametrize("n,s,k", [(n, s, k) for n in (2 ** 8, 2 ** 12)
+                                       for s in (-0.5, 0.0, 0.5) for k in (1.0, 2.0)]
+                             + [(2 ** 15, -0.5, 1.0), (2 ** 15, 0.5, 2.0)])
+    def test_trajectory_norms(self, n, s, k):
+        # free flows of members with different bands: the exact sample
+        # counts differ across members and shrink along the trajectory
+        g = GridSpec(100.0, n)
+        fields = self.members(g, 10, seed=2)
+        prop = Propagator(builtin_symbol("kdv-ks"), g)
+        cfg = WeightedNormConfig(s, k, 4.0, 0.5, tuple(np.geomspace(1e-5, 0.5, 6)))
+        for stack in self.stacks(fields):
+            for norm in (x_norm, y_norm, z_norm, z_tilde_norm):
+                got = norm((apply_semigroup(prop, stack, t) for t in cfg.sample_times), cfg)
+                want = bits([norm([apply_semigroup(prop, f, t) for t in cfg.sample_times], cfg)
+                             for f in fields])
+                assert np.array_equal(bits(got).view(float), want.view(float)), norm.__name__
+
+    def test_one_field_gives_a_float(self):
+        g = GridSpec(100.0, 256)
+        f = self.members(g, 1, seed=0)[0]
+        assert type(sobolev_norm(f, 0.5)) is float
+        for q in (2, 3, np.inf):
+            assert type(lebesgue_norm(f, q)) is float
+
+    def test_blow_up_in_one_member_names_the_time(self):
+        g = GridSpec(100.0, 256)
+        fields = self.members(g, 3, seed=0)
+        fields[1].spec[2] = np.nan
+        stack, _ = self.stacks(fields)
+        cfg = one_time_cfg(0.25)
+        with pytest.raises(BlowUpError, match="t=0.25"):
+            x_norm([stack], cfg)

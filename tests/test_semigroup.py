@@ -483,6 +483,31 @@ class TestPanelStep:
             got = _panel_step(z, 1, np.zeros(1, dtype=complex), coeffs, 1.0, 1.0)[0]
             assert abs(got - exact) <= tol * abs(exact), (m, got, exact)
 
+    @pytest.mark.parametrize("kind", ["edges", "real", "imaginary", "mixed"])
+    def test_g3_series_has_the_bits_of_polyval(self, kind):
+        # the in-place Horner evaluation of the G_3 series gives np.polyval's
+        # bits: with acc = 0, h = width = 1 and the unit cubic in m = 3, the
+        # step returns G_3(z) itself
+        rng = np.random.default_rng(3)
+        radius = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, 221))
+        angle = {"real": np.pi * rng.integers(0, 2, 221),
+                 "imaginary": np.pi * (rng.integers(0, 2, 221) - 0.5),
+                 "mixed": rng.uniform(-np.pi, np.pi, 221)}
+        if kind == "edges":
+            z = np.array([0.0, 0.5, -0.5, 0.5j, -0.5j, complex(0.0, -0.0), complex(-0.0, 0.0)])
+        elif kind == "real":
+            z = (radius * np.cos(angle[kind])).astype(complex)
+        elif kind == "imaginary":
+            z = 1j * radius * np.sin(angle[kind])
+        else:
+            z = radius * np.exp(1j * angle[kind])
+        assert np.all(np.abs(z) <= 0.5)
+        coeffs = np.zeros((4, z.size), dtype=complex)
+        coeffs[3] = 1.0
+        got = _panel_step(z, z.size, np.zeros_like(z), coeffs, 1.0, 1.0)
+        want = np.polyval(semigroup._G3_SERIES, z)
+        assert np.array_equal(got.view(float), want.view(float))
+
     def test_zero_exponent_emits_no_warning(self, grid):
         # kdv-ks has z = 0 on mode 0 and t = 0 makes every w = 0, where the
         # upward recursion divides by zero before the series overwrites it;

@@ -28,6 +28,8 @@ from gkdv.verifier import (
     verify_weighted_linear,
 )
 
+from conftest import peak_half_spectra, per_seed_weighted_linear
+
 
 class TestFitPowerLaw:
     def test_exact_power_law(self):
@@ -168,6 +170,61 @@ class TestWeightedLinear:
         ]
         # bounded derivative: the weighted quantity tracks the weight itself
         assert weighted[0] <= 2.0 * (ts[0] / ts[-1]) ** wexp * weighted[-1]
+
+
+class TestWeightedLinearStacks:
+    """verify_weighted_linear norms its seeds in stacks of at most 16; the
+    report must be the one-seed-at-a-time oracle's, bit for bit."""
+
+    LENGTH = 50 * np.pi
+    SYMBOLS = {"pure-power": lambda: builtin_symbol("pure-power", p=4),
+               "kdv-ks": lambda: builtin_symbol("kdv-ks")}
+
+    @pytest.mark.parametrize("n_points", [2 ** 12, 2 ** 15])
+    @pytest.mark.parametrize("symbol", SYMBOLS)
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("base_seed,n_seeds", [(0, 1), (7, 10), (0, 17)])
+    def test_report_equals_the_per_seed_oracle(self, n_points, symbol, s, base_seed, n_seeds):
+        args = (self.SYMBOLS[symbol](), 1.0)
+        kwargs = dict(s=s, grid=GridSpec(self.LENGTH, n_points), base_seed=base_seed,
+                      n_seeds=n_seeds)
+        got = asdict(verify_weighted_linear(*args, **kwargs))
+        want = asdict(per_seed_weighted_linear(*args, **kwargs))
+        # json writes each float by its shortest round-trip repr: equal text is equal bits
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert len(got["notes"]["per_seed_constants"]) == n_seeds
+
+    @pytest.mark.parametrize("n_seeds,stacks", [(1, 1), (16, 1), (17, 2), (40, 3)])
+    def test_one_multiplier_per_sample_time_per_stack(self, monkeypatch, n_seeds, stacks):
+        calls = Counter()
+        multiplier = Propagator.multiplier
+
+        def counted(self, t):
+            calls[t] += 1
+            return multiplier(self, t)
+
+        monkeypatch.setattr(Propagator, "multiplier", counted)
+        verify_weighted_linear(builtin_symbol("pure-power", p=4), 1.0, s=0.0,
+                               grid=GridSpec(self.LENGTH, 2 ** 10), base_seed=0, n_seeds=n_seeds)
+        assert len(calls) == 20 and set(calls.values()) == {stacks}
+
+    def test_peak_does_not_grow_past_one_stack(self):
+        g = GridSpec(self.LENGTH, 2 ** 15)
+        sym = builtin_symbol("pure-power", p=4)
+
+        def peak(n_seeds):
+            return peak_half_spectra(
+                lambda: verify_weighted_linear(sym, 1.0, s=0.0, grid=g, base_seed=0,
+                                               n_seeds=n_seeds), g)
+
+        full_stack = peak(16)
+        assert peak(17) <= full_stack
+        assert peak(40) <= full_stack
+
+    def test_no_seeds_is_a_value_error(self):
+        with pytest.raises(ValueError, match="n_seeds"):
+            verify_weighted_linear(builtin_symbol("kdv-ks"), 1.0, s=0.0,
+                                   grid=GridSpec(self.LENGTH, 256), base_seed=0, n_seeds=0)
 
 
 class TestNonlinearEstimate:
