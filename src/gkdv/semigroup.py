@@ -10,9 +10,10 @@ forcings carry an integrable power-law weight (g is fixed: no caller needs
 another mesh), and the kernel is integrated exactly per mode against the
 cubic interpolant of those samples.  One left-to-right sweep over [0, T]
 serves every requested time, evaluating the forcing once per node.  A
-forcing may also be a stack of P fields per node, as the P ball pairs of the
-contraction check give; the sweep then carries a leading stack axis and
-forms exp(z*h) and the moments G_m once per step for the whole stack.
+forcing returns one SpectralField per node holding the whole half spectrum:
+a field, or a stack of P members, as the P ball pairs of the contraction
+check give; a stack's sweep carries a leading stack axis and forms exp(z*h)
+and the moments G_m once per step for the whole stack.
 
 Neither exp(t*z) nor a sweep step spends work on a mode whose result is
 exactly 0 in double precision.  exp(x) underflows to 0 below x = -745.13,
@@ -24,8 +25,8 @@ exp on that prefix and returns it, and apply_semigroup passes it to
 spectral.apply_multiplier_values, which forms the product on the modes below
 min(w.band, prefix) only and makes them the band of V(t)w, so the norms and
 derivatives of the free flow skip its exactly-zero tail too.
-A sweep runs its steps on the widest band among the forcing fields it has
-read so far, starting from 0; a forcing from nonlinearity_eval or
+A sweep runs its steps on the widest band among the forcings it has read
+so far, starting from 0; a forcing from nonlinearity_eval or
 nonlinearity_difference has its dealiased band.  Past the band every forcing
 read was 0, and each step there is exp(z*h)*0 + 0 = 0.
 
@@ -158,12 +159,15 @@ def duhamel_nodes(t_final: float, panels: int) -> np.ndarray:
 def duhamel_sweep(prop: Propagator, forcing, times, t_final: float, panels: int):
     """Yield the spectrum of int_0^t V(t - tau) forcing(tau) dtau for each t.
 
-    forcing is a callable tau -> SpectralField on the propagator grid, called
-    once per node of duhamel_nodes(t_final, panels), left to right,
-    and only up to the panel holding the last requested time.  It may instead
-    return a list of P fields, the same P at every node: each yielded
-    spectrum then has shape (P, n/2 + 1), row p the integral of member p,
-    with the bits that member would get from a sweep of its own.
+    forcing is a callable tau -> SpectralField on the propagator grid whose
+    spec holds every mode, shape (n/2 + 1,), called once per node of
+    duhamel_nodes(t_final, panels), left to right, and only up to the panel
+    holding the last requested time.  It may instead return a stack of P
+    members, shape (P, n/2 + 1), the same P at every node: each yielded
+    spectrum then has that shape, row p the integral of member p, with the
+    bits that member would get from a sweep of its own.  Any other value, a
+    field on another grid, a band narrower than the half spectrum or a
+    change of shape between nodes is a StructuralError.
     On each panel the forcing is replaced by its cubic interpolant at the 4
     nodes and the kernel exp(z*(t - tau)) is integrated against it exactly
     per mode; the integral is carried across panel ends as
@@ -203,15 +207,21 @@ def _sweep(prop, forcing, times, bounds, nodes):
         if k == len(times):
             return
         for i, tau in enumerate(panel_nodes):
-            specs, top = _forcing_spectra(forcing(float(tau)), grid)
+            f = forcing(float(tau))
+            if not (isinstance(f, SpectralField) and f.grid == grid
+                    and f.spec.shape[-1] == z.size and (acc is None or f.spec.shape == acc.shape)):
+                raise StructuralError(
+                    "forcing must return a field or stack on the propagator grid, "
+                    "with every mode and the same shape at each node"
+                )
             if values is None:
                 # values above the band stay 0 until the band widens, so a node
                 # that precedes the widening within its panel still reads 0 there
-                values = np.zeros((4,) + specs.shape, dtype=complex)
+                values = np.zeros((4,) + f.spec.shape, dtype=complex)
                 coeffs = np.empty_like(values)
-                acc = np.zeros_like(specs)
-            band = max(band, top)
-            values[i, ..., :band] = specs[..., :band]
+                acc = np.zeros_like(f.spec)
+            band = max(band, f.band)
+            values[i, ..., :band] = f.spec[..., :band]
         # the 4 x 4 interpolation matrix acts on the node axis of each member
         np.matmul(_VANDERMONDE_INV, np.moveaxis(values[..., :band], 0, -2),
                   out=np.moveaxis(coeffs[..., :band], 0, -2))
@@ -219,18 +229,6 @@ def _sweep(prop, forcing, times, bounds, nodes):
             yield step(b - a, times[k] - a)
             k += 1
         acc = step(b - a, b - a)
-
-
-def _forcing_spectra(value, grid):
-    """The spectrum and band of one forcing field, or the (P, n) spectra of a
-    list of P fields and their widest band; StructuralError for a field on
-    another grid."""
-    single = isinstance(value, SpectralField)
-    fields = [value] if single else value
-    if not all(isinstance(f, SpectralField) and f.grid == grid for f in fields):
-        raise StructuralError("forcing returned a field on an incompatible grid")
-    band = max(f.band for f in fields)
-    return (value.spec if single else np.array([f.spec for f in fields])), band
 
 
 def _panel_step(z, live, acc, coeffs, width, h):

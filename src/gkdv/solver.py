@@ -15,8 +15,10 @@ semigroup.duhamel_sweep: each iteration evaluates the nonlinearity of the
 current iterate once per node inside one sweep over all stored times, and the
 converged iterate can be re-evaluated at any other time by one more sweep
 over its nodal forcing, with no interpolation of the iterate itself.  An
-iterate is stored as its modes below the dealias cutoff only: from the
-cutoff on, every forcing is 0 and the iterate is the free flow V(t)v0.
+iterate is stored as a narrow field of its modes below the dealias cutoff
+only: from the cutoff on, every forcing is 0 and the iterate is the free
+flow V(t)v0.  Every forcing, of a field, a band or a stack, comes from the
+one nonlinearity kernel, nonlinearity_eval or its difference form.
 
 The independent cross-check is a fourth-order exponential time-differencing
 Runge-Kutta scheme (Cox-Matthews stages, contour-averaged coefficients in the
@@ -121,15 +123,18 @@ def nonlinearity_eval(f: SpectralField, k: float, mode: str) -> SpectralField:
     """Nonlinear term N(v): d_x(P(v)) (conservative) or P(d_x u) (gradient).
 
     Only the kept modes below the dealias cutoff enter or leave the pointwise
-    power: the slice spec[:cut] (times i*xi in gradient mode) goes through
-    one inverse real transform, which zero-pads it, and the first cut modes
-    of one forward real transform (times i*xi in conservative mode) are
-    returned with every higher mode, the Nyquist mode included, zero; the
-    cutoff is the band of the result.  It is the composition of its two
-    halves: spectrum to powered samples, and powered samples to forcing
-    spectrum.
+    power: the slice spec[..., :cut] (times i*xi in gradient mode) goes
+    through one inverse real transform, which zero-pads it, and the first
+    cut modes of one forward real transform (times i*xi in conservative
+    mode) are returned with every higher mode, the Nyquist mode included,
+    zero; the cutoff is the band of the result, which holds the whole half
+    spectrum, as duhamel_sweep asks of a forcing.  f may be a field, a band
+    of its first W modes or a stack of P members: a stack takes one batched
+    transform each way and gives a stack of P forcings, each row with the
+    bits of its member's own call.  It is the composition of its two halves:
+    spectrum to powered samples, and powered samples to forcing spectrum.
     """
-    return _nonlinearity(f.grid, f.spec, k, mode)
+    return _to_forcing(_powered(f, k, mode), f.grid, mode)
 
 
 def nonlinearity_difference(v: SpectralField, w: SpectralField, k: float,
@@ -139,27 +144,24 @@ def nonlinearity_difference(v: SpectralField, w: SpectralField, k: float,
 
     rfft is linear, so this equals nonlinearity_eval(v) - nonlinearity_eval(w)
     up to roundoff, with 2 inverse and 1 forward transform instead of 2 each.
+    v and w may be stacks of P members, the pairs (v[p], w[p]): the 3
+    transforms are then batched over the stack.
     """
     if v.grid != w.grid:
         raise StructuralError("cannot difference fields on different grids")
-    powered = _powered(v.grid, v.spec, k, mode) - _powered(w.grid, w.spec, k, mode)
-    return _to_forcing(powered, v.grid, mode)
+    return _to_forcing(_powered(v, k, mode) - _powered(w, k, mode), v.grid, mode)
 
 
-def _nonlinearity(grid: GridSpec, spec: np.ndarray, k: float, mode: str) -> SpectralField:
-    """N(v) from spec, v's half spectrum or only its band below the dealias cutoff."""
-    return _to_forcing(_powered(grid, spec, k, mode), grid, mode)
-
-
-def _powered(grid: GridSpec, spec: np.ndarray, k: float, mode: str) -> np.ndarray:
-    """Samples of P(v) (conservative) or P(d_x u) (gradient) from the first
-    grid.dealias_cutoff coefficients of spec, the only ones read."""
+def _powered(f: SpectralField, k: float, mode: str) -> np.ndarray:
+    """Samples of P(v) (conservative) or P(d_x u) (gradient), a row per member
+    of f, from the first grid.dealias_cutoff coefficients of f.spec, the only
+    ones read."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cut = grid.dealias_cutoff
-    kept = spec[:cut]
+    grid = f.grid
+    kept = f.spec[..., : grid.dealias_cutoff]
     if mode == "gradient":
-        kept = kept * (1j * grid.xi[:cut])
+        kept = kept * (1j * grid.xi[: kept.shape[-1]])
     return signed_power(np.fft.irfft(kept, grid.n_points, norm="forward"), k)
 
 
@@ -170,10 +172,10 @@ def _to_forcing(powered: np.ndarray, grid: GridSpec, mode: str) -> SpectralField
     if not np.all(np.isfinite(powered)):
         raise BlowUpError("pointwise power overflowed; field amplitude too large")
     cut = grid.dealias_cutoff
-    out = np.zeros(grid.xi.shape, dtype=complex)
-    out[:cut] = np.fft.rfft(powered, norm="forward")[:cut]
+    out = np.zeros(powered.shape[:-1] + grid.xi.shape, dtype=complex)
+    out[..., :cut] = np.fft.rfft(powered, norm="forward")[..., :cut]
     if mode == "conservative":
-        out[:cut] *= 1j * grid.xi[:cut]
+        out[..., :cut] *= 1j * grid.xi[:cut]
     forcing = SpectralField(grid, out)
     forcing.band = cut
     return forcing
@@ -214,17 +216,16 @@ def select_radius_and_time(prob: IvpProblem, c: float) -> tuple[float, float]:
 
 
 def duhamel_norm(prob: IvpProblem, prop: Propagator, forcing, cfg: WeightedNormConfig,
-                 panels: int) -> list[float]:
-    """Space norm of int_0^t V(t - tau) F_p(tau) dtau over cfg.sample_times
-    for each member F_p of a stacked forcing.
+                 panels: int):
+    """Space norm of int_0^t V(t - tau) F(tau) dtau over cfg.sample_times.
 
-    forcing is a callable tau -> list of P fields; one duhamel_sweep on
-    [0, cfg.t_final] with the given number of panels serves all P members,
-    each time's (P, n/2 + 1) spectra are normed as one stack, and the P
-    norms are returned in order.
+    forcing is a callable tau -> SpectralField, as duhamel_sweep takes it;
+    one sweep on [0, cfg.t_final] with the given number of panels is normed
+    time by time.  The result is what the space norm returns: a float for a
+    field, and for a stack of P members an array of P norms, in order.
     """
     sweep = duhamel_sweep(prop, forcing, cfg.sample_times, cfg.t_final, panels)
-    return prob.space_norm((SpectralField(prob.grid, specs) for specs in sweep), cfg).tolist()
+    return prob.space_norm((SpectralField(prob.grid, spec) for spec in sweep), cfg)
 
 
 def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
@@ -247,10 +248,10 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
             raise ValueError("calibration needs a nonzero probe")
         prop = Propagator(prob.symbol, prob.grid)
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, 1.0, n_times=12)
-        forcing = lambda tau: [nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)]
+        forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
         try:
             denom = prob.space_norm((apply_semigroup(prop, g, t) for t in cfg.sample_times), cfg)
-            num = duhamel_norm(prob, prop, forcing, cfg, panels)[0]
+            num = duhamel_norm(prob, prop, forcing, cfg, panels)
             return 2.0 * max(denom / hs, num / denom ** (prob.k + 1.0))
         except (BlowUpError, OverflowError) as exc:
             raise DoubleRangeError(
@@ -260,16 +261,16 @@ def calibrate_c(prob: IvpProblem, g: SpectralField, panels: int) -> float:
 
 class PicardSolution:
     """Last iterate v^n: its band below the dealias cutoff at the stored
-    times, plus one-sweep access anywhere.
+    times, each a narrow field, plus one-sweep access anywhere.
 
     Above the band v^n is the free flow V(t)v0 to the bit (see
     picard_iterate).  at(times) returns the iterate v^n at each stored time,
     formed as V(t)v0 with the band written over its first modes; every other
     time in [0, T] gets one more Picard application Psi(v^n).  All the
     off-grid times of one call share one duhamel_sweep, which forms the
-    forcing of v^n at each node from its band as it reaches it; no nodal
-    forcing is kept.  A time outside [0, T] is a ValueError.
-    The two differ by at most the last increment.
+    forcing of v^n at each node by nonlinearity_eval of its band as it
+    reaches it; no nodal forcing is kept.  A time outside [0, T] is a
+    ValueError.  The two differ by at most the last increment.
     """
 
     def __init__(self, prop, prob, t_final, panels, stored_bands):
@@ -286,7 +287,7 @@ class PicardSolution:
                 raise ValueError(f"time {t} outside the solution interval [0, {self.t_final}]")
         ordered = sorted(set(times))
         prob = self.prob
-        forcing = lambda tau: _nonlinearity(prob.grid, self._stored[tau], prob.k, prob.mode)
+        forcing = lambda tau: nonlinearity_eval(self._stored[tau], prob.k, prob.mode)
         sweep = duhamel_sweep(self.prop, forcing, ordered, self.t_final, self.panels)
         return dict(zip(ordered, sweep, strict=True))
 
@@ -299,7 +300,7 @@ class PicardSolution:
         for t in times:
             spec = apply_semigroup(prop, v0, t).spec
             if t in stored:
-                spec[:stored[t].size] = stored[t]
+                spec[:stored[t].band] = stored[t].spec
             else:
                 spec = spec - integrals[t]
             out.append(SpectralField(self.prob.grid, spec))
@@ -333,10 +334,11 @@ def picard_iterate(
     of the increment drops below tol.
 
     One set of fields is held, and of each field only its first
-    grid.dealias_cutoff coefficients, copied so that no view keeps a half
-    spectrum alive: every forcing is exactly 0 from the cutoff on, so there
-    each iterate is the free flow V(t)v0 to the bit, and the forcing at a
-    node reads the band alone.  Each time's band of v^n is replaced by that
+    grid.dealias_cutoff coefficients, as a narrow field whose spec is a copy,
+    so that no view keeps a half spectrum alive: every forcing is exactly 0
+    from the cutoff on, so there each iterate is the free flow V(t)v0 to the
+    bit, and the forcing at a node is nonlinearity_eval of the band alone.
+    Each time's band of v^n is replaced by that
     of v^(n+1) as the sweep yields it, which duhamel_sweep's order allows
     (every node of a panel is evaluated before any time in the panel is
     yielded, so no node reads a replaced band).  The free evolution V(t)v0
@@ -363,9 +365,10 @@ def picard_iterate(
     )
     v0 = prob.initial_data
     cut = grid.dealias_cutoff
-    held = {t: apply_semigroup(prop, v0, t).spec[:cut].copy() for t in eval_times}
+    held = {t: SpectralField(grid, apply_semigroup(prop, v0, t).spec[:cut].copy())
+            for t in eval_times}
     sample_times = set(cfg.sample_times)
-    forcing = lambda tau: _nonlinearity(grid, held[tau], prob.k, prob.mode)
+    forcing = lambda tau: nonlinearity_eval(held[tau], prob.k, prob.mode)
 
     def advance(it):
         """Replace held by the band of the next iterate, time by time; yield
@@ -378,9 +381,9 @@ def picard_iterate(
             spec = np.subtract(free, integral, out=None if pair is None else pair[1])
             if not np.all(np.isfinite(spec)):
                 raise BlowUpError(f"iterate {it} became non-finite at t={t:g}")
-            band = spec[:cut].copy()
+            band = SpectralField(grid, spec[:cut].copy())
             if pair is not None:
-                np.subtract(band, held[t], out=pair[0, :cut])
+                np.subtract(band.spec, held[t].spec, out=pair[0, :cut])
                 yield SpectralField(grid, pair)
             held[t] = band
 

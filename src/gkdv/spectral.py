@@ -29,13 +29,16 @@ derivative of a banded field keeps its band, and a difference keeps the
 larger band of its two operands; norms and Duhamel sweeps skip the zeros
 past it.
 
-A field may also be a stack of P members, a member per row: its spec has
-shape (P, n/2 + 1), as duhamel_sweep yields for a stacked forcing, or
-(P, W) when every member is 0 from mode W on, which is then not stored.
-Its band is that of the stack, the widest of its members, and phys holds
-the (P, n) samples.  apply_multiplier_values and
-fractional_derivative_shifted act on every row with one multiplier, and
-each row gets the bits it would get as a field of its own.
+A spec has shape (W,) for one field or (P, W) for a stack of P members, a
+member per row, with 0 < W <= n/2 + 1: the first W coefficients are
+stored, and every later one is 0 and is not.  W = n/2 + 1 holds the whole
+half spectrum, as every forcing of a Duhamel sweep must; a narrower spec
+holds a band, such as the modes of a Picard iterate below the dealias
+cutoff.  A stack's band is the widest of its members', and its phys holds
+the (P, n) samples.  apply_multiplier_values,
+fractional_derivative_shifted, the norms and the nonlinearity kernel act on
+every row at once, and each row gets the bits it would get as a field of
+its own.
 """
 
 from __future__ import annotations
@@ -114,10 +117,11 @@ class SpectralField:
     then kept; a field built from samples keeps those.  spec[band:] is
     exactly 0; band is the whole half spectrum on a field built from a
     spectrum or from samples, and only a prefix multiplier or the
-    nonlinearity's dealiasing narrows it.  A spec of shape (P, W) holds a
-    stack of P members, one per row, with one band for all of them: the
-    first W <= n/2 + 1 coefficients of each, every later one 0 and not
-    stored.  Operations never mutate fields in place.
+    nonlinearity's dealiasing narrows it.  A spec of shape (W,) holds one
+    field and one of shape (P, W) a stack of P members, one per row, with
+    one band for all of them: the first W <= n/2 + 1 coefficients of each,
+    every later one 0 and not stored.  Operations never mutate fields in
+    place.
     """
 
     grid: GridSpec
@@ -127,10 +131,9 @@ class SpectralField:
     def __post_init__(self):
         self.spec = np.asarray(self.spec, dtype=complex)
         size = self.grid.xi.size
-        if not (self.spec.shape == (size,)
-                or (self.spec.ndim == 2 and 0 < self.spec.shape[1] <= size)):
+        if not (self.spec.ndim in (1, 2) and 0 < self.spec.shape[-1] <= size):
             raise StructuralError(
-                f"expected {size} coefficients for "
+                f"expected shape (W,) or (P, W) with 0 < W <= {size} for "
                 f"n_points={self.grid.n_points}, got shape {self.spec.shape}"
             )
         self.band = self.spec.shape[-1]

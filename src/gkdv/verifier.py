@@ -334,11 +334,11 @@ def verify_nonlinear_estimate(prob: IvpProblem, *, seed: int) -> EstimateReport:
     t_values = np.asarray(_GROWTH_T_VALUES)
     prop = Propagator(prob.symbol, prob.grid)
     g = rough_field(prob.grid, sobolev_index=prob.s, seed=seed)
-    forcing = lambda tau: [nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)]
+    forcing = lambda tau: nonlinearity_eval(apply_semigroup(prop, g, tau), prob.k, prob.mode)
     lhs = []
     for t_final in t_values:
         cfg = WeightedNormConfig.default(prob.s, prob.k, prob.symbol.p, t_final, n_times=10)
-        lhs.append(duhamel_norm(prob, prop, forcing, cfg, 12)[0])
+        lhs.append(duhamel_norm(prob, prop, forcing, cfg, 12))
     lhs = _nonzero(lhs, "the Duhamel term's space norm", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, lhs)
     return EstimateReport(
@@ -394,9 +394,10 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
     For pairs (v, w) of free evolutions of scaling-critical random data the
     measured rho(T) = max ||Psi(v)-Psi(w)|| / ||v-w|| should scale as
     T^omega_k; pass when the fitted exponent is within 15% of omega_k.
-    Inadmissible (k, p) pairs produce a skipped report.  Per T the pairs
-    share each propagator multiplier and one Duhamel sweep over their
-    stacked forcings.
+    Inadmissible (k, p) pairs produce a skipped report.  The v and the w of
+    the pairs are two stacks, a row per pair; per T one propagator
+    multiplier per time serves both, and the pairs kept, rows of both
+    stacks, share one Duhamel sweep over their stacked forcing.
 
     The discrete sup over (0, T] takes 8 samples down to an absolute time floor
     shared by every T in the sweep; a floor relative to T would drag a
@@ -413,39 +414,32 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
     space = prob.space_norm
     probe_exp = contraction_probe_exponent(prob.k)
 
-    pairs = []
-    for i in range(n_pairs):
-        gv = rough_field(prob.grid, seed=seed + 2 * i, spectral_exponent=probe_exp)
-        gw = rough_field(prob.grid, seed=seed + 2 * i + 1, spectral_exponent=probe_exp)
-        pairs.append((gv, gw))
     # the v and the w of every pair as two stacks, a row per pair
-    vs = SpectralField(prob.grid, np.array([v.spec for v, _ in pairs]))
-    ws = SpectralField(prob.grid, np.array([w.spec for _, w in pairs]))
+    vs, ws = (
+        SpectralField(prob.grid, np.array([
+            rough_field(prob.grid, seed=seed + 2 * i + j, spectral_exponent=probe_exp).spec
+            for i in range(n_pairs)]))
+        for j in (0, 1)
+    )
 
-    def free_pairs(which, t):
-        # One multiplier serves both members of every pair.
+    def free(t, v, w):
+        # V(t)v and V(t)w, a row per pair, from one multiplier
         m = prop.multiplier(t)
-        return [[apply_multiplier_values(g, m) for g in pair] for pair in which]
-
-    def free_diffs(t):
-        # V(t)v - V(t)w of every pair, a row each, from one multiplier
-        m = prop.multiplier(t)
-        return apply_multiplier_values(vs, m) - apply_multiplier_values(ws, m)
+        return apply_multiplier_values(v, m), apply_multiplier_values(w, m)
 
     rhos = []
     for t_final in t_values:
         times = tuple(np.geomspace(t_floor, t_final, 8))
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
-        denoms = space((free_diffs(t) for t in times), cfg)
-        kept = [(pair, denom) for pair, denom in zip(pairs, denoms.tolist())
-                if not denom < 1e-12]
+        denoms = space((fv - fw for fv, fw in (free(t, vs, ws) for t in times)), cfg)
+        kept = [i for i, denom in enumerate(denoms.tolist()) if not denom < 1e-12]
         best = 0.0
         if kept:
-            live, denoms = zip(*kept)
-            # one sweep over the stacked forcings N(v) - N(w), a member per live pair
-            forcing = lambda tau: [nonlinearity_difference(v, w, prob.k, prob.mode)
-                                   for v, w in free_pairs(live, tau)]
-            for num, denom in zip(duhamel_norm(prob, prop, forcing, cfg, 10), denoms):
+            kept_vs, kept_ws = (SpectralField(prob.grid, g.spec[kept]) for g in (vs, ws))
+            # one sweep over the stacked forcing N(v) - N(w), a member per kept pair
+            forcing = lambda tau: nonlinearity_difference(*free(tau, kept_vs, kept_ws),
+                                                          prob.k, prob.mode)
+            for num, denom in zip(duhamel_norm(prob, prop, forcing, cfg, 10), denoms[kept]):
                 best = max(best, num / denom)
         rhos.append(best)
     rhos = _nonzero(rhos, "rho(T)", prob.grid)

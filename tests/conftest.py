@@ -5,14 +5,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gkdv import semigroup
+from gkdv import semigroup, verifier
 from gkdv.errors import BlowUpError, DivergenceError
 from gkdv.norms import WeightedNormConfig, gamma_k, lebesgue_norm, sobolev_norm, x_norm
 from gkdv.probes import rough_field
 from gkdv.semigroup import Propagator, apply_semigroup, duhamel_nodes, duhamel_sweep
-from gkdv.solver import IterationRecord, PicardTrace, nonlinearity_eval
+from gkdv.solver import IterationRecord, PicardTrace, nonlinearity_difference, nonlinearity_eval
 from gkdv.spectral import GridSpec, SpectralField, fractional_derivative_shifted
-from gkdv.verifier import EstimateReport, _nonzero, _one_sided_verdict, fit_power_law
+from gkdv.verifier import (
+    EstimateReport,
+    _nonzero,
+    _one_sided_verdict,
+    contraction_probe_exponent,
+    default_contraction_window,
+    fit_power_law,
+)
 
 
 def rel_l2(a, b):
@@ -74,6 +81,14 @@ def band_limit(f):
     spec = f.spec.copy()
     spec[f.grid.dealias_cutoff:] = 0.0
     return SpectralField(f.grid, spec)
+
+
+def stack_fields(fields):
+    """The fields, all on one grid, as one stack, a member per row; its band
+    is the widest of theirs, as duhamel_sweep took a list of fields."""
+    stack = SpectralField(fields[0].grid, np.array([f.spec for f in fields]))
+    stack.band = max(f.band for f in fields)
+    return stack
 
 
 def padded_multiplier(prop, t):
@@ -336,6 +351,36 @@ def per_seed_weighted_linear(sym, k, *, s, grid, base_seed, n_seeds):
             "spread_tolerance": spread_tol,
         },
     )
+
+
+def per_pair_contraction_rhos(prob, *, seed, n_pairs):
+    """Reference rho(T) of verify_contraction_scaling, one pair at a time:
+    each pair's denominator from its own free differences, and its numerator
+    from a forcing N(V(tau)v) - N(V(tau)w) of its own and one Duhamel sweep
+    over it.  The probes are drawn through verifier.rough_field, so a test
+    that replaces it replaces them here too."""
+    prop = Propagator(prob.symbol, prob.grid)
+    probe_exp = contraction_probe_exponent(prob.k)
+    pairs = [[verifier.rough_field(prob.grid, seed=seed + 2 * i + j, spectral_exponent=probe_exp)
+              for j in (0, 1)] for i in range(n_pairs)]
+    t_values = np.asarray(default_contraction_window(prob), dtype=float)
+    rhos = []
+    for t_final in t_values:
+        times = tuple(np.geomspace(1e-4 * t_values[0], t_final, 8))
+        cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
+        best = 0.0
+        for v, w in pairs:
+            denom = prob.space_norm((apply_semigroup(prop, v, t) - apply_semigroup(prop, w, t)
+                                     for t in times), cfg)
+            if denom < 1e-12:
+                continue
+            forcing = lambda tau, v=v, w=w: nonlinearity_difference(
+                apply_semigroup(prop, v, tau), apply_semigroup(prop, w, tau), prob.k, prob.mode)
+            sweep = duhamel_sweep(prop, forcing, times, t_final, 10)
+            num = prob.space_norm((SpectralField(prob.grid, spec) for spec in sweep), cfg)
+            best = max(best, num / denom)
+        rhos.append(best)
+    return rhos
 
 
 class FftCalls(Counter):

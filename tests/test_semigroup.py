@@ -23,7 +23,7 @@ from gkdv.spectral import GridSpec, SpectralField, coherent_field
 from gkdv.symbols import builtin_symbol, evaluate_phi, symbol_constants, tabulated_symbol
 from gkdv.probes import gaussian_field
 
-from conftest import full_band_sweep, gl_duhamel, padded_multiplier, panel_step
+from conftest import full_band_sweep, gl_duhamel, padded_multiplier, panel_step, stack_fields
 
 
 def single_mode(grid, k, amp=0.5):
@@ -312,7 +312,7 @@ class TestDuhamelIntegral:
 
 
 class TestStackedSweep:
-    """A forcing that returns a list of P fields sweeps them as one stack."""
+    """A forcing that returns a stack of P fields sweeps its members at once."""
 
     T_FINAL = 0.4
     TIMES = [0.0, 1e-3, 0.05, 0.2, 0.37, 0.4]
@@ -344,7 +344,7 @@ class TestStackedSweep:
         # mid-panel in the sixth panel, as in the single-forcing widening test
         onset = 0.5 * (nodes[5, 1] + nodes[5, 2]) if widens else None
         forcings = self.forcings(grid, prop, onset)
-        stacked = self.sweep(prop, lambda tau: [f(tau) for f in forcings])
+        stacked = self.sweep(prop, lambda tau: stack_fields([f(tau) for f in forcings]))
         separate = [self.sweep(prop, f) for f in forcings]
         assert len(stacked) == len(self.TIMES)
         for j, specs in enumerate(stacked):
@@ -360,19 +360,24 @@ class TestStackedSweep:
     def test_stack_of_one_matches_the_single_forcing(self, grid):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
         f = self.forcings(grid, prop)[0]
-        stacked = self.sweep(prop, lambda tau: [f(tau)])
+        stacked = self.sweep(prop, lambda tau: stack_fields([f(tau)]))
         single = self.sweep(prop, f)
         assert all(a.shape == (1,) + b.shape and np.array_equal(a[0], b)
                    for a, b in zip(stacked, single))
 
-    @pytest.mark.parametrize("bad", ["other-grid", "array"])
+    @pytest.mark.parametrize("bad", ["other-grid", "array", "band", "list", "reshaped"])
     def test_malformed_stack_rejected(self, grid, bad):
         prop = Propagator(builtin_symbol("kdv-ks"), grid)
         f = self.forcings(grid, prop)[0]
         other = gaussian_field(GridSpec(2 * np.pi, 64), width=0.7)
         forcing = {
-            "other-grid": lambda tau: [f(tau), other],
+            "other-grid": lambda tau: stack_fields([other, other]),
             "array": lambda tau: f(tau).spec,
+            "band": lambda tau: SpectralField(grid, f(tau).spec[:grid.dealias_cutoff]),
+            "list": lambda tau: [f(tau), f(tau)],
+            # a stack of two at the first nodes, then a field, which would
+            # broadcast over the stack's rows
+            "reshaped": lambda tau: stack_fields([f(tau), f(tau)]) if tau < 0.01 else f(tau),
         }[bad]
         with pytest.raises(StructuralError):
             self.sweep(prop, forcing)

@@ -43,6 +43,7 @@ from conftest import (
     peak_half_spectra,
     per_time_solution,
     rel_l2,
+    stack_fields,
     three_set_picard,
 )
 
@@ -167,6 +168,11 @@ class TestNonlinearityDifference:
         fft_calls.clear()
         nonlinearity_difference(v, w, 1.0, "conservative")
         assert fft_calls == Counter(irfft=2, rfft=1)
+        # a stack of 3 pairs takes the same 3 transforms, batched over its rows
+        fft_calls.clear()
+        nonlinearity_difference(stack_fields([v, w, v]), stack_fields([w, v, v]), 1.0,
+                                "conservative")
+        assert fft_calls == Counter(irfft=2, rfft=1)
 
     def test_overflowed_member_raises_blow_up(self):
         grid = GridSpec(100.0, 256)
@@ -185,6 +191,52 @@ class TestNonlinearityDifference:
             nonlinearity_difference(v, other, 1.0, "conservative")
         with pytest.raises(ValueError):
             nonlinearity_difference(v, v, 1.0, "weird")
+
+
+class TestStackedKernel:
+    """A stack or a band through the one nonlinearity kernel: every row gets
+    the bits of the call on its member alone."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(float), b.view(float))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [2 ** j for j in range(8, 17)])
+    def test_rows_match_calls_on_each_member(self, n, mode):
+        grid = GridSpec(50 * np.pi, n)
+        cut = grid.dealias_cutoff
+        specs = np.array([0.3 * rough_field(grid, seed=i).spec for i in range(17)])
+        members = [SpectralField(grid, spec) for spec in specs]
+        for k in (1.0, 1.5, 2.0):
+            alone = [nonlinearity_eval(f, k, mode).spec for f in members]
+            pairs = [nonlinearity_difference(v, w, k, mode).spec
+                     for v, w in zip(members, members[1:])]
+            for p in (1, 2, 3, 16):
+                stack = nonlinearity_eval(SpectralField(grid, specs[:p]), k, mode)
+                diff = nonlinearity_difference(SpectralField(grid, specs[:p]),
+                                               SpectralField(grid, specs[1:p + 1]), k, mode)
+                assert stack.band == diff.band == cut
+                assert self.same_bits(stack.spec, np.array(alone[:p]))
+                assert self.same_bits(diff.spec, np.array(pairs[:p]))
+            band = nonlinearity_eval(SpectralField(grid, specs[0, :cut]), k, mode)
+            assert band.band == cut
+            assert self.same_bits(band.spec, alone[0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_overflowing_member_raises_blow_up(self, mode):
+        grid = GridSpec(100.0, 256)
+        specs = np.array([0.3 * rough_field(grid, seed=i).spec for i in range(3)])
+        specs[1] *= 1e110
+        stack = SpectralField(grid, specs)
+        calm = SpectralField(grid, specs[[0, 2, 0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError):
+                nonlinearity_eval(stack, 2.0, mode)
+            with pytest.raises(BlowUpError):
+                nonlinearity_difference(stack, calm, 2.0, mode)
+            with pytest.raises(BlowUpError):
+                nonlinearity_difference(calm, stack, 2.0, mode)
 
 
 class TestSelection:
@@ -235,7 +287,8 @@ class TestDuhamelNorm:
         forcings = [lambda tau, g=g: nonlinearity_eval(apply_semigroup(prop, g, tau), 1.0, mode)
                     for g in probes]
         cfg = WeightedNormConfig.default(prob.s, 1.0, prob.symbol.p, 0.5, n_times=6)
-        stacked = duhamel_norm(prob, prop, lambda tau: [f(tau) for f in forcings], cfg, 8)
+        stacked = duhamel_norm(prob, prop, lambda tau: stack_fields([f(tau) for f in forcings]),
+                               cfg, 8).tolist()
         alone = [prob.space_norm((SpectralField(prob.grid, spec) for spec in
                                   duhamel_sweep(prop, f, cfg.sample_times, 0.5, 8)), cfg)
                  for f in forcings]
@@ -423,7 +476,7 @@ class TestOneIterateSet:
         want_fields, want_trace = three_set_picard(prob, r, self.T_FINAL, tol=1e-10)
         assert trace.converged and want_trace.converged
         assert [asdict(rec) for rec in trace.iterates] == [asdict(rec) for rec in want_trace.iterates]
-        assert {band.size for band in sol._stored.values()} == {prob.grid.xi.size - 1}
+        assert {band.spec.size for band in sol._stored.values()} == {prob.grid.xi.size - 1}
         assert list(sol._stored) == list(want_fields)
         for t, got in zip(want_fields, sol.at(want_fields), strict=True):
             assert self.same_bits(got.spec, want_fields[t].spec), t

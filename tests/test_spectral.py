@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdv.errors import MultiplierEvaluationError, StructuralError
+from gkdv.norms import lebesgue_norm, sobolev_norm
+from gkdv.probes import rough_field
+from gkdv.solver import MODES, nonlinearity_eval
 from gkdv.spectral import (
     GridSpec,
     SpectralField,
@@ -89,6 +92,43 @@ class TestTransforms:
             coherent_field(small_grid, np.ones(32))
         with pytest.raises(StructuralError):
             SpectralField(small_grid, np.ones(64, complex))
+
+
+class TestNarrowField:
+    """A 1-D spec of its first W modes is the field zero-padded to the half
+    spectrum, to the bit."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_band_gives_the_bits_of_the_padded_field(self, n):
+        grid = GridSpec(50 * np.pi, n)
+        spec = rough_field(grid, seed=3).spec
+        for width in (1, 7, grid.dealias_cutoff, n // 2, n // 2 + 1):
+            narrow = SpectralField(grid, spec[:width])
+            padded = SpectralField(grid, np.where(np.arange(spec.size) < width, spec, 0))
+            assert narrow.band == width and padded.band == spec.size
+            assert self.same_bits(narrow.phys, padded.phys)
+            for s in (0.0, 0.5, -0.5):
+                assert self.same_bits(sobolev_norm(narrow, s), sobolev_norm(padded, s))
+            for q in (2, 3, 4, np.inf):
+                assert self.same_bits(lebesgue_norm(narrow, q), lebesgue_norm(padded, q))
+            for s in (0.0, 0.5):
+                d_narrow = fractional_derivative_shifted(narrow, s)
+                d_padded = fractional_derivative_shifted(padded, s)
+                assert d_narrow.band == width
+                assert self.same_bits(d_narrow.spec, d_padded.spec[:width])
+                assert self.same_bits(d_narrow.phys, d_padded.phys)
+            for mode in MODES:
+                assert self.same_bits(nonlinearity_eval(narrow, 1.5, mode).spec,
+                                      nonlinearity_eval(padded, 1.5, mode).spec)
+
+    def test_other_shapes_rejected(self, small_grid):
+        for shape in ((2, 3, 33), (34,), (2, 34), (0,), (2, 0)):
+            with pytest.raises(StructuralError):
+                SpectralField(small_grid, np.ones(shape, complex))
 
 
 class TestMultipliers:

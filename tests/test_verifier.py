@@ -28,7 +28,7 @@ from gkdv.verifier import (
     verify_weighted_linear,
 )
 
-from conftest import peak_half_spectra, per_seed_weighted_linear
+from conftest import peak_half_spectra, per_pair_contraction_rhos, per_seed_weighted_linear
 
 
 class TestFitPowerLaw:
@@ -332,6 +332,29 @@ class TestContractionScaling:
         rep = verify_contraction_scaling(prob, seed=0, n_pairs=2)
         assert rep.notes["rhos"] == alone.notes["rhos"]
         assert counts["panel_step"] == 6 * (8 + 10)
+
+    @pytest.mark.parametrize("name, n, mode, s, seed, n_pairs", [
+        ("kdv-ks", 2 ** 12, "gradient", 0.5, 0, 2),
+        ("kdv-ks", 2 ** 11, "conservative", 0.0, 7, 3),
+        ("ostrovsky", 2 ** 11, "conservative", 0.0, 0, 3),
+        ("dropped-pair", 256, "conservative", 0.0, 0, 3),
+    ])
+    def test_rhos_equal_the_per_pair_sweeps(self, monkeypatch, name, n, mode, s, seed, n_pairs):
+        # the stacked pairs give each rho(T) the bits of one sweep per pair;
+        # in "dropped-pair" seed 1 draws the probe of seed 0, so the first
+        # pair has v = w and is dropped from every T
+        if name == "dropped-pair":
+            name, grid = "kdv-ks", GridSpec(50 * np.pi, n)
+            rough = verifier.rough_field
+            monkeypatch.setattr(verifier, "rough_field", lambda grid, *, seed, **kwargs:
+                                rough(grid, seed=0 if seed == 1 else seed, **kwargs))
+        else:
+            grid = GridSpec(50 * np.pi, n)
+        prob = IvpProblem(symbol=builtin_symbol(name), grid=grid, k=1.0, mode=mode, s=s,
+                          initial_data=zero_field(grid))
+        rhos = verify_contraction_scaling(prob, seed=seed, n_pairs=n_pairs).notes["rhos"]
+        want = per_pair_contraction_rhos(prob, seed=seed, n_pairs=n_pairs)
+        assert [float.hex(r) for r in rhos] == [float.hex(float(r)) for r in want]
 
     def test_mislabelled_order_fails_on_the_exponent(self):
         # negative control: labelled p = 4, but Phi = -xi^2 smooths like
