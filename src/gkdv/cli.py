@@ -17,6 +17,7 @@ import shutil
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import click
@@ -26,6 +27,7 @@ from .errors import ConfigError, GkdvError
 from .probes import gaussian_field
 from .runconfig import SUITES, RunConfig
 from .solver import IvpProblem, solve
+from .tasks import side_by_side
 from .verifier import (
     render_report_table,
     verify_contraction_scaling,
@@ -42,14 +44,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _run(command: str, config_path: str, out_override: str | None, build, body) -> int:
+def _run(command: str, config_path: str, suite: str | None, out_override: str | None,
+         build, body) -> int:
     """The lifecycle every command shares; returns the exit code.
 
     The config is parsed and build(cfg) run before any directory exists, so a
     ConfigError exits 2 and leaves nothing behind.  The run directory is then
     made afresh, body(cfg, built, run_dir) does the command's own work and
     returns its exit code, a GkdvError it raises exits 1, and the manifest is
-    written in either case.
+    written in either case.  suite is verify's --suite, else None; the
+    manifest of verify and sweep records the suite that ran, suite or the
+    config's.
     """
     started = time.time()
     try:
@@ -82,6 +87,8 @@ def _run(command: str, config_path: str, out_override: str | None, build, body) 
     ]
     manifest = {"config_hash": cfg.config_hash(), "artifact_version": __version__,
                 "started_at": started, "finished_at": time.time(), "files": files}
+    if command != "solve":
+        manifest["suite"] = suite or cfg.suite
     _write_json(run_dir / "manifest.json", manifest)
     return code
 
@@ -110,7 +117,7 @@ def run_solve(config_path: str, out_override: str | None) -> int:
         )
         return 0
 
-    return _run("solve", config_path, out_override, RunConfig.build_problem, body)
+    return _run("solve", config_path, None, out_override, RunConfig.build_problem, body)
 
 
 def _verify_reports(cfg: RunConfig, prob: IvpProblem, suite: str):
@@ -150,20 +157,25 @@ def run_verify(config_path: str, suite: str | None, out_override: str | None) ->
         click.echo(table)
         return 1 if any(not r.passed for r in reports) else 0
 
-    return _run("verify", config_path, out_override, RunConfig.build_problem, body)
+    return _run("verify", config_path, suite, out_override, RunConfig.build_problem, body)
 
 
-def _sweep_job(cfg: RunConfig) -> list[str]:
+def _sweep_job(cfg: RunConfig) -> tuple[list[str], GkdvError | None]:
     """The sweep.csv rows of one combination, labelled with the k, p and s of
-    the problem that ran."""
+    the problem that ran, and the GkdvError that stopped its checks, or None.
+    A stopped combination keeps the rows of the checks that finished, and
+    one more row names the exception's class, with verdict error."""
     prob = cfg.build_problem()
     kps = ",".join(repr(v) for v in (prob.k, prob.symbol.p, prob.s))
     rows = []
-    for rep in _verify_reports(cfg, prob, cfg.suite):
-        theo = "" if rep.theoretical_exponent is None else repr(float(rep.theoretical_exponent))
-        fit = "" if rep.fitted_exponent is None else repr(float(rep.fitted_exponent))
-        rows.append(f"{kps},{rep.estimate_id},{theo},{fit},{rep.verdict}")
-    return rows
+    try:
+        for rep in _verify_reports(cfg, prob, cfg.suite):
+            theo = "" if rep.theoretical_exponent is None else repr(float(rep.theoretical_exponent))
+            fit = "" if rep.fitted_exponent is None else repr(float(rep.fitted_exponent))
+            rows.append(f"{kps},{rep.estimate_id},{theo},{fit},{rep.verdict}")
+    except GkdvError as exc:
+        return [*rows, f"{kps},{type(exc).__name__},,,error"], exc
+    return rows, None
 
 
 def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
@@ -174,28 +186,18 @@ def run_sweep(config_path: str, jobs: int, out_override: str | None) -> int:
         return combos
 
     def body(cfg: RunConfig, combos: list[RunConfig], run_dir: Path) -> int:
-        # the pool forks all its workers up front, so it never outnumbers the
-        # combinations or the CPUs this process may run on
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        workers = min(jobs, len(combos), cpus)
-        if workers > 1:
-            # multiprocessing loads only for a sweep that starts a pool
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_job, combos))
-        else:
-            results = [_sweep_job(combo) for combo in combos]
-        rows = [row for combo_rows in results for row in combo_rows]
+        results = side_by_side([partial(_sweep_job, combo) for combo in combos], jobs=jobs)
+        rows = [row for combo_rows, _ in results for row in combo_rows]
         header = "k,p,s,estimate_id,theoretical,fitted,verdict"
         (run_dir / "data" / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
+        # every combination's rows are written before the first error stops the run
+        for _, exc in results:
+            if exc is not None:
+                raise exc
         click.echo(f"sweep: {len(combos)} combinations -> {run_dir}")
         return 1 if any(row.endswith(",fail") for row in rows) else 0
 
-    return _run("sweep", config_path, out_override, build, body)
+    return _run("sweep", config_path, None, out_override, build, body)
 
 
 @click.group()
@@ -225,7 +227,8 @@ def verify_cmd(config_path, suite, out_override):
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes, at most one per combination and usable CPU")
+              help="Most processes to run on, this one included; at most one per "
+                   "combination and usable CPU")
 @click.option("--out", "out_override", default=None)
 def sweep_cmd(config_path, jobs, out_override):
     """Cartesian sweep over configured (k, p, s) values."""

@@ -43,3 +43,7 @@ class DoubleRangeError(GkdvError):
 
 class ConfigError(GkdvError):
     """A run configuration failed strict validation."""
+
+
+class WorkerError(GkdvError):
+    """A worker process of a side-by-side run ended without its results."""

@@ -10,6 +10,7 @@ when the probe is clearly not extremal).  All randomness is seeded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .solver import (
 )
 from .spectral import GridSpec, SpectralField, apply_multiplier_values
 from .symbols import DissipativeSymbol, _conditions_hold, threshold_M
+from .tasks import side_by_side
 
 DEFAULT_LENGTH = 200.0 * np.pi
 DEFAULT_N_POINTS = 2 ** 13
@@ -397,7 +399,8 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
     Inadmissible (k, p) pairs produce a skipped report.  The v and the w of
     the pairs are two stacks, a row per pair; per T one propagator
     multiplier per time serves both, and the pairs kept, rows of both
-    stacks, share one Duhamel sweep over their stacked forcing.
+    stacks, share one Duhamel sweep over their stacked forcing.  Each T is
+    one task of side_by_side; the power-law fit stays in the caller.
 
     The discrete sup over (0, T] takes 8 samples down to an absolute time floor
     shared by every T in the sweep; a floor relative to T would drag a
@@ -427,8 +430,7 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
         m = prop.multiplier(t)
         return apply_multiplier_values(v, m), apply_multiplier_values(w, m)
 
-    rhos = []
-    for t_final in t_values:
+    def rho(t_final):
         times = tuple(np.geomspace(t_floor, t_final, 8))
         cfg = WeightedNormConfig(prob.s, prob.k, prob.symbol.p, t_final, times)
         denoms = space((fv - fw for fv, fw in (free(t, vs, ws) for t in times)), cfg)
@@ -441,7 +443,10 @@ def verify_contraction_scaling(prob: IvpProblem, *, seed: int, n_pairs: int = 2)
                                                           prob.k, prob.mode)
             for num, denom in zip(duhamel_norm(prob, prop, forcing, cfg, 10), denoms[kept]):
                 best = max(best, num / denom)
-        rhos.append(best)
+        return best
+
+    # the T values read nothing of each other and carry equal work
+    rhos = side_by_side([partial(rho, t_final) for t_final in t_values], jobs=len(t_values))
     rhos = _nonzero(rhos, "rho(T)", prob.grid)
     fitted, constant, residual = fit_power_law(t_values, rhos)
     tol = rel_tol * abs(w)
@@ -482,7 +487,8 @@ def verify_smoothing(
     probe time well above the coarse grid's smoothing scale nyquist^(-p), and
     the worst-case selection rule can land far below it.  Both fixed-point
     runs take 16 panels, at most 40 iterations and tol 1e-9, and the
-    convergence of both is part of the verdict.
+    convergence of both is part of the verdict.  The calibration runs in the
+    caller, and the two grids' solves are two tasks of side_by_side.
     """
     if s is None:
         s = prob.s
@@ -501,24 +507,27 @@ def verify_smoothing(
     r, t_final = select_radius_and_time(prob_c, c)
     if t_horizon is not None:
         t_final = t_horizon
-    sol_c, trace_c = picard_iterate(prob_c, r, t_final, max_iter=40, tol=1e-9, panels=16)
-    sol_f, trace_f = picard_iterate(prob_f, r, t_final, max_iter=40, tol=1e-9, panels=16)
     t_probe = 0.5 * t_final
-
-    free_c = sobolev_norm(apply_semigroup(sol_c.prop, data_c, t_probe), s + mu)
-    free_f = sobolev_norm(apply_semigroup(sol_f.prop, data_f, t_probe), s + mu)
-    free_ratio = abs(free_f - free_c) / free_c
-
     approach = [t_probe + (t_final - t_probe) * 2.0 ** (-j) for j in range(1, 6)]
-    base, *near = sol_c.duhamel_parts([t_probe] + approach)
-    duh_c = sobolev_norm(base, s + mu)
-    duh_f = sobolev_norm(sol_f.duhamel_part(t_probe), s + mu)
-    duh_ratio = abs(duh_f - duh_c) / duh_c if duh_c > 0 else 0.0
 
-    deltas = [sobolev_norm(f - base, s + mu) for f in near]
+    def grid_solve(prob_g, approach_times):
+        # the fixed point on one grid, reduced to scalars: whether it
+        # converged, the free and the Duhamel norm at t_probe, and the
+        # continuity deltas of the Duhamel term at the approach times
+        sol, trace = picard_iterate(prob_g, r, t_final, max_iter=40, tol=1e-9, panels=16)
+        free = sobolev_norm(apply_semigroup(sol.prop, prob_g.initial_data, t_probe), s + mu)
+        base, *near = sol.duhamel_parts([t_probe] + approach_times)
+        deltas = [sobolev_norm(f - base, s + mu) for f in near]
+        return trace.converged, free, sobolev_norm(base, s + mu), deltas
+
+    # the two grids read nothing of each other
+    (conv_c, free_c, duh_c, deltas), (conv_f, free_f, duh_f, _) = side_by_side(
+        [partial(grid_solve, prob_c, approach), partial(grid_solve, prob_f, [])], jobs=2)
+    free_ratio = abs(free_f - free_c) / free_c
+    duh_ratio = abs(duh_f - duh_c) / duh_c if duh_c > 0 else 0.0
     decreasing = all(b < a for a, b in zip(deltas[:-1], deltas[1:]))
 
-    converged = trace_c.converged and trace_f.converged
+    converged = conv_c and conv_f
     ok = converged and free_ratio <= stab_tol and duh_ratio <= stab_tol and decreasing
     return EstimateReport(
         estimate_id=f"smoothing-{prob.symbol.name}-s{s:g}",

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdv import cli, runconfig
+from gkdv import cli, runconfig, tasks
 from gkdv.cli import main
 from gkdv.errors import ConfigError
 from gkdv.runconfig import RunConfig
@@ -446,6 +447,27 @@ def test_shipped_configs_build(path):
         each.build_problem()
 
 
+# The suite of each run and the manifest's record of it: --suite is not part
+# of the run id, and the manifest used not to say which suite ran.
+MANIFEST_SUITES = {
+    "verify-config": ("verify", {"suite": "nonlinear"}, [], "nonlinear"),
+    "verify-flag": ("verify", {"suite": "nonlinear"}, ["--suite", "linear"], "linear"),
+    "sweep-config": ("sweep", {"suite": "linear", "sweep": {"k": [1.0]}}, [], "linear"),
+    "solve": ("solve", {}, [], None),
+}
+
+
+@pytest.mark.parametrize("command,changes,args,suite", MANIFEST_SUITES.values(),
+                         ids=MANIFEST_SUITES.keys())
+def test_manifest_records_the_suite_that_ran(tmp_path, command, changes, args, suite):
+    cfg = solve_config(**changes) if command == "solve" else verify_config(**changes)
+    path = write_config(tmp_path, "run.json", cfg)
+    res = CliRunner().invoke(main, [command, "--config", path, *args, "--out", str(tmp_path)])
+    assert res.exit_code in (0, 1)
+    manifest = json.loads((next(tmp_path.glob("*/manifest.json"))).read_text())
+    assert manifest.get("suite") == suite
+
+
 class TestSolveCommand:
     def test_zero_data_success(self, tmp_path):
         cfg = solve_config(initial_data={"type": "zero"}, output_times=[0.5])
@@ -828,23 +850,20 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
     def test_pool_never_outnumbers_the_combinations(self, tmp_path, monkeypatch):
-        # the pool forks every worker it is asked for, so --jobs 64 used to fork 64
-        pools = []
+        # the pool forks every worker it is asked for, so --jobs 64 used to fork 64;
+        # the caller is one of the workers, so 2 combinations fork one child
+        forks = []
+        fork = os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(tasks.os, "fork", counted_fork)
+        monkeypatch.setattr(tasks.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
         cfg = self.sweep_cfg()
         cfg["sweep"] = {"k": [1.0, 2.0]}
         path = write_config(tmp_path, "s2.json", cfg)
@@ -855,24 +874,24 @@ class TestSweepCommand:
             )
             assert res.exit_code == 0
             outputs[jobs] = (next((tmp_path / jobs).iterdir()) / "data" / "sweep.csv").read_text()
-        assert pools == [2]
+        assert len(forks) == 1
         assert outputs["64"] == outputs["1"]
 
     @pytest.mark.parametrize("one_cpu", ["affinity", "cpu_count"])
     def test_pool_never_outnumbers_the_usable_cpus(self, tmp_path, monkeypatch, one_cpu):
         # --jobs 4 on a process pinned to one CPU used to fork 2 workers for 2 combinations
-        pools = []
+        forks = []
 
-        def no_pool(max_workers):
-            pools.append(max_workers)
-            raise AssertionError("one usable CPU needs no pool")
+        def no_fork():
+            forks.append(None)
+            raise AssertionError("one usable CPU needs no fork")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(tasks.os, "fork", no_fork)
         if one_cpu == "affinity":
-            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(tasks.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:
-            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+            monkeypatch.delattr(tasks.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(tasks.os, "cpu_count", lambda: None)
         cfg = self.sweep_cfg()
         cfg["sweep"] = {"k": [1.0, 2.0]}
         path = write_config(tmp_path, "s2.json", cfg)
@@ -883,8 +902,28 @@ class TestSweepCommand:
             )
             assert res.exit_code == 0
             outputs[jobs] = (next((tmp_path / jobs).iterdir()) / "data" / "sweep.csv").read_text()
-        assert pools == []
+        assert forks == []
         assert outputs["4"] == outputs["1"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_combination_keeps_the_others(self, tmp_path, jobs):
+        # p = 1e6 has no tau window; its error used to discard the p = 4 rows,
+        # and the run wrote no sweep.csv at all
+        cfg = self.sweep_cfg()
+        cfg["sweep"] = {"p": [4.0, 1e6, 6.0]}
+        path = write_config(tmp_path, "s.json", cfg)
+        res = CliRunner().invoke(
+            main, ["sweep", "--config", path, "--jobs", jobs, "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == 1
+        assert "sweep failure: no tau window for pure-power-1e+06" in res.output
+        rows = (next((tmp_path / "out").iterdir()) / "data" / "sweep.csv").read_text().splitlines()
+        assert rows[0] == "k,p,s,estimate_id,theoretical,fitted,verdict"
+        p_column = [row.split(",")[1] for row in rows[1:]]
+        n_checks = p_column.count("4.0")
+        assert n_checks > 1 and p_column == ["4.0"] * n_checks + ["1000000.0"] + ["6.0"] * n_checks
+        assert rows[1 + n_checks] == "1.0,1000000.0,0.0,DoubleRangeError,,,error"
+        assert all(row.endswith((",pass", ",pass-weak")) for row in rows[1:] if ",1000000.0," not in row)
 
     def test_oversized_sweep_exit_2_before_any_combination_is_built(self, tmp_path, monkeypatch):
         # a 101 x 100 sweep used to build and check all 10,100 combinations, then run them

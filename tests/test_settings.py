@@ -6,6 +6,7 @@ may only fall."""
 import ast
 import copy
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -156,8 +157,8 @@ def test_public_names_have_a_caller():
 
 
 # Libraries no op of the paper's machinery uses: OpenSSL (hashing a run's
-# config and files), the process pool (a sweep with 2 or more workers) and
-# numpy.polynomial with its LAPACK set-up.
+# config and files), the process pool (which no run loads: side_by_side
+# forks its workers bare) and numpy.polynomial with its LAPACK set-up.
 NOT_LOADED_AT_IMPORT = {"hashlib", "_hashlib", "multiprocessing",
                         "concurrent.futures.process", "numpy.polynomial"}
 
@@ -175,3 +176,40 @@ def test_import_loads_no_hashing_pool_or_polynomial_modules():
                            capture_output=True, text=True).stdout.split()
     assert "gkdv.cli" in added
     assert sorted(NOT_LOADED_AT_IMPORT & set(added)) == []
+
+
+def test_side_by_side_runs_load_no_process_pool():
+    """A contraction check and a 2-job sweep fork their workers bare, so they
+    load neither multiprocessing nor concurrent.futures.process."""
+    probe = ("import json, os, sys, tempfile\n"
+             "import numpy as np\n"
+             "from gkdv import cli, tasks, verifier\n"
+             "from gkdv.solver import IvpProblem\n"
+             "from gkdv.spectral import GridSpec, zero_field\n"
+             "from gkdv.symbols import builtin_symbol\n"
+             "tasks.usable_cpus = lambda: 2\n"
+             "forks, fork = [], os.fork\n"
+             "def counted_fork():\n"
+             "    pid = fork()\n"
+             "    forks.append(pid)\n"
+             "    return pid\n"
+             "os.fork = counted_fork\n"
+             "grid = GridSpec(50 * np.pi, 256)\n"
+             "prob = IvpProblem(symbol=builtin_symbol('kdv-ks'), grid=grid, k=1.0,\n"
+             "                  mode='conservative', s=0.0, initial_data=zero_field(grid))\n"
+             "verifier.verify_contraction_scaling(prob, seed=0, n_pairs=1)\n"
+             "with tempfile.TemporaryDirectory() as tmp:\n"
+             "    path = os.path.join(tmp, 'sweep.json')\n"
+             "    with open(path, 'w') as out:\n"
+             "        json.dump(json.loads(sys.argv[1]), out)\n"
+             "    code = cli.run_sweep(path, 2, tmp)\n"
+             "print(json.dumps({'code': code, 'forks': len(forks),\n"
+             "                  'loaded': sorted(set(sys.argv[2:]) & set(sys.modules))}))\n")
+    sweep = {**BASES["sweep"], "suite": "linear", "sweep": {"k": [1.0, 2.0]}}
+    pools = ["multiprocessing", "concurrent.futures.process"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(sweep), *pools], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    # one fork for the check's 6 T values on 2 workers, one for the 2 combinations
+    assert json.loads(out.splitlines()[-1]) == {"code": 0, "forks": 2, "loaded": []}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkdv import semigroup, verifier
+from gkdv import semigroup, tasks, verifier
 from gkdv.errors import DoubleRangeError, ResolutionError
 from gkdv.probes import gaussian_field
 from gkdv.runconfig import RunConfig
@@ -289,7 +289,11 @@ class TestContractionScaling:
 
     @staticmethod
     def count_work(monkeypatch):
-        """Count Propagator.multiplier and semigroup._panel_step calls from now on."""
+        """Count Propagator.multiplier and semigroup._panel_step calls from now on.
+
+        The counters live in this process, so the check runs on one usable
+        CPU: the calls a forked worker makes would not be counted."""
+        monkeypatch.setattr(tasks, "usable_cpus", lambda: 1)
         counts = Counter()
         multiplier, panel_step = Propagator.multiplier, semigroup._panel_step
 
